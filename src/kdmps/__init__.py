@@ -7,7 +7,7 @@ excitation eigensolver, all cross-checked against brute-force dense linear
 algebra on small chains.
 """
 
-from .tensor import Tensor, TruncationPolicy, contract, orthogonal_complement, svd_split
+from .tensor import Tensor, TruncationPolicy, orthogonal_complement, svd_split
 from .mps import Mps, canonicalize, mps_add, overlap, random_mps, shift_center
 from .mpo import Mpo, expectation, haldane_shastry_mpo, heisenberg_mpo, mpo_sum_compress
 from .projectors import (
@@ -21,7 +21,7 @@ from .projectors import (
     subspace_dimension,
 )
 from .dmrg import DmrgOptions, apply_effective, build_env, dmrg_ground_state, lanczos_lowest
-from .variance import VarianceReport, cumulative_variance, nsite_variance
+from .variance import VarianceReport, nsite_variance
 from .excitation import (
     ExcitationState,
     apply_projected_h,
@@ -37,7 +37,6 @@ from .ed import DenseState, dense_hamiltonian, dense_state, exact_spectrum, veri
 __all__ = [
     "Tensor",
     "TruncationPolicy",
-    "contract",
     "svd_split",
     "orthogonal_complement",
     "Mps",
@@ -66,7 +65,6 @@ __all__ = [
     "dmrg_ground_state",
     "VarianceReport",
     "nsite_variance",
-    "cumulative_variance",
     "ExcitationState",
     "init_excitation",
     "gauge_fix_T1",

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .dmrg import DmrgOptions, dmrg_ground_state
-from .ed import DENSE_GUARD, dense_hamiltonian, exact_spectrum, verify_identity_suite
+from .ed import dense_hamiltonian, exact_spectrum, guard_dims, verify_identity_suite
 from .excitation import ExcitationOptions, save_excitation, solve_lowest_excitation
 from .mpo import Mpo, haldane_shastry_mpo, heisenberg_mpo, hs_first_excited_energy, hs_ground_energy
 from .mps import load_mps, random_mps, save_mps
@@ -197,9 +197,7 @@ def cmd_excite(config: RunConfig, gs_path: str) -> int:
 
 
 def cmd_check(config: RunConfig) -> int:
-    if config.d**config.L > DENSE_GUARD:
-        print(f"error: dense guard exceeded (d^L > {DENSE_GUARD})", file=sys.stderr)
-        return 2
+    guard_dims(config.d, config.L)
     psi = random_mps(config.L, config.d, bond_cap=config.D_cap, seed=config.seed)
     h = build_model_mpo(config)
     report = verify_identity_suite(psi, h)
@@ -215,9 +213,7 @@ def cmd_check(config: RunConfig) -> int:
 
 
 def cmd_ed(config: RunConfig, k: int) -> int:
-    if config.d**config.L > DENSE_GUARD:
-        print(f"error: dense guard exceeded (d^L > {DENSE_GUARD})", file=sys.stderr)
-        return 2
+    guard_dims(config.d, config.L)
     h = build_model_mpo(config)
     vals = exact_spectrum(dense_hamiltonian(h), k)
     for i, v in enumerate(vals):

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mps import Mps, canonicalize, phys, virt
+from .mps import Mps, _left_normalize, _right_normalize, canonicalize, site_tensors
 from .mpo import Mpo, _env_step_left, _env_step_right
 from .projectors import KeptBases, build_bases
-from .tensor import Tensor, TruncationPolicy
+from .tensor import Tensor, TruncationPolicy, svd_split, transfer_left, transfer_right
 
 __all__ = [
     "EnvCache",
@@ -341,17 +341,7 @@ class _Sweeper:
             self.olefts[i][0] = np.ones((1, 1))
             self.orights[i][self.L + 1] = np.ones((1, 1))
             for l in range(self.L, 1, -1):
-                self.orights[i][l] = self._ostep_right(self.orights[i][l + 1], self.sites[l - 1], g[l - 1])
-
-    @staticmethod
-    def _ostep_left(env: np.ndarray, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
-        tmp = np.tensordot(env, bra, axes=(0, 0))  # (g, p, b')
-        return np.tensordot(tmp, ket, axes=((0, 1), (0, 1)))  # (b', g')
-
-    @staticmethod
-    def _ostep_right(env: np.ndarray, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
-        tmp = np.tensordot(bra, env, axes=(2, 0))  # (b, p, g)
-        return np.tensordot(tmp, ket, axes=((1, 2), (1, 2)))  # (b', g')
+                self.orights[i][l] = transfer_right(self.orights[i][l + 1], self.sites[l - 1], g[l - 1])
 
     def _local_constraints(self, l: int, width: int) -> tuple[np.ndarray, ...]:
         """Constraint states pulled into the local frame at sites l..l+width-1."""
@@ -388,20 +378,17 @@ class _Sweeper:
     def _update_envs_left(self, l: int) -> None:
         self.lefts[l] = _env_step_left(self.lefts[l - 1], self.sites[l - 1], self.w[l - 1], self.sites[l - 1])
         for i, g in enumerate(self.ortho):
-            self.olefts[i][l] = self._ostep_left(self.olefts[i][l - 1], self.sites[l - 1], g[l - 1])
+            self.olefts[i][l] = transfer_left(self.olefts[i][l - 1], self.sites[l - 1], g[l - 1])
 
     def _update_envs_right(self, l: int) -> None:
         self.rights[l] = _env_step_right(self.rights[l + 1], self.sites[l - 1], self.w[l - 1], self.sites[l - 1])
         for i, g in enumerate(self.ortho):
-            self.orights[i][l] = self._ostep_right(self.orights[i][l + 1], self.sites[l - 1], g[l - 1])
+            self.orights[i][l] = transfer_right(self.orights[i][l + 1], self.sites[l - 1], g[l - 1])
 
     def _split_two_site(self, l: int, theta: np.ndarray, to_right: bool) -> float:
         dl, d, _, dr = theta.shape
-        m = theta.reshape(dl * d, d * dr)
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-        keep = self.opts.policy.kept_count(s)
-        dw = float(np.sum(s[keep:] ** 2))
-        u, s, vh = u[:, :keep], s[:keep], vh[:keep, :]
+        u, s, vh, dw = svd_split(theta.reshape(dl * d, d * dr), self.opts.policy)
+        keep = len(s)
         s = s / np.linalg.norm(s)
         if to_right:
             self.sites[l - 1] = u.reshape(dl, d, keep)
@@ -417,26 +404,17 @@ class _Sweeper:
         """Gauge moves without optimization (QR), used to reposition."""
         while self.center < target:
             l = self.center
-            dl, d, dr = self.sites[l - 1].shape
-            q, r = np.linalg.qr(self.sites[l - 1].reshape(dl * d, dr))
-            self.sites[l - 1] = q.reshape(dl, d, q.shape[1])
-            self.sites[l] = np.tensordot(r, self.sites[l], axes=(1, 0))
+            _left_normalize(self.sites, l)
             self._update_envs_left(l)
             self.center = l + 1
         while self.center > target:
             l = self.center
-            dl, d, dr = self.sites[l - 1].shape
-            q, r = np.linalg.qr(self.sites[l - 1].reshape(dl, d * dr).T)
-            self.sites[l - 1] = q.T.reshape(q.T.shape[0], d, dr)
-            self.sites[l - 2] = np.tensordot(self.sites[l - 2], r.T, axes=(2, 0))
+            _right_normalize(self.sites, l)
             self._update_envs_right(l)
             self.center = l - 1
 
     def to_mps(self) -> Mps:
-        sites = tuple(
-            Tensor(arr, (virt(l), phys(l + 1), virt(l + 1))) for l, arr in enumerate(self.sites)
-        )
-        return Mps(sites, form="site", center=self.center)
+        return Mps(site_tensors(self.sites), form="site", center=self.center)
 
 
 def dmrg_ground_state(psi0: Mps, h: Mpo, mode: str = "2s", opts: DmrgOptions | None = None) -> DmrgResult:

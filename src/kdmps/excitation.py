@@ -21,16 +21,25 @@ window is assembled from 2n + 1 boundary terms and re-gauged.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dmrg import apply_window, lanczos_lowest
-from .mps import Mps, load_mps, mps_add, phys, virt
+from .dmrg import EnvCache, apply_window, build_env, lanczos_lowest
+from .mps import Mps, _left_normalize, load_mps, mps_add, phys, site_tensors, virt
 from .mpo import Mpo, _env_step_left, _env_step_right, s2_total_mpo, sz_total_mpo
 from .projectors import KeptBases, _project_out_left, build_bases
-from .tensor import Tensor, read_tensor_blob, write_tensor_blob
+from .tensor import (
+    Tensor,
+    TruncationPolicy,
+    qr,
+    read_tensor_blob,
+    svd_split,
+    transfer_left,
+    write_tensor_blob,
+)
 
 __all__ = [
     "ExcitationState",
@@ -89,11 +98,6 @@ class ExcitationState:
         return [t.data for t in self.windows[l - 1]]
 
 
-def _window_legs(l: int, i: int) -> tuple[str, str, str]:
-    s = l + i - 1
-    return (virt(s - 1), phys(s), virt(s))
-
-
 def _chain_to_window(arrs: list[np.ndarray]) -> np.ndarray:
     """Contract a window chain into one dense (D, d, .., d, D) tensor."""
     cur = arrs[0]
@@ -109,12 +113,7 @@ def _window_to_chain(arr: np.ndarray, n: int) -> list[np.ndarray]:
     out: list[np.ndarray] = []
     cur = arr
     for _ in range(n - 1):
-        rows = cur.shape[0] * cur.shape[1]
-        cols = int(np.prod(cur.shape[2:], dtype=np.int64))
-        q, r = np.linalg.qr(cur.reshape(rows, cols))
-        signs = np.sign(np.diag(r))
-        signs[signs == 0.0] = 1.0
-        q, r = q * signs, r * signs[:, None]
+        q, r = qr(cur.reshape(cur.shape[0] * cur.shape[1], -1))
         k = q.shape[1]
         out.append(q.reshape(cur.shape[0], cur.shape[1], k))
         cur = r.reshape((k,) + cur.shape[2:])
@@ -127,12 +126,8 @@ def _branch_window_shape(bases: KeptBases, n: int, l: int) -> tuple[int, ...]:
     return (dims[l - 1],) + (bases.d,) * n + (dims[l + n - 1],)
 
 
-def _wrap_chain(l: int, arrs: list[np.ndarray]) -> tuple[Tensor, ...]:
-    return tuple(Tensor(a, _window_legs(l, i + 1)) for i, a in enumerate(arrs))
-
-
 def _state_from_windows(bases: KeptBases, n: int, dense_windows: list[np.ndarray]) -> ExcitationState:
-    chains = tuple(_wrap_chain(l, _window_to_chain(w, n)) for l, w in enumerate(dense_windows, start=1))
+    chains = tuple(site_tensors(_window_to_chain(w, n), l) for l, w in enumerate(dense_windows, start=1))
     return ExcitationState(bases=bases, n=n, windows=chains)
 
 
@@ -169,7 +164,7 @@ def gauge_fix_T1(x: ExcitationState) -> ExcitationState:
         arrs = [t.data for t in chain]
         if l < x.anchor:
             arrs[0] = _project_out_left(arrs[0], a[l - 1])
-        chains.append(_wrap_chain(l, arrs))
+        chains.append(site_tensors(arrs, l))
     return ExcitationState(bases=x.bases, n=x.n, windows=tuple(chains))
 
 
@@ -189,15 +184,6 @@ def gauge_defect(x: ExcitationState) -> float:
     return dev
 
 
-def _chain_pair_dot(ca: list[np.ndarray], cb: list[np.ndarray]) -> float:
-    """Full contraction of two window chains sharing their boundary legs."""
-    env = np.eye(ca[0].shape[0])
-    for ta, tb in zip(ca, cb):
-        tmp = np.tensordot(env, ta, axes=(0, 0))  # (b0, p, a1)
-        env = np.tensordot(tmp, tb, axes=((0, 1), (0, 1)))  # (a1, b1)
-    return float(np.trace(env))
-
-
 def ex_overlap(x: ExcitationState, y: ExcitationState) -> float:
     """Inner product <x|y>: one term per branch (never a double sum).
 
@@ -208,9 +194,15 @@ def ex_overlap(x: ExcitationState, y: ExcitationState) -> float:
         raise ValueError("states must share a reference gauge")
     if x.n != y.n:
         raise ValueError("states must share the window size")
-    return sum(
-        _chain_pair_dot(x.branch_arrays(l), y.branch_arrays(l)) for l in range(1, x.n_branches + 1)
-    )
+    total = 0.0
+    for l in range(1, x.n_branches + 1):
+        # the two window chains share their boundary legs
+        xa, ya = x.branch_arrays(l), y.branch_arrays(l)
+        env = np.eye(xa[0].shape[0])
+        for ta, tb in zip(xa, ya):
+            env = transfer_left(env, ta, tb)
+        total += float(np.trace(env))
+    return total
 
 
 def ex_scale(x: ExcitationState, c: float) -> ExcitationState:
@@ -219,7 +211,7 @@ def ex_scale(x: ExcitationState, c: float) -> ExcitationState:
     for l in range(1, x.n_branches + 1):
         arrs = x.branch_arrays(l)
         arrs[0] = c * arrs[0]
-        chains.append(_wrap_chain(l, arrs))
+        chains.append(site_tensors(arrs, l))
     return ExcitationState(bases=x.bases, n=x.n, windows=tuple(chains))
 
 
@@ -254,7 +246,7 @@ def ex_axpy(x: ExcitationState, a: float, y: ExcitationState) -> ExcitationState
                     block[: tx.shape[0], :, : tx.shape[2]] = tx
                     block[tx.shape[0] :, :, tx.shape[2] :] = ty
                 merged.append(block)
-        chains.append(_wrap_chain(l, merged))
+        chains.append(site_tensors(merged, l))
     return ExcitationState(bases=x.bases, n=n, windows=tuple(chains))
 
 
@@ -263,22 +255,18 @@ def compress_windows(x: ExcitationState, rel_cutoff: float = 1e-12) -> Excitatio
     cutoff per bond). Boundary legs are untouched."""
     if x.n == 1:
         return x
+    policy = TruncationPolicy(rel_cutoff=rel_cutoff, keep_degenerate=False)
     chains = []
     for l in range(1, x.n_branches + 1):
-        arrs = [a.copy() for a in x.branch_arrays(l)]
-        for i in range(x.n - 1):
-            m = arrs[i].reshape(arrs[i].shape[0] * arrs[i].shape[1], arrs[i].shape[2])
-            q, r = np.linalg.qr(m)
-            arrs[i] = q.reshape(arrs[i].shape[0], arrs[i].shape[1], q.shape[1])
-            arrs[i + 1] = np.tensordot(r, arrs[i + 1], axes=(1, 0))
+        arrs = x.branch_arrays(l)
+        for i in range(1, x.n):
+            _left_normalize(arrs, i)
         for i in range(x.n - 1, 0, -1):
-            m = arrs[i].reshape(arrs[i].shape[0], arrs[i].shape[1] * arrs[i].shape[2])
-            u, s, vh = np.linalg.svd(m, full_matrices=False)
-            keep = int(np.sum(s >= rel_cutoff * s[0])) if s.size and s[0] > 0.0 else 0
-            keep = max(keep, 1)
-            arrs[i] = vh[:keep].reshape(keep, arrs[i].shape[1], arrs[i].shape[2])
-            arrs[i - 1] = np.tensordot(arrs[i - 1], u[:, :keep] * s[:keep], axes=(2, 0))
-        chains.append(_wrap_chain(l, arrs))
+            dl, d, dr = arrs[i].shape
+            u, s, vh, _ = svd_split(arrs[i].reshape(dl, d * dr), policy)
+            arrs[i] = vh.reshape(len(s), d, dr)
+            arrs[i - 1] = np.tensordot(arrs[i - 1], u * s, axes=(2, 0))
+        chains.append(site_tensors(arrs, l))
     return ExcitationState(bases=x.bases, n=x.n, windows=tuple(chains))
 
 
@@ -317,7 +305,7 @@ def ground_state_in_ansatz(bases: KeptBases, n: int) -> ExcitationState:
                 dl = dims[l - 1] if i == 1 else 1
                 dr = dims[l + n - 1] if i == n else 1
                 arrs.append(np.zeros((dl, d, dr)))
-        chains.append(_wrap_chain(l, arrs))
+        chains.append(site_tensors(arrs, l))
     return ExcitationState(bases=bases, n=n, windows=tuple(chains))
 
 
@@ -341,19 +329,26 @@ class ExcEnvCache:
     rights: dict[tuple[int, int], np.ndarray]
 
 
-def build_exc_env(x: ExcitationState, h: Mpo) -> ExcEnvCache:
-    """All (m, bond) environments for applying the projected operator."""
+def build_exc_env(x: ExcitationState, h: Mpo, base: EnvCache | None = None) -> ExcEnvCache:
+    """All (m, bond) environments for applying the projected operator.
+
+    The m = 0 entries depend only on the reference gauge and the operator;
+    they are taken from ``base`` (the reference's :class:`EnvCache` for
+    ``h``), so a caller applying the operator many times builds that once.
+    """
     L, n, nb = x.L, x.n, x.n_branches
     if h.L != L or h.d != x.d:
         raise ValueError("operator shape disagrees with the state")
+    if base is None:
+        base = build_env(x.bases.reference, h, bases=x.bases)
+    if base.h is not h or base.bases is not x.bases:
+        raise ValueError("reference environments belong to another operator or gauge")
     a = [t.data for t in x.bases.left]
     b = [t.data for t in x.bases.right]
     w = [t.data for t in h.sites]
     t = [x.branch_arrays(l) for l in range(1, nb + 1)]
 
-    lefts: dict[tuple[int, int], np.ndarray] = {(0, 0): np.ones((1, 1, 1))}
-    for l in range(1, L + 1):
-        lefts[(0, l)] = _env_step_left(lefts[(0, l - 1)], a[l - 1], w[l - 1], a[l - 1])
+    lefts: dict[tuple[int, int], np.ndarray] = {(0, l): base.lefts[l] for l in range(0, L + 1)}
     for m in range(1, n):
         for l in range(1, L + 1):
             branch = l - m + 1
@@ -375,9 +370,7 @@ def build_exc_env(x: ExcitationState, h: Mpo) -> ExcEnvCache:
         if parts:
             lefts[(n, l)] = sum(parts[1:], parts[0])
 
-    rights: dict[tuple[int, int], np.ndarray] = {(0, L + 1): np.ones((1, 1, 1))}
-    for l in range(L, 0, -1):
-        rights[(0, l)] = _env_step_right(rights[(0, l + 1)], b[l - 1], w[l - 1], b[l - 1])
+    rights: dict[tuple[int, int], np.ndarray] = {(0, l): base.rights[l] for l in range(1, L + 2)}
     for m in range(1, n):
         for l in range(L, 0, -1):
             branch = l + m - n
@@ -515,10 +508,13 @@ def solve_lowest_excitation(gs: Mps, h: Mpo, n: int, opts: ExcitationOptions | N
         raise ValueError(f"n must lie in [1, {bases.L}]")
     gs_flat = flatten(ground_state_in_ansatz(bases, n))
     gs_flat /= np.linalg.norm(gs_flat)
+    base = build_env(bases.reference, h, bases=bases)
 
     def matvec(vec: np.ndarray) -> np.ndarray:
-        state = state_from_flat(bases, n, vec)
-        return flatten(apply_projected_h(state, h))
+        # gauge-fixing first makes the operator symmetric on the whole flat
+        # space, so kept-space round-off in the Krylov basis cannot grow
+        state = gauge_fix_T1(state_from_flat(bases, n, vec))
+        return flatten(apply_projected_h(state, h, build_exc_env(state, h, base)))
 
     rng = np.random.Generator(np.random.PCG64(opts.seed))
     v0 = flatten(gauge_fix_T1(state_from_flat(bases, n, rng.standard_normal(gs_flat.shape))))
@@ -545,11 +541,18 @@ def solve_lowest_excitation(gs: Mps, h: Mpo, n: int, opts: ExcitationOptions | N
 
 
 def save_excitation(x: ExcitationState, path, gs_path: str, extra: dict | None = None) -> None:
-    """Write window tensors plus a manifest referencing the reference archive."""
+    """Write window tensors plus a manifest referencing the reference archive.
+
+    A relative ``gs_path`` (taken from the working directory) is stored
+    relative to the archive directory, so the archive reloads from any
+    working directory; an absolute one is stored as given.
+    """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
+    if not Path(gs_path).is_absolute():
+        gs_path = os.path.relpath(gs_path, path)
     manifest = {
-        "format_version": 1,
+        "format_version": 2,
         "kind": "excitation",
         "n": x.n,
         "L": x.L,
@@ -568,18 +571,26 @@ def save_excitation(x: ExcitationState, path, gs_path: str, extra: dict | None =
 
 def load_excitation(path) -> tuple[ExcitationState, dict]:
     """Read an excitation archive (rebuilds the gauge from the referenced
-    reference-state archive)."""
+    reference-state archive).
+
+    Format 2 resolves a relative reference path against the archive
+    directory; format 1 archives stored it relative to the working
+    directory of the writer, and are read that way.
+    """
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
     if manifest.get("kind") != "excitation":
         raise ValueError(f"{path}: not an excitation archive")
-    gs = load_mps(manifest["ground_state"])
-    bases, _ = build_bases(gs)
+    gs_path = Path(manifest["ground_state"])
+    if manifest["format_version"] >= 2:
+        gs_path = path / gs_path  # an absolute path stays as it is
+    bases, _ = build_bases(load_mps(gs_path))
     n = manifest["n"]
     chains = []
     for l in range(1, manifest["L"] - n + 2):
         chain = tuple(
-            read_tensor_blob(path / f"t_{l}_{i}.ten", _window_legs(l, i)) for i in range(1, n + 1)
+            read_tensor_blob(path / f"t_{l}_{s - l + 1}.ten", (virt(s - 1), phys(s), virt(s)))
+            for s in range(l, l + n)
         )
         chains.append(chain)
     return ExcitationState(bases=bases, n=n, windows=tuple(chains)), manifest

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .mps import Mps, phys
-from .tensor import Tensor, read_tensor_blob, write_tensor_blob
+from .tensor import Tensor, qr, read_tensor_blob, svd_split, transfer_left, write_tensor_blob
 
 __all__ = [
     "Mpo",
@@ -67,10 +67,10 @@ class Mpo:
             want = (wleg(l - 1), phys(l), qhys(l), wleg(l))
             if t.legs != want:
                 raise ValueError(f"site {l} legs {t.legs}, expected {want}")
-        if self.sites[0].extent(wleg(0)) != 1 or self.sites[-1].extent(wleg(L)) != 1:
+        if self.sites[0].shape[0] != 1 or self.sites[-1].shape[3] != 1:
             raise ValueError("outer MPO bonds must have extent 1")
         for l in range(1, L):
-            if self.sites[l - 1].extent(wleg(l)) != self.sites[l].extent(wleg(l)):
+            if self.sites[l - 1].shape[3] != self.sites[l].shape[0]:
                 raise ValueError(f"MPO virtual extents disagree at bond {l}")
 
     @property
@@ -79,11 +79,11 @@ class Mpo:
 
     @property
     def d(self) -> int:
-        return self.sites[0].extent(phys(1))
+        return self.sites[0].shape[1]
 
     @property
     def bond_dims(self) -> tuple[int, ...]:
-        return tuple([1] + [t.extent(wleg(l + 1)) for l, t in enumerate(self.sites)])
+        return tuple([1] + [t.shape[3] for t in self.sites])
 
     def site(self, l: int) -> Tensor:
         return self.sites[l - 1]
@@ -200,9 +200,8 @@ def mpo_frobenius(h: Mpo) -> float:
     """Frobenius norm sqrt(Tr H^T H) by exact transfer contraction."""
     env = np.ones((1, 1))
     for t in h.sites:
-        w = t.data
-        env = np.tensordot(env, w, axes=(0, 0))  # (w', p, q, v)
-        env = np.tensordot(env, w, axes=((0, 1, 2), (0, 1, 2)))  # (v, v')
+        w = t.data.reshape(t.shape[0], -1, t.shape[3])  # (w, p q, w')
+        env = transfer_left(env, w, w)
     return float(np.sqrt(max(env[0, 0], 0.0)))
 
 
@@ -234,15 +233,13 @@ def mpo_sum_compress(terms: list[Mpo], tol: float = 0.0) -> Mpo:
 
     # left-to-right QR gauge pass (no truncation)
     for l in range(L - 1):
-        m = sites[l].reshape(-1, sites[l].shape[3])
-        q, r = np.linalg.qr(m)
+        q, r = qr(sites[l].reshape(-1, sites[l].shape[3]))
         sites[l] = q.reshape(sites[l].shape[0], d, d, q.shape[1])
         sites[l + 1] = np.tensordot(r, sites[l + 1], axes=(1, 0))
 
     # right-to-left SVD pass; the kept center keeps absorbing leftward
     for l in range(L - 1, 0, -1):
-        m = sites[l].reshape(sites[l].shape[0], -1)
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
+        u, s, vh, _ = svd_split(sites[l].reshape(sites[l].shape[0], -1))
         keep = int(np.sum(s >= cutoff))
         if keep == 0:
             return _zero_mpo(L, d)

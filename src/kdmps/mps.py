@@ -28,11 +28,10 @@ from .tensor import (
     NO_TRUNCATION,
     Tensor,
     TruncationPolicy,
-    contract,
-    qr_split,
+    qr,
     read_tensor_blob,
-    rq_split,
     svd_split,
+    transfer_left,
     write_tensor_blob,
 )
 
@@ -65,6 +64,12 @@ def phys(site: int) -> str:
     return f"p{site}"
 
 
+def site_tensors(arrays: Sequence[np.ndarray], first: int = 1) -> tuple[Tensor, ...]:
+    """Wrap (left, physical, right) arrays as the site tensors of sites
+    ``first``, ``first`` + 1, ..."""
+    return tuple(Tensor(a, (virt(l - 1), phys(l), virt(l))) for l, a in enumerate(arrays, start=first))
+
+
 @dataclass(frozen=True)
 class Mps:
     """Open-boundary MPS with canonical-form metadata.
@@ -88,17 +93,17 @@ class Mps:
         L = len(self.sites)
         if L == 0:
             raise ValueError("an MPS needs at least one site")
-        d = self.sites[0].extent(phys(1))
+        d = self.sites[0].shape[1]
         for l, t in enumerate(self.sites, start=1):
             want = (virt(l - 1), phys(l), virt(l))
             if t.legs != want:
                 raise ValueError(f"site {l} legs {t.legs}, expected {want}")
-            if t.extent(phys(l)) != d:
+            if t.shape[1] != d:
                 raise ValueError("physical dimension must be uniform")
-        if self.sites[0].extent(virt(0)) != 1 or self.sites[-1].extent(virt(L)) != 1:
+        if self.sites[0].shape[0] != 1 or self.sites[-1].shape[2] != 1:
             raise ValueError("outer dummy bonds must have extent 1")
         for l in range(1, L):
-            if self.sites[l - 1].extent(virt(l)) != self.sites[l].extent(virt(l)):
+            if self.sites[l - 1].shape[2] != self.sites[l].shape[0]:
                 raise ValueError(f"virtual extents disagree at bond {l}")
         if self.form not in ("raw", "site", "bond"):
             raise ValueError(f"unknown form {self.form!r}")
@@ -116,12 +121,12 @@ class Mps:
 
     @property
     def d(self) -> int:
-        return self.sites[0].extent(phys(1))
+        return self.sites[0].shape[1]
 
     @property
     def bond_dims(self) -> tuple[int, ...]:
         """Extents of bonds 0..L (outer dummies included)."""
-        return tuple([self.sites[0].extent(virt(0))] + [t.extent(virt(l + 1)) for l, t in enumerate(self.sites)])
+        return tuple([self.sites[0].shape[0]] + [t.shape[2] for t in self.sites])
 
     def site(self, l: int) -> Tensor:
         """Site tensor at 1-based position ``l``."""
@@ -133,15 +138,9 @@ class Mps:
         if self.form == "bond" and self.weights is not None:
             b = self.center
             if b < self.L:
-                t = out[b]
-                lam = Tensor(np.diag(self.weights), ("lam", virt(b)))
-                out[b] = contract(lam, t, [(virt(b), virt(b))]).rename({"lam": virt(b)}).transpose(
-                    (virt(b), phys(b + 1), virt(b + 1))
-                )
+                out[b] = Tensor(self.weights[:, None, None] * out[b].data, out[b].legs)
             else:
-                t = out[b - 1]
-                lam = Tensor(np.diag(self.weights), (virt(b), "lam"))
-                out[b - 1] = contract(t, lam, [(virt(b), virt(b))]).rename({"lam": virt(b)})
+                out[b - 1] = Tensor(out[b - 1].data * self.weights, out[b - 1].legs)
         return out
 
 
@@ -182,11 +181,8 @@ def random_mps(L: int, d: int, bond_cap: int | Sequence[int] | None = None, seed
         raise ValueError("need L >= 1 and d >= 2")
     rng = np.random.Generator(np.random.PCG64(seed))
     dims = max_bond_profile(L, d, bond_cap)
-    sites = [
-        Tensor(rng.standard_normal((dims[l - 1], d, dims[l])), (virt(l - 1), phys(l), virt(l)))
-        for l in range(1, L + 1)
-    ]
-    psi, _ = canonicalize(Mps(tuple(sites)), 1)
+    sites = [rng.standard_normal((dims[l - 1], d, dims[l])) for l in range(1, L + 1)]
+    psi, _ = canonicalize(Mps(site_tensors(sites)), 1)
     return psi
 
 
@@ -199,30 +195,36 @@ def product_mps(L: int, d: int, local_states: list[np.ndarray] | None = None) ->
             vec[0] = 1.0
         else:
             vec = np.asarray(local_states[l - 1], dtype=np.float64)
-        sites.append(Tensor(vec.reshape(1, d, 1), (virt(l - 1), phys(l), virt(l))))
-    return Mps(tuple(sites), form="site", center=1)
+        sites.append(vec.reshape(1, d, 1))
+    return Mps(site_tensors(sites), form="site", center=1)
 
 
 # ---------- canonicalization ----------
 
 
-def _left_normalize_upto(sites: list[Tensor], k: int) -> None:
-    """QR-sweep sites 1..k into left-normalized form, absorbing R rightward."""
-    for l in range(1, k + 1):
-        q, r = qr_split(sites[l - 1], (virt(l - 1), phys(l)), new_leg="qr")
-        sites[l - 1] = q.rename({"qr": virt(l)})
-        nxt = contract(r, sites[l], [(virt(l), virt(l))])
-        sites[l] = nxt.rename({"qr": virt(l)}).transpose((virt(l), phys(l + 1), virt(l + 1)))
+def _left_normalize(sites: list[np.ndarray], l: int) -> None:
+    """Left-normalize site l by QR and absorb R into site l+1."""
+    dl, d, dr = sites[l - 1].shape
+    q, r = qr(sites[l - 1].reshape(dl * d, dr))
+    sites[l - 1] = q.reshape(dl, d, q.shape[1])
+    sites[l] = np.tensordot(r, sites[l], axes=(1, 0))
 
 
-def _right_normalize_downto(sites: list[Tensor], k: int) -> None:
-    """QR-sweep sites L..k into right-normalized form, absorbing L leftward."""
-    L = len(sites)
-    for l in range(L, k - 1, -1):
-        r, q = rq_split(sites[l - 1], (phys(l), virt(l)), new_leg="rq")
-        sites[l - 1] = q.rename({"rq": virt(l - 1)}).transpose((virt(l - 1), phys(l), virt(l)))
-        prv = contract(sites[l - 2], r, [(virt(l - 1), virt(l - 1))])
-        sites[l - 2] = prv.rename({"rq": virt(l - 1)})
+def _right_normalize(sites: list[np.ndarray], l: int) -> np.ndarray:
+    """Right-normalize site l by RQ and absorb R into site l-1 (if any).
+
+    Returns R; at site 1 it is the 1x1 residual, nonnegative by the QR
+    sign rule.
+    """
+    dl, d, dr = sites[l - 1].shape
+    q, r = qr(sites[l - 1].reshape(dl, d * dr).T)
+    sites[l - 1] = q.T.reshape(q.shape[1], d, dr)
+    # a C-ordered R keeps the BLAS path of the contraction below, and so its
+    # rounding, the same as for any stored site array
+    r = np.ascontiguousarray(r.T)
+    if l > 1:
+        sites[l - 2] = np.tensordot(sites[l - 2], r, axes=(2, 0))
+    return r
 
 
 def canonicalize(psi: Mps, center: int, form: str = "site") -> tuple[Mps, float]:
@@ -236,44 +238,40 @@ def canonicalize(psi: Mps, center: int, form: str = "site") -> tuple[Mps, float]
         ValueError: center out of range, or the state has zero norm.
     """
     L = psi.L
-    sites = psi.plain_sites()
     if form == "site":
         if not 1 <= center <= L:
             raise ValueError(f"site center {center} outside [1, {L}]")
-        if center > 1:
-            _left_normalize_upto(sites, center - 1)
-        if center < L:
-            _right_normalize_downto(sites, center + 1)
-        c = sites[center - 1]
-        norm = c.norm()
+        sites = [t.data for t in psi.plain_sites()]
+        for l in range(1, center):
+            _left_normalize(sites, l)
+        for l in range(L, center, -1):
+            _right_normalize(sites, l)
+        norm = float(np.linalg.norm(sites[center - 1]))
         if norm == 0.0:
             raise ValueError("cannot canonicalize a zero state")
-        sites[center - 1] = c.scaled(1.0 / norm)
-        return Mps(tuple(sites), form="site", center=center), norm
+        sites[center - 1] = sites[center - 1] * (1.0 / norm)
+        return Mps(site_tensors(sites), form="site", center=center), norm
 
     if form == "bond":
         if not 0 <= center <= L:
             raise ValueError(f"bond index {center} outside [0, {L}]")
         site_at = max(center, 1)
-        out, norm = canonicalize(Mps(tuple(sites)), site_at, form="site")
-        sites = list(out.sites)
+        out, norm = canonicalize(psi, site_at, form="site")
+        sites = [t.data for t in out.sites]
         l = site_at
         if center == 0:
             # all sites right-normalized; the 1x1 weight carries the (unit) norm
-            r, q = rq_split(sites[0], (phys(1), virt(1)), new_leg="rq")
-            scalar = float(r.data.flat[0])
-            site1 = q.rename({"rq": virt(0)}).transpose((virt(0), phys(1), virt(1)))
-            sites[0] = site1.scaled(1.0 if scalar >= 0.0 else -1.0)
-            return Mps(tuple(sites), form="bond", center=0, weights=np.array([abs(scalar)])), norm
-        u, s, vh, _ = svd_split(sites[l - 1], (virt(l - 1), phys(l)), NO_TRUNCATION, new_leg="sv")
-        sites[l - 1] = u.rename({"sv": virt(l)})
+            scalar = float(_right_normalize(sites, 1)[0, 0])
+            return Mps(site_tensors(sites), form="bond", center=0, weights=np.array([scalar])), norm
+        dl, d, dr = sites[l - 1].shape
+        u, s, vh, _ = svd_split(sites[l - 1].reshape(dl * d, dr))
+        sites[l - 1] = u.reshape(dl, d, len(s))
         if l < L:
-            nxt = contract(vh, sites[l], [(virt(l), virt(l))])
-            sites[l] = nxt.rename({"sv": virt(l)}).transpose((virt(l), phys(l + 1), virt(l + 1)))
+            sites[l] = np.tensordot(vh, sites[l], axes=(1, 0))
         else:
             # bond L: fold the residual 1x1 rotation (a sign) into the site
-            sites[l - 1] = sites[l - 1].scaled(float(vh.data.flat[0]))
-        return Mps(tuple(sites), form="bond", center=center, weights=s), norm
+            sites[l - 1] = sites[l - 1] * float(vh[0, 0])
+        return Mps(site_tensors(sites), form="bond", center=center, weights=s), norm
 
     raise ValueError(f"unknown target form {form!r}")
 
@@ -288,29 +286,24 @@ def shift_center(psi: Mps, direction: str, policy: TruncationPolicy = NO_TRUNCAT
         raise ValueError("shift_center expects a site-canonical state")
     l = psi.center
     L = psi.L
-    sites = list(psi.sites)
+    sites = [t.data for t in psi.sites]
+    dl, d, dr = sites[l - 1].shape
     if direction == "right":
         if l + 1 > L:
             raise ValueError("cannot shift past the right chain end")
-        u, s, vh, dw = svd_split(sites[l - 1], (virt(l - 1), phys(l)), policy, new_leg="sv")
-        norm = float(np.linalg.norm(s))
-        center_mat = Tensor(np.diag(s / norm), ("svl", "sv"))
-        sites[l - 1] = u.rename({"sv": virt(l)})
-        nxt = contract(vh, sites[l], [(virt(l), virt(l))])
-        nxt = contract(center_mat, nxt, [("sv", "sv")])
-        sites[l] = nxt.rename({"svl": virt(l)}).transpose((virt(l), phys(l + 1), virt(l + 1)))
-        return Mps(tuple(sites), form="site", center=l + 1), dw
+        u, s, vh, dw = svd_split(sites[l - 1].reshape(dl * d, dr), policy)
+        sites[l - 1] = u.reshape(dl, d, len(s))
+        nxt = np.tensordot(vh, sites[l], axes=(1, 0))
+        sites[l] = (s / np.linalg.norm(s))[:, None, None] * nxt
+        return Mps(site_tensors(sites), form="site", center=l + 1), dw
     if direction == "left":
         if l - 1 < 1:
             raise ValueError("cannot shift past the left chain end")
-        u, s, vh, dw = svd_split(sites[l - 1], (virt(l - 1),), policy, new_leg="sv")
-        norm = float(np.linalg.norm(s))
-        center_mat = Tensor(np.diag(s / norm), ("sv", "svr"))
-        sites[l - 1] = vh.rename({"sv": virt(l - 1)}).transpose((virt(l - 1), phys(l), virt(l)))
-        prv = contract(sites[l - 2], u, [(virt(l - 1), virt(l - 1))])
-        prv = contract(prv, center_mat, [("sv", "sv")])
-        sites[l - 2] = prv.rename({"svr": virt(l - 1)})
-        return Mps(tuple(sites), form="site", center=l - 1), dw
+        u, s, vh, dw = svd_split(sites[l - 1].reshape(dl, d * dr), policy)
+        sites[l - 1] = vh.reshape(len(s), d, dr)
+        prv = np.tensordot(sites[l - 2], u, axes=(2, 0))
+        sites[l - 2] = prv * (s / np.linalg.norm(s))
+        return Mps(site_tensors(sites), form="site", center=l - 1), dw
     raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
 
 
@@ -342,11 +335,9 @@ def overlap(a: Mps, b: Mps) -> float:
     """Inner product <a|b> by left-to-right transfer contraction."""
     if a.L != b.L or a.d != b.d:
         raise ValueError("overlap requires equal length and physical dimension")
-    sa, sb = a.plain_sites(), b.plain_sites()
     env = np.ones((1, 1))  # (bra virtual, ket virtual) at the current bond
-    for ta, tb in zip(sa, sb):
-        tmp = np.tensordot(env, ta.data, axes=(0, 0))  # (ket, phys, bra')
-        env = np.tensordot(tmp, tb.data, axes=((0, 1), (0, 1)))  # (bra', ket')
+    for ta, tb in zip(a.plain_sites(), b.plain_sites()):
+        env = transfer_left(env, ta.data, tb.data)
     return float(env[0, 0])
 
 
@@ -356,9 +347,9 @@ def mps_norm(psi: Mps) -> float:
 
 def mps_scale(psi: Mps, c: float) -> Mps:
     """Scale the represented state by ``c`` (folded into site 1)."""
-    sites = list(psi.plain_sites())
-    sites[0] = sites[0].scaled(c)
-    return Mps(tuple(sites))
+    sites = [t.data for t in psi.plain_sites()]
+    sites[0] = sites[0] * c
+    return Mps(site_tensors(sites))
 
 
 def mps_add(a: Mps, b: Mps, ca: float = 1.0, cb: float = 1.0) -> Mps:
@@ -371,8 +362,7 @@ def mps_add(a: Mps, b: Mps, ca: float = 1.0, cb: float = 1.0) -> Mps:
     L, d = a.L, a.d
     sa, sb = a.plain_sites(), b.plain_sites()
     if L == 1:
-        data = ca * sa[0].data + cb * sb[0].data
-        return Mps((Tensor(data, sa[0].legs),))
+        return Mps(site_tensors([ca * sa[0].data + cb * sb[0].data]))
     sites = []
     for l in range(1, L + 1):
         ta, tb = sa[l - 1].data, sb[l - 1].data
@@ -386,49 +376,41 @@ def mps_add(a: Mps, b: Mps, ca: float = 1.0, cb: float = 1.0) -> Mps:
             block = np.zeros((left, d, right))
             block[: ta.shape[0], :, : ta.shape[2]] = ta
             block[ta.shape[0] :, :, ta.shape[2] :] = tb
-        sites.append(Tensor(block, (virt(l - 1), phys(l), virt(l))))
-    return Mps(tuple(sites))
+        sites.append(block)
+    return Mps(site_tensors(sites))
 
 
 # ---------- fixed A/B/bond-matrix gauge ----------
 
 
-def canonical_sets(psi: Mps) -> tuple[list[Tensor], list[Tensor], list[Tensor], float]:
+def canonical_sets(psi: Mps) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray], float]:
     """Left/right isometry sets plus bond matrices, all mutually consistent.
 
-    Returns (A, B, C, norm) where A[l-1] is the left-normalized tensor at
+    Returns (A, B, C, norm) where A[l-1] is the left-normalized array at
     site l, B[l-1] the right-normalized one, and C[l] the bond matrix at bond
-    l (0..L, shape D_l x D_l, legs ("va", "vb")) such that for *every* bond
+    l (0..L, shape D_l x D_l) such that for *every* bond
     ``A_1..A_l C_l B_{l+1}..B_L`` rebuilds the normalized state exactly. The
     bond matrices are the Schmidt weights times a residual right rotation;
     they are not diagonal in general, but the construction is exact and
-
     avoids dividing by small Schmidt values.
     """
-    L = psi.L
     right, norm = canonicalize(psi, 1, form="site")
-    sites = list(right.sites)
+    b_set = [t.data for t in right.sites]
     # right-normalize site 1 as well: its residual is a 1x1 scalar (the norm)
-    r, q = rq_split(sites[0], (phys(1), virt(1)), new_leg="rq")
-    b_set = [q.rename({"rq": virt(0)}).transpose((virt(0), phys(1), virt(1)))] + sites[1:]
-    scalar = float(r.data.flat[0])
-
-    a_set: list[Tensor] = []
-    bonds: list[Tensor] = [Tensor(np.array([[scalar]]), ("va", "vb"))]
-    center = bonds[0]
-    for l in range(1, L + 1):
-        work = contract(center, b_set[l - 1], [("vb", virt(l - 1))]).rename({"va": virt(l - 1)})
-        work = work.transpose((virt(l - 1), phys(l), virt(l)))
-        u, s, vh, _ = svd_split(work, (virt(l - 1), phys(l)), NO_TRUNCATION, new_leg="sv")
-        a_set.append(u.rename({"sv": virt(l)}))
-        lam = Tensor(np.diag(s), ("va", "sv"))
-        center = contract(lam, vh, [("sv", "sv")]).rename({virt(l): "vb"})
+    center = _right_normalize(b_set, 1)
+    a_set: list[np.ndarray] = []
+    bonds = [center]
+    for l in range(1, psi.L + 1):
+        work = np.tensordot(center, b_set[l - 1], axes=(1, 0))
+        dl, d, dr = work.shape
+        u, s, vh, _ = svd_split(work.reshape(dl * d, dr))
+        a_set.append(u.reshape(dl, d, len(s)))
+        center = s[:, None] * vh
         bonds.append(center)
     # the final bond matrix is 1x1 with value +-1; fix the sign into A_L
-    tail = float(bonds[-1].data.flat[0])
-    if tail < 0.0:
-        a_set[-1] = a_set[-1].scaled(-1.0)
-        bonds[-1] = Tensor(-bonds[-1].data, ("va", "vb"))
+    if bonds[-1][0, 0] < 0.0:
+        a_set[-1] = -a_set[-1]
+        bonds[-1] = -bonds[-1]
     return a_set, b_set, bonds, norm
 
 

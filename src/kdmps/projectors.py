@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mps import Mps, canonical_sets, mps_add, mps_scale, phys, virt
-from .tensor import Tensor, contract, orthogonal_complement
+from .ed import guard_dims
+from .mps import Mps, canonical_sets, mps_add, mps_scale, site_tensors
+from .tensor import Tensor, orthogonal_complement, transfer_left, transfer_right
 
 __all__ = [
     "KeptBases",
@@ -72,18 +73,17 @@ class KeptBases:
 
     @property
     def d(self) -> int:
-        return self.left[0].extent(phys(1))
+        return self.left[0].shape[1]
 
     @property
     def dims(self) -> tuple[int, ...]:
         """Kept bond dimensions D_0..D_L."""
-        return tuple([1] + [t.extent(virt(l + 1)) for l, t in enumerate(self.left)])
+        return tuple([1] + [t.shape[2] for t in self.left])
 
     def center_site(self, l: int) -> Tensor:
         """The 1-site center C_l = C_{l-1} B_l (legs like an ordinary site)."""
-        lam = Tensor(self.bond[l - 1], ("ca", virt(l - 1)))
-        out = contract(lam, self.right[l - 1], [(virt(l - 1), virt(l - 1))])
-        return out.rename({"ca": virt(l - 1)})
+        b = self.right[l - 1]
+        return Tensor(np.tensordot(self.bond[l - 1], b.data, axes=(1, 0)), b.legs)
 
     def discarded_left_dim(self, l: int) -> int:
         return self.dims[l - 1] * self.d - self.dims[l]
@@ -117,25 +117,23 @@ class DiscardedBases:
 def build_bases(psi: Mps) -> tuple[KeptBases, DiscardedBases]:
     """Extract kept isometries, bond matrices, and discarded complements."""
     a_set, b_set, bonds, norm = canonical_sets(psi)
-    L = psi.L
-    scalar = float(bonds[0].data[0, 0])
-    ref_sites = [b_set[0].scaled(scalar)] + list(b_set[1:])
-    reference = Mps(tuple(ref_sites), form="site", center=1)
+    reference = Mps(site_tensors([b_set[0] * bonds[0][0, 0]] + b_set[1:]), form="site", center=1)
 
     abar = []
     bbar = []
-    for l in range(1, L + 1):
-        abar.append(orthogonal_complement(a_set[l - 1], (virt(l - 1), phys(l))))
-        comp = orthogonal_complement(b_set[l - 1], (phys(l), virt(l)))
-        bbar.append(comp.transpose((virt(l - 1), phys(l), virt(l))))
+    for a, b in zip(a_set, b_set):
+        dl, d, dr = a.shape
+        abar.append(orthogonal_complement(a.reshape(dl * d, dr)).reshape(dl, d, -1))
+        dl, d, dr = b.shape
+        bbar.append(orthogonal_complement(b.reshape(dl, d * dr).T).T.reshape(-1, d, dr))
     kept = KeptBases(
         reference=reference,
-        left=tuple(a_set),
-        right=tuple(b_set),
-        bond=tuple(b.data for b in bonds),
+        left=site_tensors(a_set),
+        right=site_tensors(b_set),
+        bond=tuple(bonds),
         norm=norm,
     )
-    return kept, DiscardedBases(left=tuple(abar), right=tuple(bbar))
+    return kept, DiscardedBases(left=site_tensors(abar), right=site_tensors(bbar))
 
 
 # ---------- symbolic projector specs ----------
@@ -330,24 +328,6 @@ def convert_kd_dk(bases: KeptBases, n: int, lbar: int, lprime: int) -> tuple[Ter
 # ---------- applying sector pairs to states ----------
 
 
-def _overlap_left(achain: list[np.ndarray], kchain: list[np.ndarray]) -> np.ndarray:
-    """Partial overlap (bases bond, state bond) of A_1..A_m against a chain."""
-    g = np.ones((1, 1))
-    for a, k in zip(achain, kchain):
-        tmp = np.tensordot(g, a, axes=(0, 0))  # (kf, p, a')
-        g = np.tensordot(tmp, k, axes=((0, 1), (0, 1)))  # (a', kf')
-    return g
-
-
-def _overlap_right(bchain: list[np.ndarray], kchain: list[np.ndarray]) -> np.ndarray:
-    """Partial overlap (state bond, bases bond) of B_m..B_L against a chain."""
-    g = np.ones((1, 1))
-    for b, k in zip(reversed(bchain), reversed(kchain)):
-        tmp = np.tensordot(k, g, axes=(2, 0))  # (kf, p, b)
-        g = np.tensordot(tmp, b, axes=((1, 2), (1, 2)))  # (kf', b')
-    return g
-
-
 def _project_out_left(m: np.ndarray, a: np.ndarray) -> np.ndarray:
     """(1 - A A^T) on the fused (left bond, physical) legs of ``m``."""
     mm = m.reshape(-1, m.shape[2])
@@ -363,10 +343,7 @@ def _project_out_right(m: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _zero_like(phi: Mps) -> Mps:
-    sites = tuple(
-        Tensor(np.zeros((1, phi.d, 1)), (virt(l - 1), phys(l), virt(l))) for l in range(1, phi.L + 1)
-    )
-    return Mps(sites)
+    return Mps(site_tensors([np.zeros((1, phi.d, 1))] * phi.L))
 
 
 def apply_sector_pair(bases: KeptBases, pair: Pair, phi: Mps) -> Mps:
@@ -390,29 +367,29 @@ def apply_sector_pair(bases: KeptBases, pair: Pair, phi: Mps) -> Mps:
     arrs: dict[int, np.ndarray] = {}
     pend: dict[int, np.ndarray] = {}  # bond index -> matrix to absorb
 
+    # partial overlaps: (bases bond, state bond) of A_1..A_m against the
+    # state on the left, (state bond, bases bond) of the state against
+    # B_m..B_L on the right
+    kept_sites = l if x == "K" else l - 1
+    g = np.ones((1, 1))
+    for j in range(1, kept_sites + 1):
+        arrs[j] = A[j - 1]
+        g = transfer_left(g, A[j - 1], K[j - 1])
     if x == "K":
-        for j in range(1, l + 1):
-            arrs[j] = A[j - 1]
-        pend[l] = _overlap_left(A[:l], K[:l])
+        pend[l] = g
     else:
-        for j in range(1, l):
-            arrs[j] = A[j - 1]
-        g = _overlap_left(A[: l - 1], K[: l - 1])
-        m = np.tensordot(g, K[l - 1], axes=(1, 0))
-        arrs[l] = _project_out_left(m, A[l - 1])
+        arrs[l] = _project_out_left(np.tensordot(g, K[l - 1], axes=(1, 0)), A[l - 1])
 
+    first_kept = lbar if xbar == "K" else lbar + 1
+    gr = np.ones((1, 1))
+    for j in range(L, first_kept - 1, -1):
+        arrs[j] = B[j - 1]
+        gr = transfer_right(gr, K[j - 1], B[j - 1])
     if xbar == "K":
-        for j in range(lbar, L + 1):
-            arrs[j] = B[j - 1]
-        gr = _overlap_right(B[lbar - 1 :], K[lbar - 1 :])
         prev = pend.get(lbar - 1)  # same bond as the left pending when no free sites remain
         pend[lbar - 1] = prev @ gr if prev is not None else gr
     else:
-        for j in range(lbar + 1, L + 1):
-            arrs[j] = B[j - 1]
-        g = _overlap_right(B[lbar:], K[lbar:])
-        m = np.tensordot(K[lbar - 1], g, axes=(2, 0))
-        arrs[lbar] = _project_out_right(m, B[lbar - 1])
+        arrs[lbar] = _project_out_right(np.tensordot(K[lbar - 1], gr, axes=(2, 0)), B[lbar - 1])
 
     for j in range(l + 1, lbar):
         arrs[j] = K[j - 1]
@@ -423,8 +400,7 @@ def apply_sector_pair(bases: KeptBases, pair: Pair, phi: Mps) -> Mps:
         else:
             arrs[bond] = np.tensordot(arrs[bond], mat, axes=(2, 0))
 
-    sites = tuple(Tensor(arrs[j], (virt(j - 1), phys(j), virt(j))) for j in range(1, L + 1))
-    return Mps(sites)
+    return Mps(site_tensors([arrs[j] for j in range(1, L + 1)]))
 
 
 @dataclass(frozen=True)
@@ -456,8 +432,6 @@ def apply_projector(spec: ProjectorSpec, bases: KeptBases, phi: Mps) -> MpsSum:
 
 # ---------- dense materialization ----------
 
-DENSE_GUARD = 4096
-
 
 def _fold_left_chain(arrs: list[np.ndarray]) -> np.ndarray:
     """Dense (d^m x D) matrix of a left chain (lexicographic row order).
@@ -488,8 +462,7 @@ def dense_sector_pair(bases: KeptBases, disc: DiscardedBases, pair: Pair) -> np.
     """Exact d^L x d^L matrix of one sector-pair projector."""
     x, xbar, l, lbar = pair
     L, d = bases.L, bases.d
-    if d**L > DENSE_GUARD:
-        raise ValueError(f"dense guard exceeded: d^L = {d**L} > {DENSE_GUARD}")
+    guard_dims(d, L)
     _check_pair(pair, L)
     if (x == "D" and l == 0) or (xbar == "D" and lbar == L + 1):
         return np.zeros((d**L, d**L))

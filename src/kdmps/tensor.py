@@ -1,15 +1,24 @@
-"""Dense tensors with named legs, contraction, and matrix factorizations.
+"""Site-tensor arrays, their gauge moves and transfers, and the blob format.
 
-Every value in this package is a :class:`Tensor`: a real (float64) dense
-array whose axes carry unique string labels ("legs"). Contractions are
-specified by leg-name pairs instead of axis positions, so network code reads
-like the diagrams it implements.
+Algorithms in this package run on plain float64 arrays with fixed axis
+orders::
 
-Conventions used throughout the package::
+    MPS site:  (left bond, physical, right bond)
+    MPO site:  (left bond, p, q, right bond)
+               p = row (output) physical index, q = column (input)
 
-    MPS site l (1-based):  legs ("v{l-1}", "p{l}", "v{l}")
-    MPO site l:            legs ("w{l-1}", "p{l}", "q{l}", "w{l}")
-                           p = row (output) physical index, q = column (input)
+Everything they build comes down to two operations over such chains, each
+written once here: gauge moves (:func:`qr`, :func:`svd_split`,
+:func:`orthogonal_complement`) and two-layer bra-ket transfers
+(:func:`transfer_left`, :func:`transfer_right`). The gauge moves fix their
+sign freedom so gauges are reproducible: QR makes the R diagonal
+nonnegative, SVD vectors and complement columns get their largest-magnitude
+entry positive.
+
+:class:`Tensor` is the immutable ``(data, legs)`` record that states,
+operators and bases hand across the public API; leg names label the axes
+(``("v{l-1}", "p{l}", "v{l}")`` for MPS site l, ``("w{l-1}", "p{l}",
+"q{l}", "w{l}")`` for MPO site l) but take no part in computation.
 
 Scalars are 64-bit reals; the models shipped here admit real operator
 representations, so no complex support is provided.
@@ -18,7 +27,7 @@ representations, so no complex support is provided.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +35,11 @@ import numpy as np
 __all__ = [
     "Tensor",
     "TruncationPolicy",
-    "contract",
+    "qr",
     "svd_split",
     "orthogonal_complement",
+    "transfer_left",
+    "transfer_right",
     "write_tensor_blob",
     "read_tensor_blob",
 ]
@@ -44,8 +55,8 @@ TENSOR_MAGIC = b"KDMPSTEN"
 class Tensor:
     """Dense float64 array with uniquely named legs.
 
-    Immutable after construction: the underlying array is marked read-only
-    and all operations return new tensors, so values are safe to share.
+    Immutable after construction: the underlying array is marked read-only,
+    so values are safe to share.
     """
 
     data: np.ndarray
@@ -62,74 +73,9 @@ class Tensor:
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "legs", legs)
 
-    # -- basic queries ------------------------------------------------
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def rank(self) -> int:
-        return self.data.ndim
-
-    def extent(self, leg: str) -> int:
-        return self.data.shape[self.axis(leg)]
-
-    def axis(self, leg: str) -> int:
-        try:
-            return self.legs.index(leg)
-        except ValueError:
-            raise KeyError(f"unknown leg {leg!r}; have {self.legs}") from None
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
-    # -- leg bookkeeping ----------------------------------------------
-
-    def rename(self, mapping: dict[str, str]) -> Tensor:
-        """Rename legs according to ``mapping`` (missing legs unchanged)."""
-        for old in mapping:
-            if old not in self.legs:
-                raise KeyError(f"unknown leg {old!r}; have {self.legs}")
-        return Tensor(self.data, tuple(mapping.get(leg, leg) for leg in self.legs))
-
-    def transpose(self, legs: Sequence[str]) -> Tensor:
-        """Reorder axes to the given leg order (must be a permutation)."""
-        legs = tuple(legs)
-        if set(legs) != set(self.legs) or len(legs) != len(self.legs):
-            raise ValueError(f"{legs} is not a permutation of {self.legs}")
-        perm = tuple(self.axis(leg) for leg in legs)
-        return Tensor(self.data.transpose(perm), legs)
-
-    def scaled(self, factor: float) -> Tensor:
-        return Tensor(self.data * factor, self.legs)
-
-    def to_matrix(self, row_legs: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:
-        """Fuse ``row_legs`` into rows and the remaining legs into columns.
-
-        Returns (matrix, row_legs, col_legs) with legs in the fused order.
-        """
-        row_legs = tuple(row_legs)
-        col_legs = tuple(leg for leg in self.legs if leg not in row_legs)
-        for leg in row_legs:
-            self.axis(leg)  # raises on unknown legs
-        if not row_legs or not col_legs:
-            raise ValueError("row legs must be a nonempty proper subset of the legs")
-        ordered = self.transpose(row_legs + col_legs)
-        m = int(np.prod([self.extent(leg) for leg in row_legs], dtype=np.int64))
-        return ordered.data.reshape(m, -1), row_legs, col_legs
-
-
-def tensor_from_matrix(
-    matrix: np.ndarray,
-    row_legs: Sequence[str],
-    row_shape: Sequence[int],
-    col_legs: Sequence[str],
-    col_shape: Sequence[int],
-) -> Tensor:
-    """Inverse of :meth:`Tensor.to_matrix` for a (possibly new) leg layout."""
-    shape = tuple(row_shape) + tuple(col_shape)
-    return Tensor(np.asarray(matrix).reshape(shape), tuple(row_legs) + tuple(col_legs))
 
 
 @dataclass(frozen=True)
@@ -176,174 +122,106 @@ class TruncationPolicy:
 NO_TRUNCATION = TruncationPolicy()
 
 
-def contract(a: Tensor, b: Tensor, pairs: Iterable[tuple[str, str]]) -> Tensor:
-    """Contract ``a`` with ``b`` over the given (leg-of-a, leg-of-b) pairs.
+# ---------- gauge moves ----------
 
-    The result carries the unpaired legs of ``a`` followed by those of ``b``,
-    in their original order; values follow the index-sum definition. An empty
-    pair list yields the outer product.
 
-    Raises:
-        KeyError:   A named leg does not exist.
-        ValueError: Paired extents differ, or the unpaired leg names collide.
+def qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR ``m = q @ r`` with the diagonal of ``r`` made nonnegative.
+
+    The sign rule makes the factorization deterministic, so gauges built
+    from it are reproducible. For the mirrored (RQ) move factor ``m.T``.
     """
-    pairs = list(pairs)
-    axes_a = [a.axis(la) for la, _ in pairs]
-    axes_b = [b.axis(lb) for _, lb in pairs]
-    for (la, lb), xa, xb in zip(pairs, axes_a, axes_b):
-        if a.shape[xa] != b.shape[xb]:
-            raise ValueError(
-                f"extent mismatch contracting {la!r} ({a.shape[xa]}) with {lb!r} ({b.shape[xb]})"
-            )
-    out_a = [leg for leg in a.legs if leg not in {la for la, _ in pairs}]
-    out_b = [leg for leg in b.legs if leg not in {lb for _, lb in pairs}]
-    clash = set(out_a) & set(out_b)
-    if clash:
-        raise ValueError(f"result legs would collide: {sorted(clash)}")
-    data = np.tensordot(a.data, b.data, axes=(axes_a, axes_b))
-    return Tensor(data, tuple(out_a) + tuple(out_b))
+    q, r = np.linalg.qr(m)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0.0] = 1.0
+    return q * signs, r * signs[:, None]
 
 
-def contract_many(first: Tensor, *rest: tuple[Tensor, Iterable[tuple[str, str]]]) -> Tensor:
-    """Left-fold :func:`contract` over a chain of (tensor, pairs) steps."""
-    out = first
-    for tensor, pairs in rest:
-        out = contract(out, tensor, pairs)
-    return out
-
-
-def _fix_svd_signs(u: np.ndarray, vh: np.ndarray) -> None:
-    """Make the largest-magnitude entry of each left singular vector positive."""
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0.0:
-            u[:, j] = -col
-            vh[j, :] = -vh[j, :]
+def _fix_signs(u: np.ndarray, vh: np.ndarray | None = None) -> None:
+    """Make the largest-magnitude entry of each column of ``u`` positive,
+    flipping the matching rows of ``vh`` with it (in place)."""
+    if not u.shape[1]:
+        return
+    peak = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    flip = peak < 0.0
+    u[:, flip] *= -1.0
+    if vh is not None:
+        vh[flip, :] *= -1.0
 
 
 def svd_split(
-    t: Tensor,
-    row_legs: Sequence[str],
-    policy: TruncationPolicy = NO_TRUNCATION,
-    new_leg: str = "s",
-) -> tuple[Tensor, np.ndarray, Tensor, float]:
-    """Split ``t`` into ``u @ diag(s) @ vh`` across a leg bipartition.
+    m: np.ndarray, policy: TruncationPolicy = NO_TRUNCATION
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Truncated thin SVD ``m ~ u @ diag(s) @ vh``.
 
-    ``u`` carries ``row_legs`` plus ``new_leg`` (orthonormal columns), ``vh``
-    carries ``new_leg`` plus the remaining legs (orthonormal rows), ``s`` is
-    the nonincreasing kept singular values, and the returned discarded weight
+    ``u`` has orthonormal columns, ``vh`` orthonormal rows, ``s`` holds the
+    nonincreasing kept singular values, and the returned discarded weight
     is the sum of squares of the dropped ones (= squared reconstruction
-    error). A numerically zero tensor yields rank 0 with zero weight.
+    error). Exact zero singular values carry no content and are dropped, so
+    a zero matrix yields rank 0 with zero weight. Each left singular vector
+    has its largest-magnitude entry positive.
     """
-    matrix, row_legs, col_legs = t.to_matrix(row_legs)
-    row_shape = tuple(t.extent(leg) for leg in row_legs)
-    col_shape = tuple(t.extent(leg) for leg in col_legs)
-    if new_leg in row_legs or new_leg in col_legs:
-        raise ValueError(f"new leg {new_leg!r} collides with an existing leg")
-
-    if not np.any(matrix):
-        u = np.zeros((matrix.shape[0], 0))
-        vh = np.zeros((0, matrix.shape[1]))
-        s = np.zeros(0)
-    else:
-        try:
-            u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-        except np.linalg.LinAlgError:
-            # gesdd occasionally fails to converge; the transposed problem
-            # usually succeeds and gives the same factorization.
-            vt, s, ut = np.linalg.svd(matrix.T, full_matrices=False)
-            u, vh = ut.T, vt.T
-        keep = policy.kept_count(s)
-        keep = min(keep, int(np.sum(s > 0.0)))  # exact zeros carry no content
-        discarded = float(np.sum(s[keep:] ** 2))
-        u, s, vh = u[:, :keep].copy(), s[:keep].copy(), vh[:keep, :].copy()
-        _fix_svd_signs(u, vh)
-        u_t = tensor_from_matrix(u, row_legs, row_shape, (new_leg,), (len(s),))
-        vh_t = tensor_from_matrix(vh, (new_leg,), (len(s),), col_legs, col_shape)
-        return u_t, s, vh_t, discarded
-
-    u_t = tensor_from_matrix(u, row_legs, row_shape, (new_leg,), (0,))
-    vh_t = tensor_from_matrix(vh, (new_leg,), (0,), col_legs, col_shape)
-    return u_t, s, vh_t, 0.0
-
-
-def qr_split(t: Tensor, row_legs: Sequence[str], new_leg: str = "s") -> tuple[Tensor, Tensor]:
-    """Thin QR across a leg bipartition, with the R diagonal made nonnegative.
-
-    Returns (q, r): ``q`` has orthonormal columns over ``row_legs``;
-    ``q @ r`` reconstructs ``t``. Deterministic for reproducible gauges.
-    """
-    matrix, row_legs, col_legs = t.to_matrix(row_legs)
-    row_shape = tuple(t.extent(leg) for leg in row_legs)
-    col_shape = tuple(t.extent(leg) for leg in col_legs)
-    q, r = np.linalg.qr(matrix)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    q = q * signs
-    r = r * signs[:, None]
-    k = q.shape[1]
-    q_t = tensor_from_matrix(q, row_legs, row_shape, (new_leg,), (k,))
-    r_t = tensor_from_matrix(r, (new_leg,), (k,), col_legs, col_shape)
-    return q_t, r_t
-
-
-def rq_split(t: Tensor, col_legs: Sequence[str], new_leg: str = "s") -> tuple[Tensor, Tensor]:
-    """Thin RQ across a leg bipartition: ``t = r @ q`` with orthonormal q rows."""
-    col_legs = tuple(col_legs)
-    row_legs = tuple(leg for leg in t.legs if leg not in col_legs)
-    matrix, row_legs, col_legs = t.to_matrix(row_legs)
-    row_shape = tuple(t.extent(leg) for leg in row_legs)
-    col_shape = tuple(t.extent(leg) for leg in col_legs)
-    q, r = np.linalg.qr(matrix.T)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    q = q * signs
-    r = r * signs[:, None]
-    k = q.shape[1]
-    q_t = tensor_from_matrix(q.T, (new_leg,), (k,), col_legs, col_shape)
-    r_t = tensor_from_matrix(r.T, row_legs, row_shape, (new_leg,), (k,))
-    return r_t, q_t
+    if not np.any(m):
+        return np.zeros((m.shape[0], 0)), np.zeros(0), np.zeros((0, m.shape[1])), 0.0
+    try:
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError:
+        # gesdd occasionally fails to converge; the transposed problem
+        # usually succeeds and gives the same factorization.
+        vt, s, ut = np.linalg.svd(m.T, full_matrices=False)
+        u, vh = ut.T, vt.T
+    keep = min(policy.kept_count(s), int(np.sum(s > 0.0)))
+    discarded = float(np.sum(s[keep:] ** 2))
+    u, s, vh = u[:, :keep].copy(), s[:keep].copy(), vh[:keep, :].copy()
+    _fix_signs(u, vh)
+    return u, s, vh, discarded
 
 
 ISOMETRY_TOL = 1e-12
 
 
-def orthogonal_complement(iso: Tensor, row_legs: Sequence[str], new_leg: str | None = None) -> Tensor:
+def orthogonal_complement(iso: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the complement of an isometry's column space.
 
-    ``iso`` fused over ``row_legs`` must be an m x k matrix with orthonormal
-    columns (m >= k, checked to 1e-12). The result is an m x (m-k) tensor
-    whose columns are orthonormal and orthogonal to the input columns, so
-    stacking both gives an m x m orthogonal matrix. Computed from the full QR
-    factorization (the Q columns beyond the input's span), never by forming
-    the m x m projector; m == k yields an empty m x 0 tensor.
+    ``iso`` must be an m x k matrix with orthonormal columns (m >= k,
+    checked to 1e-12). The result is m x (m-k), with orthonormal columns
+    orthogonal to the input ones, so stacking both gives an m x m orthogonal
+    matrix. Computed from the full QR factorization (the Q columns beyond
+    the input's span), never by forming the m x m projector; m == k yields
+    an empty m x 0 matrix. Each column has its largest-magnitude entry
+    positive.
     """
-    matrix, row_legs, col_legs = iso.to_matrix(row_legs)
-    row_shape = tuple(iso.extent(leg) for leg in row_legs)
-    m, k = matrix.shape
+    m, k = iso.shape
     if m < k:
         raise ValueError(f"isometry must be tall, got {m}x{k}")
-    gram = matrix.T @ matrix
+    gram = iso.T @ iso
     if not np.allclose(gram, np.eye(k), rtol=0.0, atol=ISOMETRY_TOL):
         dev = float(np.max(np.abs(gram - np.eye(k)))) if k else 0.0
         raise ValueError(f"input is not an isometry (max |A†A - 1| = {dev:.3e})")
-    if new_leg is None:
-        if len(col_legs) != 1:
-            raise ValueError("new_leg required when the input has multiple column legs")
-        new_leg = col_legs[0]
-
     if m == k:
-        comp = np.zeros((m, 0))
-    else:
-        q, _ = np.linalg.qr(matrix, mode="complete")
-        comp = q[:, k:].copy()
-        # QR leaves a sign ambiguity per column; fix it for reproducibility.
-        for j in range(comp.shape[1]):
-            i = int(np.argmax(np.abs(comp[:, j])))
-            if comp[i, j] < 0.0:
-                comp[:, j] = -comp[:, j]
-    return tensor_from_matrix(comp, row_legs, row_shape, (new_leg,), (comp.shape[1],))
+        return np.zeros((m, 0))
+    comp = np.linalg.qr(iso, mode="complete")[0][:, k:].copy()
+    _fix_signs(comp)
+    return comp
+
+
+# ---------- transfers ----------
+
+
+def transfer_left(env: np.ndarray, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """Grow a left (bra bond, ket bond) overlap environment by one site.
+
+    ``bra`` and ``ket`` are (left, physical, right) arrays; an MPO site
+    reshaped to (w, d*d, w') is one too.
+    """
+    tmp = np.tensordot(env, bra, axes=(0, 0))  # (k, p, b')
+    return np.tensordot(tmp, ket, axes=((0, 1), (0, 1)))  # (b', k')
+
+
+def transfer_right(env: np.ndarray, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """Grow a right (bra bond, ket bond) overlap environment by one site."""
+    tmp = np.tensordot(bra, env, axes=(2, 0))  # (b, p, k)
+    return np.tensordot(tmp, ket, axes=((1, 2), (1, 2)))  # (b, k)
 
 
 # ---------- binary blob format ----------
@@ -356,8 +234,8 @@ def write_tensor_blob(path, t: Tensor) -> None:
     """Write a tensor to the binary blob format (legs are not persisted)."""
     with open(path, "wb") as fh:
         fh.write(TENSOR_MAGIC)
-        fh.write(struct.pack("<I", t.rank))
-        fh.write(struct.pack(f"<{t.rank}Q", *t.shape))
+        fh.write(struct.pack("<I", t.data.ndim))
+        fh.write(struct.pack(f"<{t.data.ndim}Q", *t.shape))
         fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 

@@ -30,7 +30,7 @@ from .mps import Mps
 from .mpo import Mpo
 from .projectors import _project_out_left, _project_out_right, build_bases
 
-__all__ = ["VarianceReport", "nsite_variance", "cumulative_variance", "write_variance_csv"]
+__all__ = ["VarianceReport", "nsite_variance", "write_variance_csv"]
 
 NEGATIVE_CLIP = -1e-14  # squared norms this far below zero are round-off
 
@@ -99,11 +99,6 @@ def nsite_variance(psi: Mps, h: Mpo, n_max: int) -> VarianceReport:
         cumulative=np.cumsum(values),
         total_dense=total_dense,
     )
-
-
-def cumulative_variance(report: VarianceReport) -> np.ndarray:
-    """Prefix sums of the per-n contributions."""
-    return np.cumsum(report.values)
 
 
 def write_variance_csv(report: VarianceReport, path) -> None:

@@ -205,6 +205,11 @@ def test_compress_windows_preserves_state():
         dense_state(materialize(packed)).vec, dense_state(materialize(grown)).vec, atol=1e-10
     )
     assert packed.windows[2][0].shape[2] <= grown.windows[2][0].shape[2]
+    # branches that vanish identically compress to zero-width interior bonds
+    ref = ground_state_in_ansatz(kept, 3)
+    packed = compress_windows(compress_windows(ref))
+    npt.assert_allclose(dense_state(materialize(packed)).vec, dense_state(materialize(ref)).vec, atol=1e-12)
+    assert packed.windows[0][0].shape[2] == 0
 
 
 # ---------- the reference inside the window form ----------
@@ -291,6 +296,23 @@ def test_exc_env_recursions_rebuild():
             parts.append(_env_step_left(env.lefts[(n - 1, l - 1)], a[l - 1], w[l - 1], t[branch - 1][n - 1]))
         if parts:
             npt.assert_allclose(env.lefts[(n, l)], sum(parts[1:], parts[0]), atol=1e-12)
+
+
+def test_exc_env_cached_reference_environments_match_rebuilt():
+    from kdmps.dmrg import build_env
+
+    kept = bases_for(6, 3, 23)
+    h = haldane_shastry_mpo(6)
+    base = build_env(kept.reference, h, bases=kept)
+    for n in (1, 2, 3):
+        x = init_excitation(kept, n, seed=n)
+        cached = apply_projected_h(x, h, build_exc_env(x, h, base))
+        rebuilt = apply_projected_h(x, h)
+        for ca, cb in zip(cached.windows, rebuilt.windows):
+            for ta, tb in zip(ca, cb):
+                npt.assert_array_equal(ta.data, tb.data)
+    with pytest.raises(ValueError, match="another operator"):
+        build_exc_env(x, heisenberg_mpo(6), base)
 
 
 def test_exc_env_stale_cache_rejected():
@@ -406,6 +428,17 @@ def test_solve_two_site_triplet_gap():
     assert res.converged
 
 
+def test_solve_converges_on_longer_heisenberg_chain():
+    # kept-space round-off in the Krylov basis used to grow here, leaving
+    # the solver unconverged at a residual near 2e-7
+    h = heisenberg_mpo(16)
+    opts = DmrgOptions(policy=TruncationPolicy(max_rank=16, rel_cutoff=1e-13))
+    gs = dmrg_ground_state(random_mps(16, 2, bond_cap=16, seed=0), h, "2s", opts)
+    res = solve_lowest_excitation(gs.psi, h, 1)
+    assert res.converged
+    assert res.residual <= 1e-10 * abs(res.energy)
+
+
 def test_solve_hs_l6_matches_dense_first_excited():
     h = haldane_shastry_mpo(6)
     opts = DmrgOptions(n_sweeps=10, policy=TruncationPolicy(max_rank=8, rel_cutoff=1e-14))
@@ -478,3 +511,20 @@ def test_excitation_archive_roundtrip(tmp_path):
         dense_state(materialize(res.state)).vec,
         atol=1e-9,
     )
+
+
+def test_excitation_archive_reloads_from_another_directory(tmp_path, monkeypatch):
+    h = heisenberg_mpo(4)
+    gs = dmrg_ground_state(random_mps(4, 2, bond_cap=4, seed=1), h, "2s", DmrgOptions(n_sweeps=4))
+    monkeypatch.chdir(tmp_path)
+    save_mps(gs.psi, "gs")
+    res = solve_lowest_excitation(gs.psi, h, 1, ExcitationOptions(seed=2))
+    save_excitation(res.state, "exc", gs_path="gs")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    back, manifest = load_excitation("../exc")
+    assert manifest["format_version"] == 2 and manifest["ground_state"] == "../gs"
+    for ca, cb in zip(back.windows, res.state.windows):
+        for ta, tb in zip(ca, cb):
+            npt.assert_array_equal(ta.data, tb.data)

@@ -196,9 +196,8 @@ def test_shift_truncation_reports_discarded_weight():
     psi = random_mps(6, 2, bond_cap=4, seed=6)
     psi3, _ = canonicalize(psi, 3)
     # oracle: the same split through svd_split directly
-    _, s, _, dw_oracle = svd_split(
-        psi3.site(3), (virt(2), phys(3)), TruncationPolicy(max_rank=2)
-    )
+    site = psi3.site(3).data
+    _, s, _, dw_oracle = svd_split(site.reshape(-1, site.shape[2]), TruncationPolicy(max_rank=2))
     shifted, dw = shift_center(psi3, "right", TruncationPolicy(max_rank=2))
     npt.assert_allclose(dw, dw_oracle, atol=1e-14)
     assert shifted.bond_dims[3] == len(s)
@@ -267,16 +266,16 @@ def test_canonical_sets_reconstruct_at_every_bond():
     a_set, b_set, bonds, norm = canonical_sets(psi)
     ref = dense_state(psi).vec / norm
     for l in range(0, 7):
-        arrs = [t.data for t in a_set[:l]] + [bonds[l].data[:, None, :]] + [t.data for t in b_set[l:]]
+        arrs = a_set[:l] + [bonds[l][:, None, :]] + b_set[l:]
         cur = np.ones((1, 1))
         for arr in arrs:
             cur = np.tensordot(cur, arr, axes=(1, 0)).reshape(-1, arr.shape[-1])
         npt.assert_allclose(cur.reshape(-1), ref, atol=DENSE_TOL)
     for t in a_set:
-        m = t.data.reshape(-1, t.data.shape[2])
+        m = t.reshape(-1, t.shape[2])
         npt.assert_allclose(m.T @ m, np.eye(m.shape[1]), atol=GAUGE_TOL)
     for t in b_set:
-        m = t.data.reshape(t.data.shape[0], -1)
+        m = t.reshape(t.shape[0], -1)
         npt.assert_allclose(m @ m.T, np.eye(m.shape[0]), atol=GAUGE_TOL)
 
 

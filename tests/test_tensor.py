@@ -1,4 +1,4 @@
-"""Tests for the dense named-leg tensor layer."""
+"""Tests for the array kernels (gauge moves, transfers) and the tensor record."""
 
 import numpy as np
 import numpy.testing as npt
@@ -7,12 +7,12 @@ import pytest
 from kdmps.tensor import (
     Tensor,
     TruncationPolicy,
-    contract,
     orthogonal_complement,
-    qr_split,
+    qr,
     read_tensor_blob,
-    rq_split,
     svd_split,
+    transfer_left,
+    transfer_right,
     write_tensor_blob,
 )
 
@@ -23,85 +23,53 @@ def rand_tensor(rng, shape, legs):
     return Tensor(rng.standard_normal(shape), legs)
 
 
-# ---------- contract ----------
+# ---------- transfers ----------
 
 
-def test_contract_identity_leaves_vector_unchanged():
-    eye = Tensor(np.eye(2), ("a", "b"))
-    vec = Tensor(np.array([0.3, -1.2]), ("x",))
-    out = contract(eye, vec, [("b", "x")])
-    assert out.legs == ("a",)
-    npt.assert_allclose(out.data, vec.data, atol=0)
-
-
-def test_contract_matrix_times_identity():
-    m = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), ("r", "c"))
-    eye = Tensor(np.eye(2), ("c2", "k"))
-    out = contract(m, eye, [("c", "c2")])
-    npt.assert_allclose(out.data, m.data, atol=0)
-    assert out.legs == ("r", "k")
-
-
-def test_contract_matches_explicit_triple_loop():
+def test_transfer_left_matches_explicit_loops():
     rng = np.random.default_rng(0)
-    a = rand_tensor(rng, (3, 4, 2), ("i", "j", "k"))
-    b = rand_tensor(rng, (4, 2, 5), ("j2", "k2", "m"))
-    out = contract(a, b, [("j", "j2"), ("k", "k2")])
-    assert out.legs == ("i", "m")
-    want = np.zeros((3, 5))
-    for i in range(3):
-        for m in range(5):
-            for j in range(4):
-                for k in range(2):
-                    want[i, m] += a.data[i, j, k] * b.data[j, k, m]
-    npt.assert_allclose(out.data, want, atol=TOL)
+    env = rng.standard_normal((3, 4))
+    bra = rng.standard_normal((3, 2, 5))
+    ket = rng.standard_normal((4, 2, 6))
+    want = np.zeros((5, 6))
+    for a in range(3):
+        for b in range(4):
+            for p in range(2):
+                for a2 in range(5):
+                    for b2 in range(6):
+                        want[a2, b2] += env[a, b] * bra[a, p, a2] * ket[b, p, b2]
+    npt.assert_allclose(transfer_left(env, bra, ket), want, atol=TOL)
 
 
-def test_contract_agrees_with_nested_loops_on_random_shapes():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        ra = int(rng.integers(1, 5))
-        rb = int(rng.integers(1, 5))
-        shared = int(rng.integers(1, min(ra, rb) + 1))
-        sa = tuple(int(rng.integers(1, 5)) for _ in range(ra))
-        sb = list(int(rng.integers(1, 5)) for _ in range(rb))
-        pairs = []
-        for s in range(shared):
-            sb[s] = sa[s]
-            pairs.append((f"a{s}", f"b{s}"))
-        a = rand_tensor(rng, sa, tuple(f"a{i}" for i in range(ra)))
-        b = rand_tensor(rng, tuple(sb), tuple(f"b{i}" for i in range(rb)))
-        out = contract(a, b, pairs)
-        want = np.einsum(
-            a.data,
-            list(range(ra)),
-            b.data,
-            list(range(shared)) + list(range(ra, ra + rb - shared)),
-            list(range(shared, ra)) + list(range(ra, ra + rb - shared)),
-        )
-        npt.assert_allclose(out.data, want, atol=TOL)
+def test_transfer_right_matches_explicit_loops():
+    rng = np.random.default_rng(1)
+    env = rng.standard_normal((5, 6))
+    bra = rng.standard_normal((3, 2, 5))
+    ket = rng.standard_normal((4, 2, 6))
+    want = np.zeros((3, 4))
+    for a in range(3):
+        for b in range(4):
+            for p in range(2):
+                for a2 in range(5):
+                    for b2 in range(6):
+                        want[a, b] += bra[a, p, a2] * ket[b, p, b2] * env[a2, b2]
+    npt.assert_allclose(transfer_right(env, bra, ket), want, atol=TOL)
 
 
-def test_contract_is_bilinear():
-    rng = np.random.default_rng(3)
-    a1 = rand_tensor(rng, (3, 4), ("i", "j"))
-    a2 = rand_tensor(rng, (3, 4), ("i", "j"))
-    b = rand_tensor(rng, (4, 2), ("j2", "k"))
-    lhs = contract(Tensor(2.0 * a1.data - a2.data, a1.legs), b, [("j", "j2")])
-    rhs = 2.0 * contract(a1, b, [("j", "j2")]).data - contract(a2, b, [("j", "j2")]).data
-    npt.assert_allclose(lhs.data, rhs, atol=TOL)
-
-
-def test_contract_errors():
-    a = Tensor(np.zeros((2, 3)), ("i", "j"))
-    b = Tensor(np.zeros((4, 2)), ("k", "m"))
-    with pytest.raises(ValueError, match="extent mismatch"):
-        contract(a, b, [("j", "k")])
-    with pytest.raises(KeyError):
-        contract(a, b, [("nope", "k")])
-    c = Tensor(np.zeros((3, 2)), ("j2", "i"))  # unpaired leg name collision
-    with pytest.raises(ValueError, match="collide"):
-        contract(a, c, [("j", "j2")])
+def test_transfers_close_to_the_same_overlap():
+    rng = np.random.default_rng(2)
+    dims = [1, 3, 4, 2, 1]
+    bras = [rng.standard_normal((dims[i], 2, dims[i + 1])) for i in range(4)]
+    kets = [rng.standard_normal((dims[i], 2, dims[i + 1])) for i in range(4)]
+    left, right = np.ones((1, 1)), np.ones((1, 1))
+    for bra, ket in zip(bras, kets):
+        left = transfer_left(left, bra, ket)
+    for bra, ket in zip(reversed(bras), reversed(kets)):
+        right = transfer_right(right, bra, ket)
+    dense_bra = np.einsum("aib,bjc,ckd,dle->ijkl", *bras).reshape(-1)
+    dense_ket = np.einsum("aib,bjc,ckd,dle->ijkl", *kets).reshape(-1)
+    npt.assert_allclose(left[0, 0], dense_bra @ dense_ket, atol=TOL)
+    npt.assert_allclose(right[0, 0], dense_bra @ dense_ket, atol=TOL)
 
 
 def test_tensor_rejects_duplicate_legs():
@@ -113,50 +81,47 @@ def test_tensor_rejects_duplicate_legs():
 
 
 def test_svd_identity_no_truncation():
-    u, s, vh, dw = svd_split(Tensor(np.eye(2), ("r", "c")), ("r",))
+    u, s, vh, dw = svd_split(np.eye(2))
     npt.assert_allclose(s, [1.0, 1.0], atol=TOL)
-    recon = contract(u, vh, [("s", "s")])
-    npt.assert_allclose(recon.data, np.eye(2), atol=TOL)
+    npt.assert_allclose(u @ vh, np.eye(2), atol=TOL)
     assert dw == 0.0
 
 
 def test_svd_rank_one_outer_product():
     a = np.array([1.0, 0.0, 0.0])
     b = np.array([0.0, 1.0])
-    t = Tensor(np.outer(a, b), ("r", "c"))
-    u, s, vh, dw = svd_split(t, ("r",))
+    u, s, vh, dw = svd_split(np.outer(a, b))
     npt.assert_allclose(s, [1.0], atol=TOL)
     assert dw == 0.0
 
 
 def test_svd_truncation_discarded_weight_matches_full_svd():
     rng = np.random.default_rng(11)
-    t = rand_tensor(rng, (6, 4), ("r", "c"))
-    full_s = np.linalg.svd(t.data, compute_uv=False)
-    u, s, vh, dw = svd_split(t, ("r",), TruncationPolicy(max_rank=2))
+    t = rng.standard_normal((6, 4))
+    full_s = np.linalg.svd(t, compute_uv=False)
+    u, s, vh, dw = svd_split(t, TruncationPolicy(max_rank=2))
     npt.assert_allclose(dw, np.sum(full_s[2:] ** 2), atol=1e-14)
-    approx = (u.data * s) @ vh.data
-    npt.assert_allclose(np.linalg.norm(t.data - approx) ** 2, dw, atol=1e-13)
+    approx = (u * s) @ vh
+    npt.assert_allclose(np.linalg.norm(t - approx) ** 2, dw, atol=1e-13)
 
 
 def test_svd_reconstruction_invariant_random():
     rng = np.random.default_rng(2)
     for _ in range(10):
         shape = tuple(int(rng.integers(2, 5)) for _ in range(3))
-        t = rand_tensor(rng, shape, ("a", "b", "c"))
+        t = rng.standard_normal(shape)
         policy = TruncationPolicy(max_rank=int(rng.integers(1, 5)))
-        u, s, vh, dw = svd_split(t, ("a", "b"), policy)
-        recon = np.tensordot(u.data * s, vh.data, axes=(2, 0))
-        err2 = np.linalg.norm(t.data - recon) ** 2
-        assert abs(err2 - dw) <= 1e-20 * np.linalg.norm(t.data) ** 2 + 1e-13
-        m = u.data.reshape(-1, u.data.shape[2])
-        npt.assert_allclose(m.T @ m, np.eye(m.shape[1]), atol=TOL)
-        npt.assert_allclose(vh.data @ vh.data.T, np.eye(vh.data.shape[0]), atol=TOL)
+        u, s, vh, dw = svd_split(t.reshape(shape[0] * shape[1], shape[2]), policy)
+        recon = ((u * s) @ vh).reshape(shape)
+        err2 = np.linalg.norm(t - recon) ** 2
+        assert abs(err2 - dw) <= 1e-20 * np.linalg.norm(t) ** 2 + 1e-13
+        npt.assert_allclose(u.T @ u, np.eye(u.shape[1]), atol=TOL)
+        npt.assert_allclose(vh @ vh.T, np.eye(vh.shape[0]), atol=TOL)
         assert np.all(np.diff(s) <= 1e-15)
 
 
 def test_svd_zero_tensor_gives_rank_zero():
-    u, s, vh, dw = svd_split(Tensor(np.zeros((3, 4)), ("r", "c")), ("r",))
+    u, s, vh, dw = svd_split(np.zeros((3, 4)))
     assert s.shape == (0,)
     assert u.shape == (3, 0) and vh.shape == (0, 4)
     assert dw == 0.0
@@ -164,12 +129,12 @@ def test_svd_zero_tensor_gives_rank_zero():
 
 def test_svd_sign_convention_deterministic():
     rng = np.random.default_rng(5)
-    t = rand_tensor(rng, (5, 5), ("r", "c"))
-    u1, _, _, _ = svd_split(t, ("r",))
-    u2, _, _, _ = svd_split(Tensor(t.data.copy(), t.legs), ("r",))
-    npt.assert_array_equal(u1.data, u2.data)
+    t = rng.standard_normal((5, 5))
+    u1, _, _, _ = svd_split(t)
+    u2, _, _, _ = svd_split(t.copy())
+    npt.assert_array_equal(u1, u2)
     for j in range(u1.shape[1]):
-        col = u1.data[:, j]
+        col = u1[:, j]
         assert col[np.argmax(np.abs(col))] > 0.0
 
 
@@ -192,21 +157,20 @@ def test_truncation_policy_validation_and_degeneracy():
 
 
 def test_complement_of_first_basis_column():
-    iso = Tensor(np.array([[1.0], [0.0]]), ("r", "c"))
-    comp = orthogonal_complement(iso, ("r",))
-    npt.assert_allclose(np.abs(comp.data), [[0.0], [1.0]], atol=TOL)
+    comp = orthogonal_complement(np.array([[1.0], [0.0]]))
+    npt.assert_allclose(np.abs(comp), [[0.0], [1.0]], atol=TOL)
 
 
 def test_complement_of_full_unitary_is_empty():
     q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
-    comp = orthogonal_complement(Tensor(q, ("r", "c")), ("r",))
+    comp = orthogonal_complement(q)
     assert comp.shape == (4, 0)
 
 
 def test_complement_matches_gram_schmidt_oracle():
     rng = np.random.default_rng(9)
     a = np.linalg.qr(rng.standard_normal((6, 2)))[0]
-    comp = orthogonal_complement(Tensor(a, ("r", "c")), ("r",)).data
+    comp = orthogonal_complement(a)
     # independent oracle: Gram-Schmidt the residuals of the standard basis
     basis = []
     for e in np.eye(6).T:
@@ -228,25 +192,28 @@ def test_complement_stacks_to_unitary():
         m = int(rng.integers(2, 9))
         k = int(rng.integers(1, m + 1))
         a = np.linalg.qr(rng.standard_normal((m, k)))[0][:, :k]
-        comp = orthogonal_complement(Tensor(a, ("r", "c")), ("r",)).data
+        comp = orthogonal_complement(a)
         u = np.hstack([a, comp])
         npt.assert_allclose(np.max(np.abs(u.T @ u - np.eye(m))), 0, atol=TOL)
 
 
 def test_complement_rejects_non_isometry():
     with pytest.raises(ValueError, match="not an isometry"):
-        orthogonal_complement(Tensor(np.ones((3, 2)), ("r", "c")), ("r",))
+        orthogonal_complement(np.ones((3, 2)))
 
 
 def test_qr_rq_split_roundtrip():
     rng = np.random.default_rng(17)
-    t = rand_tensor(rng, (3, 2, 4), ("a", "b", "c"))
-    q, r = qr_split(t, ("a", "b"), new_leg="x")
-    recon = contract(q, r, [("x", "x")])
-    npt.assert_allclose(recon.data, t.data, atol=TOL)
-    rr, qq = rq_split(t, ("b", "c"), new_leg="x")
-    recon = contract(rr, qq, [("x", "x")])
-    npt.assert_allclose(recon.transpose(t.legs).data, t.data, atol=TOL)
+    t = rng.standard_normal((3, 2, 4))
+    q, r = qr(t.reshape(6, 4))
+    npt.assert_allclose((q @ r).reshape(t.shape), t, atol=TOL)
+    npt.assert_allclose(q.T @ q, np.eye(4), atol=TOL)
+    assert np.all(np.diag(r) >= 0.0)
+    # the mirrored move: t = r' q' with orthonormal rows of q', from QR of t^T
+    q, r = qr(t.reshape(3, 8).T)
+    npt.assert_allclose((r.T @ q.T).reshape(t.shape), t, atol=TOL)
+    npt.assert_allclose(q.T @ q, np.eye(3), atol=TOL)
+    assert np.all(np.diag(r) >= 0.0)
 
 
 # ---------- blobs ----------

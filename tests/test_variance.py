@@ -10,7 +10,7 @@ from kdmps.mpo import haldane_shastry_mpo, heisenberg_mpo, mpo_shift
 from kdmps.mps import random_mps
 from kdmps.projectors import ProjectorSpec, build_bases, dense_projector
 from kdmps.tensor import TruncationPolicy
-from kdmps.variance import cumulative_variance, nsite_variance, write_variance_csv
+from kdmps.variance import nsite_variance, write_variance_csv
 
 DECOMP_TOL = 1e-10
 
@@ -89,12 +89,12 @@ def test_cumulative_prefix_sums():
     psi = random_mps(L, 2, bond_cap=2, seed=11)
     h = heisenberg_mpo(L)
     report = nsite_variance(psi, h, L)
-    npt.assert_allclose(cumulative_variance(report), np.cumsum(report.values), atol=0)
+    npt.assert_allclose(report.cumulative, np.cumsum(report.values), atol=0)
     npt.assert_allclose(report.cumulative[-1], report.total_dense, atol=DECOMP_TOL)
     two = type(report)(
         energy=0.0, n_max=2, values=np.array([3.0, 4.0]), cumulative=np.array([3.0, 7.0]), total_dense=None
     )
-    npt.assert_allclose(cumulative_variance(two), [3.0, 7.0], atol=0)
+    npt.assert_allclose(two.cumulative, [3.0, 7.0], atol=0)
 
 
 def test_n_max_validation():

@@ -20,6 +20,7 @@ window is assembled from 2n + 1 boundary terms and re-gauged.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -540,25 +541,41 @@ def solve_lowest_excitation(gs: Mps, h: Mpo, n: int, opts: ExcitationOptions | N
 # ---------- archives ----------
 
 
+def _reference_digest(gs_path: Path) -> str:
+    """sha256 of a reference archive's site blobs (and bond weights, if any)."""
+    L = json.loads((gs_path / "manifest.json").read_text())["L"]
+    blobs = [gs_path / f"site_{l}.ten" for l in range(1, L + 1)]
+    if (gs_path / "bond_weights.ten").exists():
+        blobs.append(gs_path / "bond_weights.ten")
+    digest = hashlib.sha256()
+    for blob in blobs:
+        digest.update(blob.read_bytes())
+    return digest.hexdigest()
+
+
 def save_excitation(x: ExcitationState, path, gs_path: str, extra: dict | None = None) -> None:
     """Write window tensors plus a manifest referencing the reference archive.
 
     A relative ``gs_path`` (taken from the working directory) is stored
     relative to the archive directory, so the archive reloads from any
-    working directory; an absolute one is stored as given.
+    working directory; an absolute one is stored as given. The manifest
+    also holds a sha256 of the reference's blobs, which the windows are
+    only meaningful against.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
+    digest = _reference_digest(Path(gs_path))
     if not Path(gs_path).is_absolute():
         gs_path = os.path.relpath(gs_path, path)
     manifest = {
-        "format_version": 2,
+        "format_version": 3,
         "kind": "excitation",
         "n": x.n,
         "L": x.L,
         "d": x.d,
         "D": max(x.bases.dims),
         "ground_state": str(gs_path),
+        "ground_state_sha256": digest,
         "window_bonds": [[t.shape[2] for t in chain[:-1]] for chain in x.windows],
     }
     if extra:
@@ -573,9 +590,10 @@ def load_excitation(path) -> tuple[ExcitationState, dict]:
     """Read an excitation archive (rebuilds the gauge from the referenced
     reference-state archive).
 
-    Format 2 resolves a relative reference path against the archive
+    Formats 2 and 3 resolve a relative reference path against the archive
     directory; format 1 archives stored it relative to the working
-    directory of the writer, and are read that way.
+    directory of the writer, and are read that way. Format 3 raises
+    ValueError when the reference's blobs no longer match the stored hash.
     """
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
@@ -584,6 +602,8 @@ def load_excitation(path) -> tuple[ExcitationState, dict]:
     gs_path = Path(manifest["ground_state"])
     if manifest["format_version"] >= 2:
         gs_path = path / gs_path  # an absolute path stays as it is
+    if "ground_state_sha256" in manifest and _reference_digest(gs_path) != manifest["ground_state_sha256"]:
+        raise ValueError(f"{path}: the reference archive {gs_path} changed after the excitation was saved")
     bases, _ = build_bases(load_mps(gs_path))
     n = manifest["n"]
     chains = []

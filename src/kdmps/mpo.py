@@ -5,8 +5,12 @@ Site ``l`` of an :class:`Mpo` carries legs ``("w{l-1}", "p{l}", "q{l}",
 column (input) one, so applying the operator contracts ``q`` against a
 state's physical leg. Outer virtual bonds have extent one.
 
-All builders stay in real arithmetic: spin couplings enter through
-S^z and the ladder pair, S.S = (S+S- + S-S+)/2 + S^z S^z.
+Every model is built by one finite-state builder from its coupling matrix,
+H = sum_i onsite + sum_{i<j} J[i, j] S_i . S_j (:func:`_coupling_mpo`):
+the Heisenberg chain (J on the superdiagonal), total S^z (onsite only),
+total S^2 and the Haldane-Shastry ring (dense J, then one SVD compression).
+All builders stay in real arithmetic: spin couplings enter through S^z and
+the ladder pair, S.S = (S+S- + S-S+)/2 + S^z S^z.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mps import Mps, phys
+from .mps import Mps, _read_sites, phys
 from .tensor import Tensor, qr, read_tensor_blob, svd_split, transfer_left, write_tensor_blob
 
 __all__ = [
@@ -42,6 +46,10 @@ SZ = np.diag([0.5, -0.5])
 SP = np.array([[0.0, 1.0], [0.0, 0.0]])  # S+ in the (up, down) basis
 SM = SP.T
 ID2 = np.eye(2)
+# channel blocks of the coupling MPO: open (S+, S-, S^z), carry, close with S.S
+_OPENS = np.stack((SP, SM, SZ), axis=-1)
+_PASS = np.einsum("kl,pq->kpql", np.eye(3), ID2)
+_CLOSES = np.stack((0.5 * SM, 0.5 * SP, SZ))
 
 
 def wleg(bond: int) -> str:
@@ -102,6 +110,38 @@ def identity_mpo(L: int, d: int = 2) -> Mpo:
     return _mpo_from_arrays([eye.copy() for _ in range(L)])
 
 
+def _coupling_mpo(J: np.ndarray, onsite: np.ndarray | None = None) -> Mpo:
+    """H = sum_i onsite + sum_{i<j} J[i, j] S_i . S_j as a finite-state MPO.
+
+    Bond l carries state 0 ("nothing placed yet"), the three channels
+    (S+, S-, S^z) of every site i <= l with some J[i, j > l] != 0, in site
+    order, and a last state "done". A channel of site i closes at site j
+    with 0.5 J S-, 0.5 J S+ and J S^z. Only the strict upper triangle of
+    ``J`` (0-based sites) is read; ``onsite`` is added at every site.
+    """
+    L = J.shape[0]
+    # last[i]: the farthest site coupled to i (0 if none); its channels cross bonds i+1..last[i]
+    last = ((np.triu(J, 1) != 0.0) * np.arange(L)).max(axis=1).tolist()
+    arrays, right = [], {}
+    for s in range(L):
+        crossing = [i for i in range(s + 1) if last[i] > s]  # the sources bond s+1 carries
+        left, right = right, {i: 1 + 3 * k for k, i in enumerate(crossing)}
+        w = np.zeros((3 * len(left) + 2, 2, 2, 3 * len(right) + 2))
+        w[0, :, :, 0] = w[-1, :, :, -1] = ID2
+        if onsite is not None:
+            w[0, :, :, -1] = onsite
+        if s in right:
+            w[0, :, :, right[s] : right[s] + 3] = _OPENS
+        for i, a in left.items():
+            w[a : a + 3, :, :, -1] = J[i, s] * _CLOSES
+            if i in right:
+                w[a : a + 3, :, :, right[i] : right[i] + 3] = _PASS
+        arrays.append(w)
+    arrays[0] = arrays[0][0:1]
+    arrays[-1] = arrays[-1][:, :, :, -1:]
+    return _mpo_from_arrays(arrays)
+
+
 def heisenberg_mpo(L: int, J: float = 1.0) -> Mpo:
     """Nearest-neighbor Heisenberg chain H = J sum_l S_l . S_{l+1}.
 
@@ -109,43 +149,7 @@ def heisenberg_mpo(L: int, J: float = 1.0) -> Mpo:
     """
     if L < 2:
         raise ValueError("need L >= 2")
-    w = np.zeros((5, 2, 2, 5))
-    w[0, :, :, 0] = ID2
-    w[0, :, :, 1] = SP
-    w[0, :, :, 2] = SM
-    w[0, :, :, 3] = SZ
-    w[1, :, :, 4] = 0.5 * J * SM
-    w[2, :, :, 4] = 0.5 * J * SP
-    w[3, :, :, 4] = J * SZ
-    w[4, :, :, 4] = ID2
-    arrays = [w[0:1, :, :, :]] + [w.copy() for _ in range(L - 2)] + [w[:, :, :, 4:5]]
-    return _mpo_from_arrays(arrays)
-
-
-def _pair_coupling_mpo(L: int, i: int, j: int, c: float) -> Mpo:
-    """c * S_i . S_j on an L-site chain (i < j), bond dimension 3 in between."""
-    arrays = []
-    for l in range(1, L + 1):
-        if l < i or l > j:
-            arrays.append(ID2.reshape(1, 2, 2, 1).copy())
-        elif l == i:
-            w = np.zeros((1, 2, 2, 3))
-            w[0, :, :, 0] = SP
-            w[0, :, :, 1] = SM
-            w[0, :, :, 2] = SZ
-            arrays.append(w)
-        elif l == j:
-            w = np.zeros((3, 2, 2, 1))
-            w[0, :, :, 0] = 0.5 * c * SM
-            w[1, :, :, 0] = 0.5 * c * SP
-            w[2, :, :, 0] = c * SZ
-            arrays.append(w)
-        else:
-            w = np.zeros((3, 2, 2, 3))
-            for k in range(3):
-                w[k, :, :, k] = ID2
-            arrays.append(w)
-    return _mpo_from_arrays(arrays)
+    return _coupling_mpo(np.diag(np.full(L - 1, float(J)), 1))
 
 
 def hs_coupling(L: int, i: int, j: int) -> float:
@@ -156,14 +160,17 @@ def hs_coupling(L: int, i: int, j: int) -> float:
 def haldane_shastry_mpo(L: int, tol: float = 1e-12) -> Mpo:
     """Spin-1/2 ring with inverse-square chord-distance exchange.
 
-    H = sum_{i<j} pi^2 / (L^2 sin^2(pi (i-j)/L)) S_i . S_j, assembled as an
-    explicit pairwise sum and recompressed so every coupling is reproduced
-    to relative ``tol``. Deterministic for fixed arguments.
+    H = sum_{i<j} pi^2 / (L^2 sin^2(pi (i-j)/L)) S_i . S_j, built from its
+    coupling matrix as one finite-state MPO of bond dimension 2 + 3l at cut
+    l and compressed once, dropping bond singular values below ``tol``
+    times the operator's Frobenius norm. Deterministic for fixed arguments.
     """
     if L < 2:
         raise ValueError("need L >= 2")
-    terms = [_pair_coupling_mpo(L, i, j, hs_coupling(L, i, j)) for i in range(1, L + 1) for j in range(i + 1, L + 1)]
-    return mpo_sum_compress(terms, tol)
+    J = np.zeros((L, L))
+    i, j = np.triu_indices(L, 1)
+    J[i, j] = hs_coupling(L, i, j)
+    return mpo_sum_compress([_coupling_mpo(J)], tol)
 
 
 def _mpo_block_sum(terms: list[Mpo]) -> Mpo:
@@ -285,35 +292,12 @@ def _env_step_right(env: np.ndarray, bra: np.ndarray, w: np.ndarray, ket: np.nda
 
 def sz_total_mpo(L: int) -> Mpo:
     """Total S^z as an MPO of bond dimension 2."""
-    if L == 1:
-        return _mpo_from_arrays([SZ.reshape(1, 2, 2, 1)])
-    w = np.zeros((2, 2, 2, 2))
-    w[0, :, :, 0] = ID2
-    w[0, :, :, 1] = SZ
-    w[1, :, :, 1] = ID2
-    arrays = [w[0:1]] + [w.copy() for _ in range(L - 2)] + [w[:, :, :, 1:2]]
-    return _mpo_from_arrays(arrays)
+    return _coupling_mpo(np.zeros((L, L)), SZ)
 
 
 def s2_total_mpo(L: int) -> Mpo:
-    """Total spin squared (S_tot)^2 = 3L/4 + 2 sum_{i<j} S_i . S_j."""
-    w = np.zeros((5, 2, 2, 5))
-    w[0, :, :, 0] = ID2
-    w[0, :, :, 1] = SP
-    w[0, :, :, 2] = SM
-    w[0, :, :, 3] = SZ
-    w[0, :, :, 4] = 0.75 * ID2
-    w[1, :, :, 1] = ID2
-    w[2, :, :, 2] = ID2
-    w[3, :, :, 3] = ID2
-    w[1, :, :, 4] = SM
-    w[2, :, :, 4] = SP
-    w[3, :, :, 4] = 2.0 * SZ
-    w[4, :, :, 4] = ID2
-    if L == 1:
-        return _mpo_from_arrays([(0.75 * ID2).reshape(1, 2, 2, 1)])
-    arrays = [w[0:1]] + [w.copy() for _ in range(L - 2)] + [w[:, :, :, 4:5]]
-    return _mpo_from_arrays(arrays)
+    """Total spin squared (S_tot)^2 = 3L/4 + 2 sum_{i<j} S_i . S_j (bulk bond 5)."""
+    return mpo_sum_compress([_coupling_mpo(np.full((L, L), 2.0), 0.75 * ID2)], 0.0)
 
 
 def hs_ground_energy(L: int) -> float:
@@ -343,12 +327,10 @@ def save_mpo(h: Mpo, path) -> None:
 
 
 def load_mpo(path) -> Mpo:
+    """Read an MPO archive; raises ValueError when a blob's shape disagrees
+    with the manifest."""
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
     if manifest.get("kind") != "mpo":
         raise ValueError(f"{path}: not an MPO archive")
-    L = manifest["L"]
-    sites = tuple(
-        read_tensor_blob(path / f"site_{l}.ten", (wleg(l - 1), phys(l), qhys(l), wleg(l))) for l in range(1, L + 1)
-    )
-    return Mpo(sites)
+    return Mpo(_read_sites(path, manifest, lambda l: (wleg(l - 1), phys(l), qhys(l), wleg(l))))

@@ -437,19 +437,45 @@ def save_mps(psi: Mps, path) -> None:
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
+def _read_sites(path: Path, manifest: dict, legs) -> tuple[Tensor, ...]:
+    """Read the blobs site_1..site_L of an archive, named ``legs(l)``, and
+    check each shape against the manifest's L, d and bond_dims."""
+    L, d, dims = manifest["L"], manifest["d"], manifest["bond_dims"]
+    if len(dims) != L + 1:
+        raise ValueError(f"{path}: manifest lists {len(dims)} bond_dims for L = {L}")
+    sites = []
+    for l in range(1, L + 1):
+        t = read_tensor_blob(path / f"site_{l}.ten", legs(l))
+        want = (dims[l - 1],) + (d,) * (len(t.legs) - 2) + (dims[l],)
+        if t.shape != want:
+            raise ValueError(f"{path}: site_{l}.ten has shape {t.shape}, but the manifest gives {want}")
+        sites.append(t)
+    return tuple(sites)
+
+
 def load_mps(path) -> Mps:
-    """Read an MPS archive written by :func:`save_mps`."""
+    """Read an MPS archive written by :func:`save_mps`.
+
+    Raises ValueError when a blob's shape disagrees with the manifest or the
+    state violates the claimed canonical form by more than FORM_TOL.
+    """
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
     if manifest.get("kind") != "mps":
         raise ValueError(f"{path}: not an MPS archive")
-    L = manifest["L"]
-    sites = tuple(
-        read_tensor_blob(path / f"site_{l}.ten", (virt(l - 1), phys(l), virt(l))) for l in range(1, L + 1)
-    )
+    sites = _read_sites(path, manifest, lambda l: (virt(l - 1), phys(l), virt(l)))
     form = manifest["form"]["kind"]
     center = manifest["form"]["index"]
     weights = None
     if form == "bond":
         weights = read_tensor_blob(path / "bond_weights.ten", ("s",)).data
-    return Mps(sites, form=form, center=center, weights=weights)
+        dims = manifest["bond_dims"]
+        if weights.shape != (dims[center],):
+            raise ValueError(
+                f"{path}: bond_weights.ten has shape {weights.shape}, but bond {center} has extent {dims[center]}"
+            )
+    psi = Mps(sites, form=form, center=center, weights=weights)
+    defect = canonical_defect(psi)
+    if not defect <= FORM_TOL:
+        raise ValueError(f"{path}: the manifest claims {form} form at {center}, but the gauge defect is {defect:.3g}")
+    return psi

@@ -1,5 +1,6 @@
 """Tests for the window-form excitation states and their eigensolver."""
 
+import json
 import time
 
 import numpy as np
@@ -513,6 +514,26 @@ def test_excitation_archive_roundtrip(tmp_path):
     )
 
 
+def test_excitation_archive_rejects_a_changed_reference(tmp_path):
+    h = heisenberg_mpo(4)
+    gs = dmrg_ground_state(random_mps(4, 2, bond_cap=4, seed=1), h, "2s", DmrgOptions(n_sweeps=4))
+    save_mps(gs.psi, tmp_path / "gs")
+    res = solve_lowest_excitation(gs.psi, h, 1, ExcitationOptions(seed=2))
+    save_excitation(res.state, tmp_path / "exc", gs_path=str(tmp_path / "gs"))
+    load_excitation(tmp_path / "exc")
+    save_mps(random_mps(4, 2, bond_cap=4, seed=9), tmp_path / "gs")  # overwrite the reference
+    with pytest.raises(ValueError, match="reference archive .* changed"):
+        load_excitation(tmp_path / "exc")
+    # a format-2 archive carries no hash and loads as before
+    manifest_path = tmp_path / "exc" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["ground_state_sha256"]
+    manifest["format_version"] = 2
+    manifest_path.write_text(json.dumps(manifest))
+    back, _ = load_excitation(tmp_path / "exc")
+    assert back.n == 1 and back.L == 4
+
+
 def test_excitation_archive_reloads_from_another_directory(tmp_path, monkeypatch):
     h = heisenberg_mpo(4)
     gs = dmrg_ground_state(random_mps(4, 2, bond_cap=4, seed=1), h, "2s", DmrgOptions(n_sweeps=4))
@@ -524,7 +545,7 @@ def test_excitation_archive_reloads_from_another_directory(tmp_path, monkeypatch
     elsewhere.mkdir()
     monkeypatch.chdir(elsewhere)
     back, manifest = load_excitation("../exc")
-    assert manifest["format_version"] == 2 and manifest["ground_state"] == "../gs"
+    assert manifest["format_version"] == 3 and manifest["ground_state"] == "../gs"
     for ca, cb in zip(back.windows, res.state.windows):
         for ta, tb in zip(ca, cb):
             npt.assert_array_equal(ta.data, tb.data)

@@ -21,7 +21,7 @@ from kdmps.mpo import (
     save_mpo,
     sz_total_mpo,
 )
-from kdmps.mps import product_mps, random_mps
+from kdmps.mps import Mps, product_mps, random_mps, site_tensors
 
 HERMITICITY_TOL = 1e-12
 DENSE_TOL = 1e-10
@@ -131,6 +131,36 @@ def test_heisenberg_hermitian_and_sz_symmetric():
     npt.assert_allclose(np.max(np.abs(h @ sz - sz @ h)), 0.0, atol=1e-12)
 
 
+def test_hs_l64_pair_sums_without_oracle():
+    """<H> on product and dimer states against closed-form sum J_ij <S_i.S_j>."""
+    L = 64
+    h = haldane_shastry_mpo(L)
+    couplings = [(i, j, hs_coupling(L, i, j)) for i in range(L) for j in range(i + 1, L)]
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        vecs = [v / np.linalg.norm(v) for v in rng.normal(size=(L, 2))]
+        sx = [a * b for a, b in vecs]  # real local states: <S^y> = 0
+        sz = [0.5 * (a * a - b * b) for a, b in vecs]
+        want = sum(c * (sx[i] * sx[j] + sz[i] * sz[j]) for i, j, c in couplings)
+        got = expectation(product_mps(L, 2, vecs), h)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+    # dimers a|up down> + b|down up> on sites (2k, 2k+1): inside a dimer
+    # <S.S> = ab - 1/4, across dimers only <S^z> = +-(a^2 - b^2)/2 survives
+    chain, sz, within = [], [], {}
+    for k, t in enumerate(rng.uniform(0.0, 2.0 * np.pi, L // 2)):
+        a, b = np.cos(t), np.sin(t)
+        first = np.zeros((1, 2, 2))
+        first[0, 0, 0] = first[0, 1, 1] = 1.0
+        second = np.zeros((2, 2, 1))
+        second[0, 1, 0], second[1, 0, 0] = a, b
+        chain += [first, second]
+        sz += [0.5 * (a * a - b * b), -0.5 * (a * a - b * b)]
+        within[(2 * k, 2 * k + 1)] = a * b - 0.25
+    want = sum(c * within.get((i, j), sz[i] * sz[j]) for i, j, c in couplings)
+    got = expectation(Mps(site_tensors(chain)), h)
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
 # ---------- compression ----------
 
 
@@ -149,14 +179,15 @@ def test_compress_cancellation_collapses_to_bond_one():
 
 
 def test_compress_hs_pair_terms_match_builder():
-    from kdmps.mpo import _pair_coupling_mpo
+    from kdmps.mpo import _coupling_mpo
 
     L = 6
-    terms = [
-        _pair_coupling_mpo(L, i, j, hs_coupling(L, i, j))
-        for i in range(1, L + 1)
-        for j in range(i + 1, L + 1)
-    ]
+    terms = []
+    for i in range(L):
+        for j in range(i + 1, L):
+            J = np.zeros((L, L))
+            J[i, j] = hs_coupling(L, i, j)
+            terms.append(_coupling_mpo(J))
     summed = mpo_sum_compress(terms, 1e-12)
     npt.assert_allclose(dense_hamiltonian(summed), dense_hamiltonian(haldane_shastry_mpo(L)), atol=DENSE_TOL)
 
@@ -222,3 +253,13 @@ def test_mpo_archive_roundtrip(tmp_path):
 
     manifest = json.loads((tmp_path / "op" / "manifest.json").read_text())
     assert manifest["kind"] == "mpo"
+
+
+def test_mpo_archive_rejects_a_swapped_site_blob(tmp_path):
+    save_mpo(heisenberg_mpo(4), tmp_path / "op")
+    a, b = tmp_path / "op" / "site_1.ten", tmp_path / "op" / "site_2.ten"
+    first, second = a.read_bytes(), b.read_bytes()
+    a.write_bytes(second)
+    b.write_bytes(first)
+    with pytest.raises(ValueError, match=r"site_1\.ten has shape \(5, 2, 2, 5\), but the manifest gives \(1, 2, 2, 5\)"):
+        load_mpo(tmp_path / "op")

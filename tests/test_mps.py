@@ -22,7 +22,7 @@ from kdmps.mps import (
     phys,
     virt,
 )
-from kdmps.tensor import Tensor, TruncationPolicy, svd_split
+from kdmps.tensor import Tensor, TruncationPolicy, svd_split, write_tensor_blob
 
 GAUGE_TOL = 1e-10
 DENSE_TOL = 1e-12
@@ -305,3 +305,45 @@ def test_mps_archive_bond_form_roundtrip(tmp_path):
     assert back.form == "bond" and back.center == 2
     npt.assert_allclose(back.weights, psi.weights, atol=0)
     npt.assert_allclose(overlap(back, psi), 1.0, atol=DENSE_TOL)
+
+
+def test_mps_archive_rejects_a_swapped_site_blob(tmp_path):
+    save_mps(random_mps(6, 2, bond_cap=4, seed=2), tmp_path / "state")
+    a, b = tmp_path / "state" / "site_1.ten", tmp_path / "state" / "site_2.ten"
+    first, second = a.read_bytes(), b.read_bytes()
+    a.write_bytes(second)
+    b.write_bytes(first)
+    with pytest.raises(ValueError, match=r"site_1\.ten has shape \(2, 2, 4\), but the manifest gives \(1, 2, 2\)"):
+        load_mps(tmp_path / "state")
+
+
+def test_mps_archive_rejects_a_wrong_form(tmp_path):
+    import json
+
+    psi, _ = canonicalize(random_mps(6, 2, bond_cap=4, seed=4), 4)
+    save_mps(psi, tmp_path / "state")
+    load_mps(tmp_path / "state")
+    manifest_path = tmp_path / "state" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["form"]["index"] = 2  # sites 3 and 4 are not right-normalized
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="claims site form at 2, but the gauge defect"):
+        load_mps(tmp_path / "state")
+    # swapping the equal-shape blobs of sites 3 and 4 keeps every shape but
+    # moves the center tensor where a left-normalized one belongs
+    manifest["form"]["index"] = 4
+    manifest_path.write_text(json.dumps(manifest))
+    a, b = tmp_path / "state" / "site_3.ten", tmp_path / "state" / "site_4.ten"
+    first, second = a.read_bytes(), b.read_bytes()
+    a.write_bytes(second)
+    b.write_bytes(first)
+    with pytest.raises(ValueError, match="claims site form at 4, but the gauge defect"):
+        load_mps(tmp_path / "state")
+
+
+def test_mps_archive_rejects_bond_weights_of_the_wrong_length(tmp_path):
+    psi, _ = canonicalize(random_mps(4, 2, bond_cap=2, seed=3), 2, form="bond")
+    save_mps(psi, tmp_path / "state")
+    write_tensor_blob(tmp_path / "state" / "bond_weights.ten", Tensor(np.ones(3), ("s",)))
+    with pytest.raises(ValueError, match=r"bond_weights\.ten has shape \(3,\), but bond 2 has extent 2"):
+        load_mps(tmp_path / "state")

@@ -56,6 +56,35 @@ def test_nearest_neighbor_kill_rule_converged_state():
         assert report.values[n - 1] <= 1e-12 * report.values[1]
 
 
+def _h2_by_transfer(psi, h) -> tuple[float, float]:
+    """<psi|psi> and <psi|H H|psi> by (bra, ket) and (bra, W, W, ket) transfers."""
+    norm = np.ones((1, 1))
+    env = np.ones((1, 1, 1, 1))
+    for t, w in zip(psi.plain_sites(), h.sites):
+        m, w = t.data, w.data
+        norm = np.tensordot(np.tensordot(norm, m, axes=(0, 0)), m, axes=((0, 1), (0, 1)))
+        env = np.tensordot(env, m, axes=(0, 0))  # (w, w, k, p, b')
+        env = np.tensordot(env, w, axes=((0, 3), (0, 1)))  # (w, k, b', q, w')
+        env = np.tensordot(env, w, axes=((0, 3), (0, 1)))  # (k, b', w', r, w')
+        env = np.tensordot(env, m, axes=((0, 3), (0, 1)))  # (b', w', w', k')
+    return float(norm[0, 0]), float(env.reshape(()))
+
+
+def test_nearest_neighbor_sum_rule_at_l64_without_oracle():
+    """Delta_1 + Delta_2 = <H^2> - E^2 and Delta_3 = 0 for a nearest-neighbor H,
+    on a random state far beyond the dense guard."""
+    L = 64
+    h = heisenberg_mpo(L)
+    psi = random_mps(L, 2, bond_cap=16, seed=64)
+    report = nsite_variance(psi, h, 3)
+    assert report.total_dense is None
+    norm, h2 = _h2_by_transfer(psi, h)
+    variance = h2 / norm - report.energy**2
+    assert variance > 1.0
+    assert abs(report.values[0] + report.values[1] - variance) <= DECOMP_TOL * max(1.0, h2 / norm)
+    assert abs(report.values[2]) <= 1e-12 * variance
+
+
 def test_energy_shift_invariance():
     L = 6
     h = haldane_shastry_mpo(L)

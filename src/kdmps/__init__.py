@@ -8,7 +8,7 @@ algebra on small chains.
 """
 
 from .tensor import Tensor, TruncationPolicy, orthogonal_complement, svd_split
-from .mps import Mps, canonicalize, mps_add, overlap, random_mps, shift_center
+from .mps import Mps, canonicalize, mps_add, overlap, random_mps
 from .mpo import Mpo, expectation, haldane_shastry_mpo, heisenberg_mpo, mpo_sum_compress
 from .projectors import (
     DiscardedBases,
@@ -42,7 +42,6 @@ __all__ = [
     "Mps",
     "random_mps",
     "canonicalize",
-    "shift_center",
     "overlap",
     "mps_add",
     "Mpo",

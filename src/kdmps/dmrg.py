@@ -19,9 +19,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mps import Mps, _left_normalize, _right_normalize, canonicalize, site_tensors
-from .mpo import Mpo, _env_step_left, _env_step_right
+from .mpo import Mpo
 from .projectors import KeptBases, build_bases
-from .tensor import Tensor, TruncationPolicy, svd_split, transfer_left, transfer_right
+from .tensor import (
+    Tensor,
+    TruncationPolicy,
+    apply_window,
+    env_step_left,
+    env_step_right,
+    svd_split,
+    transfer_left,
+    transfer_right,
+)
 
 __all__ = [
     "EnvCache",
@@ -57,9 +66,7 @@ class EnvCache:
     def energy_at_bond(self, l: int) -> float:
         """Close <H> at bond l: the result is l-independent."""
         c = self.bases.bond[l]
-        tmp = np.tensordot(self.lefts[l], c, axes=(2, 0))  # (b, w, kb')
-        tmp = np.tensordot(tmp, self.rights[l + 1], axes=((1, 2), (1, 2)))  # (b, b')
-        return float(np.tensordot(c, tmp, axes=((0, 1), (0, 1))))
+        return float(np.vdot(c, apply_window(self.lefts[l], (), (c,), self.rights[l + 1])))
 
 
 def build_env(psi: Mps, h: Mpo, bases: KeptBases | None = None) -> EnvCache:
@@ -74,38 +81,14 @@ def build_env(psi: Mps, h: Mpo, bases: KeptBases | None = None) -> EnvCache:
     w = [t.data for t in h.sites]
     lefts: list[np.ndarray] = [np.ones((1, 1, 1))]
     for l in range(1, L + 1):
-        lefts.append(_env_step_left(lefts[l - 1], a[l - 1], w[l - 1], a[l - 1]))
+        lefts.append(env_step_left(lefts[l - 1], a[l - 1], w[l - 1], a[l - 1]))
     rights: list[np.ndarray] = [np.ones((1, 1, 1))] * (L + 2)
     for l in range(L, 0, -1):
-        rights[l] = _env_step_right(rights[l + 1], b[l - 1], w[l - 1], b[l - 1])
+        rights[l] = env_step_right(rights[l + 1], b[l - 1], w[l - 1], b[l - 1])
     return EnvCache(bases=bases, h=h, lefts=tuple(lefts), rights=tuple(rights))
 
 
 # ---------- effective Hamiltonians ----------
-
-
-def _apply_bond(left: np.ndarray, right: np.ndarray, x: np.ndarray) -> np.ndarray:
-    tmp = np.tensordot(left, x, axes=(2, 0))  # (b, w, kr)
-    return np.tensordot(tmp, right, axes=((1, 2), (1, 2)))  # (b, b')
-
-
-def apply_window(
-    left: np.ndarray,
-    ws: list[np.ndarray],
-    kets: list[np.ndarray],
-    right: np.ndarray,
-) -> np.ndarray:
-    """Apply an m-site effective operator window, leaving bra legs open.
-
-    ``left``/``right`` are (bra, op, ket) environments flanking the window;
-    ``kets`` are the state tensors inside it. Returns the bra-side tensor
-    with axes (left bra bond, m physical legs, right bra bond).
-    """
-    cur = left  # (b, ..opens.., w, k)
-    for w, k in zip(ws, kets):
-        cur = np.tensordot(cur, w, axes=(-2, 0))  # (b, .., k, p, q, w')
-        cur = np.tensordot(cur, k, axes=((-4, -2), (0, 1)))  # (b, .., p, w', k')
-    return np.tensordot(cur, right, axes=((-2, -1), (1, 2)))
 
 
 @dataclass(frozen=True)
@@ -124,14 +107,7 @@ class EffectiveHam:
     ws: tuple[np.ndarray, ...]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.mode == "bond":
-            return _apply_bond(self.left, self.right, x)
-        # invariant entering step i: axes (b, w, p_{i+1}..p_m, r, pout_1..pout_i)
-        cur = np.tensordot(self.left, x, axes=(2, 0))
-        for w in self.ws:
-            cur = np.tensordot(cur, w, axes=((1, 2), (0, 2)))
-            cur = np.moveaxis(cur, -1, 1)
-        return np.tensordot(cur, self.right, axes=((2, 1), (2, 1)))
+        return apply_window(self.left, self.ws, (x,), self.right)
 
     def matvec(self, flat: np.ndarray) -> np.ndarray:
         return self.apply(flat.reshape(self.x_shape)).reshape(-1)
@@ -332,7 +308,7 @@ class _Sweeper:
         self.lefts[0] = np.ones((1, 1, 1))
         self.rights[self.L + 1] = np.ones((1, 1, 1))
         for l in range(self.L, 1, -1):
-            self.rights[l] = _env_step_right(self.rights[l + 1], self.sites[l - 1], self.w[l - 1], self.sites[l - 1])
+            self.rights[l] = env_step_right(self.rights[l + 1], self.sites[l - 1], self.w[l - 1], self.sites[l - 1])
         # overlap environments per orthogonality constraint: (ket bond, gs bond)
         self.ortho = [[t.data for t in g.plain_sites()] for g in opts.orthogonal_to]
         self.olefts = [[None] * (self.L + 1) for _ in self.ortho]
@@ -376,12 +352,12 @@ class _Sweeper:
         return res.value, res.vector.reshape(heff.x_shape), res
 
     def _update_envs_left(self, l: int) -> None:
-        self.lefts[l] = _env_step_left(self.lefts[l - 1], self.sites[l - 1], self.w[l - 1], self.sites[l - 1])
+        self.lefts[l] = env_step_left(self.lefts[l - 1], self.sites[l - 1], self.w[l - 1], self.sites[l - 1])
         for i, g in enumerate(self.ortho):
             self.olefts[i][l] = transfer_left(self.olefts[i][l - 1], self.sites[l - 1], g[l - 1])
 
     def _update_envs_right(self, l: int) -> None:
-        self.rights[l] = _env_step_right(self.rights[l + 1], self.sites[l - 1], self.w[l - 1], self.sites[l - 1])
+        self.rights[l] = env_step_right(self.rights[l + 1], self.sites[l - 1], self.w[l - 1], self.sites[l - 1])
         for i, g in enumerate(self.ortho):
             self.orights[i][l] = transfer_right(self.orights[i][l + 1], self.sites[l - 1], g[l - 1])
 

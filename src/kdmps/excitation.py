@@ -28,13 +28,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .dmrg import EnvCache, apply_window, build_env, lanczos_lowest
+from .dmrg import EnvCache, build_env, lanczos_lowest
 from .mps import Mps, _left_normalize, load_mps, mps_add, phys, site_tensors, virt
-from .mpo import Mpo, _env_step_left, _env_step_right, s2_total_mpo, sz_total_mpo
+from .mpo import Mpo, s2_total_mpo, sz_total_mpo
 from .projectors import KeptBases, _project_out_left, build_bases
 from .tensor import (
     Tensor,
     TruncationPolicy,
+    apply_window,
+    env_step_left,
+    env_step_right,
     qr,
     read_tensor_blob,
     svd_split,
@@ -349,48 +352,32 @@ def build_exc_env(x: ExcitationState, h: Mpo, base: EnvCache | None = None) -> E
     w = [t.data for t in h.sites]
     t = [x.branch_arrays(l) for l in range(1, nb + 1)]
 
+    # (m, l): m window slots absorbed by site l. The open part absorbs slot m
+    # at site l; at m = n the closed part, added first, carries the branches
+    # absorbed whole on along the B-chain (on the right: the A-chain).
     lefts: dict[tuple[int, int], np.ndarray] = {(0, l): base.lefts[l] for l in range(0, L + 1)}
-    for m in range(1, n):
-        for l in range(1, L + 1):
-            branch = l - m + 1
-            if not 1 <= branch <= nb:
-                continue
-            prev = lefts.get((m - 1, l - 1))
-            if prev is None:
-                continue
-            lefts[(m, l)] = _env_step_left(prev, a[l - 1], w[l - 1], t[branch - 1][m - 1])
     for l in range(1, L + 1):
-        parts = []
-        prev_closed = lefts.get((n, l - 1))
-        if prev_closed is not None:
-            parts.append(_env_step_left(prev_closed, a[l - 1], w[l - 1], b[l - 1]))
-        branch = l - n + 1
-        prev_open = lefts.get((n - 1, l - 1))
-        if 1 <= branch <= nb and prev_open is not None:
-            parts.append(_env_step_left(prev_open, a[l - 1], w[l - 1], t[branch - 1][n - 1]))
-        if parts:
-            lefts[(n, l)] = sum(parts[1:], parts[0])
+        for m in range(1, n + 1):
+            parts = []
+            if m == n and (n, l - 1) in lefts:
+                parts.append(env_step_left(lefts[(n, l - 1)], a[l - 1], w[l - 1], b[l - 1]))
+            branch = l - m + 1
+            if 1 <= branch <= nb and (m - 1, l - 1) in lefts:
+                parts.append(env_step_left(lefts[(m - 1, l - 1)], a[l - 1], w[l - 1], t[branch - 1][m - 1]))
+            if parts:
+                lefts[(m, l)] = sum(parts[1:], parts[0])
 
     rights: dict[tuple[int, int], np.ndarray] = {(0, l): base.rights[l] for l in range(1, L + 2)}
-    for m in range(1, n):
-        for l in range(L, 0, -1):
-            branch = l + m - n
-            if not 1 <= branch <= nb:
-                continue
-            prev = rights.get((m - 1, l + 1))
-            if prev is None:
-                continue
-            rights[(m, l)] = _env_step_right(prev, b[l - 1], w[l - 1], t[branch - 1][n - m])
     for l in range(L, 0, -1):
-        parts = []
-        prev_closed = rights.get((n, l + 1))
-        if prev_closed is not None:
-            parts.append(_env_step_right(prev_closed, b[l - 1], w[l - 1], a[l - 1]))
-        prev_open = rights.get((n - 1, l + 1))
-        if l <= nb and prev_open is not None:
-            parts.append(_env_step_right(prev_open, b[l - 1], w[l - 1], t[l - 1][0]))
-        if parts:
-            rights[(n, l)] = sum(parts[1:], parts[0])
+        for m in range(1, n + 1):
+            parts = []
+            if m == n and (n, l + 1) in rights:
+                parts.append(env_step_right(rights[(n, l + 1)], b[l - 1], w[l - 1], a[l - 1]))
+            branch = l + m - n
+            if 1 <= branch <= nb and (m - 1, l + 1) in rights:
+                parts.append(env_step_right(rights[(m - 1, l + 1)], b[l - 1], w[l - 1], t[branch - 1][n - m]))
+            if parts:
+                rights[(m, l)] = sum(parts[1:], parts[0])
 
     return ExcEnvCache(windows=x.windows, h=h, lefts=lefts, rights=rights)
 
@@ -481,7 +468,6 @@ class ExcitationOptions:
     max_iter: int = 200
     tol: float = 1e-10
     seed: int = 0
-    classify: bool = True
 
 
 @dataclass(frozen=True)
@@ -491,8 +477,8 @@ class ExcitationResult:
     residual: float
     converged: bool
     iterations: int
-    sz_total: float | None
-    s2_total: float | None
+    sz_total: float
+    s2_total: float
 
 
 def solve_lowest_excitation(gs: Mps, h: Mpo, n: int, opts: ExcitationOptions | None = None) -> ExcitationResult:
@@ -522,11 +508,9 @@ def solve_lowest_excitation(gs: Mps, h: Mpo, n: int, opts: ExcitationOptions | N
     res = lanczos_lowest(matvec, v0, max_iter=opts.max_iter, tol=opts.tol, orth_against=(gs_flat,))
 
     state = gauge_fix_T1(state_from_flat(bases, n, res.vector))
-    sz = s2 = None
-    if opts.classify:
-        flat = flatten(state)
-        sz = float(flat @ flatten(apply_projected_h(state, sz_total_mpo(bases.L))))
-        s2 = float(flat @ flatten(apply_projected_h(state, s2_total_mpo(bases.L))))
+    flat = flatten(state)
+    sz = float(flat @ flatten(apply_projected_h(state, sz_total_mpo(bases.L))))
+    s2 = float(flat @ flatten(apply_projected_h(state, s2_total_mpo(bases.L))))
     return ExcitationResult(
         energy=res.value,
         state=state,

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .mps import Mps, _read_sites, phys
-from .tensor import Tensor, qr, read_tensor_blob, svd_split, transfer_left, write_tensor_blob
+from .tensor import Tensor, env_step_left, qr, svd_split, transfer_left, write_tensor_blob
 
 __all__ = [
     "Mpo",
@@ -270,24 +270,8 @@ def expectation(psi: Mps, h: Mpo) -> float:
     ket = [t.data for t in psi.plain_sites()]
     env = np.ones((1, 1, 1))  # (bra, mpo, ket)
     for l in range(1, psi.L + 1):
-        env = _env_step_left(env, ket[l - 1], h.site(l).data, ket[l - 1])
+        env = env_step_left(env, ket[l - 1], h.site(l).data, ket[l - 1])
     return float(env.reshape(()))
-
-
-def _env_step_left(env: np.ndarray, bra: np.ndarray, w: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """Grow a left (bra, mpo, ket) environment by one site."""
-    tmp = np.tensordot(env, bra, axes=(0, 0))  # (w, k, p, b')
-    tmp = np.tensordot(tmp, w, axes=((0, 2), (0, 1)))  # (k, b', q, w')
-    tmp = np.tensordot(tmp, ket, axes=((0, 2), (0, 1)))  # (b', w', k')
-    return tmp
-
-
-def _env_step_right(env: np.ndarray, bra: np.ndarray, w: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """Grow a right (bra, mpo, ket) environment by one site."""
-    tmp = np.tensordot(bra, env, axes=(2, 0))  # (b', p, w, k)
-    tmp = np.tensordot(w, tmp, axes=((1, 3), (1, 2)))  # (w', q, b', k)
-    tmp = np.tensordot(tmp, ket, axes=((1, 3), (1, 2)))  # (w', b', k')
-    return tmp.transpose(1, 0, 2)
 
 
 def sz_total_mpo(L: int) -> Mpo:

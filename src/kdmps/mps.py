@@ -24,16 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import (
-    NO_TRUNCATION,
-    Tensor,
-    TruncationPolicy,
-    qr,
-    read_tensor_blob,
-    svd_split,
-    transfer_left,
-    write_tensor_blob,
-)
+from .tensor import Tensor, qr, read_tensor_blob, svd_split, transfer_left, write_tensor_blob
 
 __all__ = [
     "Mps",
@@ -41,7 +32,6 @@ __all__ = [
     "product_mps",
     "canonicalize",
     "canonical_defect",
-    "shift_center",
     "overlap",
     "mps_add",
     "mps_scale",
@@ -274,37 +264,6 @@ def canonicalize(psi: Mps, center: int, form: str = "site") -> tuple[Mps, float]
         return Mps(site_tensors(sites), form="bond", center=center, weights=s), norm
 
     raise ValueError(f"unknown target form {form!r}")
-
-
-def shift_center(psi: Mps, direction: str, policy: TruncationPolicy = NO_TRUNCATION) -> tuple[Mps, float]:
-    """Move a site-canonical center one site left or right via SVD.
-
-    Returns the shifted state and the discarded weight (sum of squared
-    dropped singular values under ``policy``). The kept part is renormalized.
-    """
-    if psi.form != "site":
-        raise ValueError("shift_center expects a site-canonical state")
-    l = psi.center
-    L = psi.L
-    sites = [t.data for t in psi.sites]
-    dl, d, dr = sites[l - 1].shape
-    if direction == "right":
-        if l + 1 > L:
-            raise ValueError("cannot shift past the right chain end")
-        u, s, vh, dw = svd_split(sites[l - 1].reshape(dl * d, dr), policy)
-        sites[l - 1] = u.reshape(dl, d, len(s))
-        nxt = np.tensordot(vh, sites[l], axes=(1, 0))
-        sites[l] = (s / np.linalg.norm(s))[:, None, None] * nxt
-        return Mps(site_tensors(sites), form="site", center=l + 1), dw
-    if direction == "left":
-        if l - 1 < 1:
-            raise ValueError("cannot shift past the left chain end")
-        u, s, vh, dw = svd_split(sites[l - 1].reshape(dl, d * dr), policy)
-        sites[l - 1] = vh.reshape(len(s), d, dr)
-        prv = np.tensordot(sites[l - 2], u, axes=(2, 0))
-        sites[l - 2] = prv * (s / np.linalg.norm(s))
-        return Mps(site_tensors(sites), form="site", center=l - 1), dw
-    raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
 
 
 # ---------- contractions ----------

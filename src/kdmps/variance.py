@@ -24,11 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .dmrg import apply_window, build_env
+from .dmrg import build_env
 from .ed import DENSE_GUARD, dense_hamiltonian, dense_state
 from .mps import Mps
 from .mpo import Mpo
 from .projectors import _project_out_left, _project_out_right, build_bases
+from .tensor import apply_window
 
 __all__ = ["VarianceReport", "nsite_variance", "write_variance_csv"]
 

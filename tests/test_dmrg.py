@@ -15,8 +15,6 @@ from kdmps.dmrg import (
 )
 from kdmps.ed import dense_hamiltonian, dense_state, exact_spectrum
 from kdmps.mpo import (
-    _env_step_left,
-    _env_step_right,
     expectation,
     haldane_shastry_mpo,
     heisenberg_mpo,
@@ -25,7 +23,7 @@ from kdmps.mpo import (
 )
 from kdmps.mps import overlap, random_mps
 from kdmps.projectors import build_bases, _fold_left_chain, _fold_right_chain
-from kdmps.tensor import TruncationPolicy
+from kdmps.tensor import TruncationPolicy, env_step_left, env_step_right
 
 SYM_TOL = 1e-10
 
@@ -67,9 +65,9 @@ def test_env_recursion_consistency():
     b = [t.data for t in env.bases.right]
     w = [t.data for t in h.sites]
     for l in range(1, 6):
-        rebuilt = _env_step_left(env.lefts[l - 1], a[l - 1], w[l - 1], a[l - 1])
+        rebuilt = env_step_left(env.lefts[l - 1], a[l - 1], w[l - 1], a[l - 1])
         npt.assert_allclose(rebuilt, env.lefts[l], atol=1e-12)
-        rebuilt = _env_step_right(env.rights[l + 1], b[l - 1], w[l - 1], b[l - 1])
+        rebuilt = env_step_right(env.rights[l + 1], b[l - 1], w[l - 1], b[l - 1])
         npt.assert_allclose(rebuilt, env.rights[l], atol=1e-12)
 
 

@@ -30,7 +30,6 @@ from kdmps.excitation import (
     state_from_flat,
 )
 from kdmps.mpo import (
-    _env_step_left,
     haldane_shastry_mpo,
     heisenberg_mpo,
     hs_first_excited_energy,
@@ -38,7 +37,7 @@ from kdmps.mpo import (
 )
 from kdmps.mps import overlap, product_mps, random_mps, save_mps
 from kdmps.projectors import ProjectorSpec, apply_projector, build_bases, dense_projector
-from kdmps.tensor import Tensor, TruncationPolicy
+from kdmps.tensor import Tensor, TruncationPolicy, env_step_left
 
 DENSE_TOL = 1e-10
 
@@ -292,9 +291,9 @@ def test_exc_env_recursions_rebuild():
         branch = l - n + 1
         parts = []
         if (n, l - 1) in env.lefts:
-            parts.append(_env_step_left(env.lefts[(n, l - 1)], a[l - 1], w[l - 1], b[l - 1]))
+            parts.append(env_step_left(env.lefts[(n, l - 1)], a[l - 1], w[l - 1], b[l - 1]))
         if 1 <= branch <= nb and (n - 1, l - 1) in env.lefts:
-            parts.append(_env_step_left(env.lefts[(n - 1, l - 1)], a[l - 1], w[l - 1], t[branch - 1][n - 1]))
+            parts.append(env_step_left(env.lefts[(n - 1, l - 1)], a[l - 1], w[l - 1], t[branch - 1][n - 1]))
         if parts:
             npt.assert_allclose(env.lefts[(n, l)], sum(parts[1:], parts[0]), atol=1e-12)
 

@@ -18,11 +18,10 @@ from kdmps.mps import (
     product_mps,
     random_mps,
     save_mps,
-    shift_center,
     phys,
     virt,
 )
-from kdmps.tensor import Tensor, TruncationPolicy, svd_split, write_tensor_blob
+from kdmps.tensor import Tensor, write_tensor_blob
 
 GAUGE_TOL = 1e-10
 DENSE_TOL = 1e-12
@@ -139,7 +138,7 @@ def test_bond_canonical_all_bonds_including_dummies():
 def test_canonical_defect_reports_gauge_violations():
     psi = random_mps(5, 2, bond_cap=3, seed=14)
     assert canonical_defect(psi) <= GAUGE_TOL
-    shifted, _ = shift_center(psi, "right")
+    shifted, _ = canonicalize(psi, 2)
     assert canonical_defect(shifted) <= GAUGE_TOL
     # mislabeling the center must be detectable
     lying = Mps(shifted.sites, form="site", center=5)
@@ -169,50 +168,6 @@ def test_canonicalize_errors():
     zero = mps_scale(psi, 0.0)
     with pytest.raises(ValueError, match="zero state"):
         canonicalize(zero, 1)
-
-
-# ---------- shift_center ----------
-
-
-def test_shift_there_and_back_is_identity():
-    psi = random_mps(5, 2, bond_cap=4, seed=2)
-    right, dw1 = shift_center(psi, "right")
-    back, dw2 = shift_center(right, "left")
-    assert dw1 == 0.0 and dw2 == 0.0
-    npt.assert_allclose(overlap(back, psi), 1.0, atol=DENSE_TOL)
-    assert right.center == 2 and back.center == 1
-
-
-def test_shift_product_state_keeps_rank_one():
-    psi = product_mps(4, 2, [np.array([1.0, 1.0]) / np.sqrt(2)] * 4)
-    cur = psi
-    for _ in range(3):
-        cur, dw = shift_center(cur, "right")
-        assert dw == 0.0
-        assert all(d == 1 for d in cur.bond_dims)
-
-
-def test_shift_truncation_reports_discarded_weight():
-    psi = random_mps(6, 2, bond_cap=4, seed=6)
-    psi3, _ = canonicalize(psi, 3)
-    # oracle: the same split through svd_split directly
-    site = psi3.site(3).data
-    _, s, _, dw_oracle = svd_split(site.reshape(-1, site.shape[2]), TruncationPolicy(max_rank=2))
-    shifted, dw = shift_center(psi3, "right", TruncationPolicy(max_rank=2))
-    npt.assert_allclose(dw, dw_oracle, atol=1e-14)
-    assert shifted.bond_dims[3] == len(s)
-    # overlap loss matches the discarded weight to first order
-    ov = overlap(shifted, psi3)
-    npt.assert_allclose(1.0 - ov**2, dw, atol=1e-4)
-
-
-def test_shift_past_ends_raises():
-    psi = random_mps(3, 2, seed=0)
-    with pytest.raises(ValueError):
-        shift_center(psi, "left")
-    end, _ = canonicalize(psi, 3)
-    with pytest.raises(ValueError):
-        shift_center(end, "right")
 
 
 # ---------- overlap / add ----------

@@ -7,6 +7,9 @@ import pytest
 from kdmps.tensor import (
     Tensor,
     TruncationPolicy,
+    apply_window,
+    env_step_left,
+    env_step_right,
     orthogonal_complement,
     qr,
     read_tensor_blob,
@@ -70,6 +73,62 @@ def test_transfers_close_to_the_same_overlap():
     dense_ket = np.einsum("aib,bjc,ckd,dle->ijkl", *kets).reshape(-1)
     npt.assert_allclose(left[0, 0], dense_bra @ dense_ket, atol=TOL)
     npt.assert_allclose(right[0, 0], dense_bra @ dense_ket, atol=TOL)
+
+
+# ---------- (bra, MPO, ket) networks ----------
+
+
+def window_inputs(seed, n_sites, w=3, d=2):
+    """Random environments (bra, MPO, ket) and MPO sites for an n-site window."""
+    rng = np.random.default_rng(seed)
+    left = rng.standard_normal((4, w, 5))
+    right = rng.standard_normal((6, w, 7))
+    ws = [rng.standard_normal((w, d, d, w)) for _ in range(n_sites)]
+    return rng, left, ws, right
+
+
+def test_apply_window_bond_matrix_matches_einsum():
+    rng, left, _, right = window_inputs(10, 0)
+    c = rng.standard_normal((5, 7))
+    want = np.einsum("bwk,kr,cwr->bc", left, c, right)
+    npt.assert_allclose(apply_window(left, (), (c,), right), want, atol=TOL)
+
+
+def test_apply_window_dense_two_site_ket_matches_einsum():
+    rng, left, ws, right = window_inputs(11, 2)
+    x = rng.standard_normal((5, 2, 2, 7))
+    want = np.einsum("bwk,wpqv,vstu,kqtr,cur->bpsc", left, ws[0], ws[1], x, right)
+    npt.assert_allclose(apply_window(left, ws, (x,), right), want, atol=TOL)
+
+
+def test_apply_window_split_ket_matches_dense_one():
+    rng, left, ws, right = window_inputs(12, 2)
+    k1 = rng.standard_normal((5, 2, 3))
+    k2 = rng.standard_normal((3, 2, 7))
+    want = np.einsum("bwk,wpqv,vstu,kqm,mtr,cur->bpsc", left, ws[0], ws[1], k1, k2, right)
+    got = apply_window(left, ws, (k1, k2), right)
+    npt.assert_allclose(got, want, atol=TOL)
+    npt.assert_allclose(got, apply_window(left, ws, (np.tensordot(k1, k2, axes=(2, 0)),), right), atol=TOL)
+
+
+def test_apply_window_two_site_ket_then_one_site_ket_matches_einsum():
+    rng, left, ws, right = window_inputs(13, 3)
+    x = rng.standard_normal((5, 2, 2, 3))
+    k3 = rng.standard_normal((3, 2, 7))
+    want = np.einsum("bwk,wpqv,vstu,uyzx,kqtm,mzr,cxr->bpsyc", left, *ws, x, k3, right)
+    npt.assert_allclose(apply_window(left, ws, (x, k3), right), want, atol=TOL)
+
+
+def test_env_steps_match_einsum():
+    rng, _, (w,), _ = window_inputs(14, 1)
+    bra = rng.standard_normal((4, 2, 6))
+    ket = rng.standard_normal((5, 2, 7))
+    left = rng.standard_normal((4, 3, 5))
+    want = np.einsum("bwk,bpc,wpqv,kqr->cvr", left, bra, w, ket)
+    npt.assert_allclose(env_step_left(left, bra, w, ket), want, atol=TOL)
+    right = rng.standard_normal((6, 3, 7))
+    want = np.einsum("cvr,bpc,wpqv,kqr->bwk", right, bra, w, ket)
+    npt.assert_allclose(env_step_right(right, bra, w, ket), want, atol=TOL)
 
 
 def test_tensor_rejects_duplicate_legs():

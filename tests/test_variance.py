@@ -1,5 +1,7 @@
 """Tests for the n-site energy-variance decomposition."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -124,6 +126,20 @@ def test_cumulative_prefix_sums():
         energy=0.0, n_max=2, values=np.array([3.0, 4.0]), cumulative=np.array([3.0, 7.0]), total_dense=None
     )
     npt.assert_allclose(two.cumulative, [3.0, 7.0], atol=0)
+
+
+def test_window_peak_memory_stays_below_bound():
+    # ket-first windows peak near 7 MiB here; contracting the MPO first
+    # doubles the intermediates (13.5 MiB) and the memory traffic with them
+    psi = random_mps(14, 2, 16, seed=0)
+    h = haldane_shastry_mpo(14)
+    tracemalloc.start()
+    try:
+        nsite_variance(psi, h, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_n_max_validation():

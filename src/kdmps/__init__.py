@@ -32,7 +32,7 @@ from .excitation import (
     init_excitation,
     solve_lowest_excitation,
 )
-from .ed import DenseState, dense_hamiltonian, dense_state, exact_spectrum, verify_identity_suite
+from .ed import DenseState, dense_apply, dense_hamiltonian, dense_state, exact_spectrum, verify_identity_suite
 
 __all__ = [
     "Tensor",
@@ -75,6 +75,7 @@ __all__ = [
     "DenseState",
     "dense_state",
     "dense_hamiltonian",
+    "dense_apply",
     "exact_spectrum",
     "verify_identity_suite",
 ]

@@ -3,9 +3,11 @@
 Everything here scales exponentially in the chain length and is guarded by
 ``d^L <= 4096``. This module is the single source of truth the rest of the
 package is verified against: no routine below reuses the transfer-network
-code paths it is meant to check (states and operators are materialized by
-explicit kron/reshape sums), and :func:`verify_identity_suite` re-derives
-every projector identity as a literal matrix statement.
+code paths it is meant to check (states, operators and H|v> are
+materialized by explicit kron/reshape sums; :func:`dense_apply` folds the
+MPO over an amplitude vector one site at a time without forming the
+matrix), and :func:`verify_identity_suite` re-derives every projector
+identity as a literal matrix statement.
 
 Basis order is lexicographic in (sigma_1, ..., sigma_L), sigma_1 slowest.
 """
@@ -26,6 +28,7 @@ __all__ = [
     "IdentityReport",
     "dense_state",
     "dense_hamiltonian",
+    "dense_apply",
     "exact_spectrum",
     "dense_rank",
     "guard_dims",
@@ -86,6 +89,29 @@ def dense_hamiltonian(h: Mpo) -> np.ndarray:
         cur = cur.transpose(0, 2, 1, 3, 4)
         cur = cur.reshape(cur.shape[0] * cur.shape[1], cur.shape[2] * cur.shape[3], -1)
     return cur[:, :, 0]
+
+
+def dense_apply(h: Mpo, vec) -> np.ndarray:
+    """H|vec> for a full amplitude vector, without forming the matrix.
+
+    The MPO is folded over the vector one site at a time; the work array
+    holds (output prefix, MPO bond, input suffix), so memory stays at
+    d^L times one MPO bond.
+    """
+    guard_dims(h.d, h.L)
+    d = h.d
+    vec = np.asarray(vec)
+    if vec.shape != (d**h.L,):
+        raise ValueError(f"vector of shape {vec.shape} does not match d^L = {d**h.L}")
+    cur = vec.reshape(1, 1, -1)  # (output prefix, mpo bond, input suffix)
+    for t in h.sites:
+        w = t.data  # (wl, p, q, wr)
+        rows, wl, rest = cur.shape
+        cur = cur.reshape(rows, wl, d, rest // d)
+        cur = np.tensordot(cur, w, axes=((1, 2), (0, 2)))  # (row, suffix, p, wr)
+        cur = cur.transpose(0, 2, 3, 1)
+        cur = cur.reshape(rows * d, w.shape[3], rest // d)
+    return cur.reshape(-1)
 
 
 def exact_spectrum(m: np.ndarray, k: int | None = None) -> np.ndarray:

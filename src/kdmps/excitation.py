@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .dmrg import EnvCache, build_env, lanczos_lowest
-from .mps import Mps, _left_normalize, load_mps, mps_add, phys, site_tensors, virt
+from .mps import FORM_TOL, Mps, _left_normalize, load_mps, mps_add, phys, site_tensors, virt
 from .mpo import Mpo, s2_total_mpo, sz_total_mpo
 from .projectors import KeptBases, _project_out_left, build_bases
 from .tensor import (
@@ -578,6 +578,12 @@ def load_excitation(path) -> tuple[ExcitationState, dict]:
     directory; format 1 archives stored it relative to the working
     directory of the writer, and are read that way. Format 3 raises
     ValueError when the reference's blobs no longer match the stored hash.
+
+    Also raises ValueError when the manifest's L or d disagree with the
+    reference, when n or the window bonds do not fit the chain, when a
+    blob's shape disagrees with the reference bonds and the manifest's
+    window_bonds, or when the windows violate the discarded-space gauge
+    condition by more than FORM_TOL (relative to the state's norm).
     """
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
@@ -589,12 +595,25 @@ def load_excitation(path) -> tuple[ExcitationState, dict]:
     if "ground_state_sha256" in manifest and _reference_digest(gs_path) != manifest["ground_state_sha256"]:
         raise ValueError(f"{path}: the reference archive {gs_path} changed after the excitation was saved")
     bases, _ = build_bases(load_mps(gs_path))
-    n = manifest["n"]
+    n, L, d = manifest["n"], manifest["L"], manifest["d"]
+    if (L, d) != (bases.L, bases.d):
+        raise ValueError(f"{path}: manifest gives L = {L}, d = {d}, but the reference has L = {bases.L}, d = {bases.d}")
+    bonds = manifest["window_bonds"]
+    if not 1 <= n <= L or len(bonds) != L - n + 1 or any(len(b) != n - 1 for b in bonds):
+        raise ValueError(f"{path}: n = {n} does not fit L = {L} and the manifest's window_bonds")
     chains = []
-    for l in range(1, manifest["L"] - n + 2):
-        chain = tuple(
-            read_tensor_blob(path / f"t_{l}_{s - l + 1}.ten", (virt(s - 1), phys(s), virt(s)))
-            for s in range(l, l + n)
-        )
-        chains.append(chain)
-    return ExcitationState(bases=bases, n=n, windows=tuple(chains)), manifest
+    for l in range(1, L - n + 2):
+        edges = [bases.dims[l - 1]] + list(bonds[l - 1]) + [bases.dims[l + n - 1]]
+        chain = []
+        for i, s in enumerate(range(l, l + n), start=1):
+            t = read_tensor_blob(path / f"t_{l}_{i}.ten", (virt(s - 1), phys(s), virt(s)))
+            want = (edges[i - 1], d, edges[i])
+            if t.shape != want:
+                raise ValueError(f"{path}: t_{l}_{i}.ten has shape {t.shape}, but the manifest gives {want}")
+            chain.append(t)
+        chains.append(tuple(chain))
+    x = ExcitationState(bases=bases, n=n, windows=tuple(chains))
+    defect = gauge_defect(x)
+    if not defect <= FORM_TOL * max(1.0, np.sqrt(ex_overlap(x, x))):
+        raise ValueError(f"{path}: the windows violate the discarded-space gauge condition by {defect:.3g}")
+    return x, manifest

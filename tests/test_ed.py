@@ -8,13 +8,23 @@ import pytest
 
 from kdmps.ed import (
     DenseState,
+    dense_apply,
     dense_hamiltonian,
     dense_rank,
     dense_state,
     exact_spectrum,
     verify_identity_suite,
 )
-from kdmps.mpo import haldane_shastry_mpo, heisenberg_mpo, hs_ground_energy, identity_mpo
+from kdmps.mpo import (
+    _mpo_from_arrays,
+    haldane_shastry_mpo,
+    heisenberg_mpo,
+    hs_ground_energy,
+    identity_mpo,
+    mpo_shift,
+    s2_total_mpo,
+    sz_total_mpo,
+)
 from kdmps.mps import mps_add, overlap, product_mps, random_mps
 
 
@@ -49,6 +59,51 @@ def test_dense_hamiltonian_identity():
 def test_dense_hamiltonian_heisenberg_two_site_spectrum():
     vals = exact_spectrum(dense_hamiltonian(heisenberg_mpo(2)))
     npt.assert_allclose(vals, [-0.75, 0.25, 0.25, 0.25], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: identity_mpo(3), id="identity3"),
+        pytest.param(lambda: heisenberg_mpo(6), id="heisenberg_J1"),
+        pytest.param(lambda: heisenberg_mpo(6, J=-0.7), id="heisenberg_J-0.7"),
+        pytest.param(lambda: heisenberg_mpo(6, J=0.0), id="heisenberg_J0"),
+        pytest.param(lambda: haldane_shastry_mpo(8), id="hs8"),
+        pytest.param(lambda: haldane_shastry_mpo(12), id="hs12"),
+        pytest.param(lambda: sz_total_mpo(5), id="sz_total5"),
+        pytest.param(lambda: s2_total_mpo(5), id="s2_total5"),
+        pytest.param(lambda: mpo_shift(haldane_shastry_mpo(6), -2.5), id="hs6_shifted"),
+        pytest.param(lambda: sz_total_mpo(1), id="sz_total1"),
+        pytest.param(lambda: identity_mpo(1, 3), id="qutrit_identity1"),
+    ],
+)
+def test_dense_apply_matches_the_matrix(make):
+    h = make()
+    hmat = dense_hamiltonian(h)
+    scale = max(1.0, float(np.linalg.norm(hmat, np.inf)))  # bounds the spectral norm
+    rng = np.random.default_rng(h.L)
+    for _ in range(2):
+        v = rng.standard_normal(h.d**h.L)
+        assert np.max(np.abs(dense_apply(h, v) - hmat @ v)) <= 1e-12 * scale
+
+
+def test_dense_apply_keeps_output_and_input_legs_apart():
+    # random non-symmetric sites on a qutrit chain: swapping the two
+    # physical legs of any site, or the site order, changes the result
+    rng = np.random.default_rng(4)
+    bonds = [1, 3, 2, 1]
+    h = _mpo_from_arrays([rng.standard_normal((bonds[l], 3, 3, bonds[l + 1])) for l in range(3)])
+    v = rng.standard_normal(27)
+    hmat = dense_hamiltonian(h)
+    assert np.max(np.abs(hmat - hmat.T)) > 1e-2
+    npt.assert_allclose(dense_apply(h, v), hmat @ v, atol=1e-12 * np.linalg.norm(hmat, np.inf))
+
+
+def test_dense_apply_guard_and_shape():
+    with pytest.raises(ValueError, match="guard"):
+        dense_apply(heisenberg_mpo(13), np.zeros(2**13))
+    with pytest.raises(ValueError, match="d\\^L"):
+        dense_apply(heisenberg_mpo(4), np.zeros(8))
 
 
 def test_exact_spectrum_sorts_and_slices():

@@ -35,7 +35,7 @@ from kdmps.mpo import (
     hs_first_excited_energy,
     identity_mpo,
 )
-from kdmps.mps import overlap, product_mps, random_mps, save_mps
+from kdmps.mps import load_mps, overlap, product_mps, random_mps, save_mps
 from kdmps.projectors import ProjectorSpec, apply_projector, build_bases, dense_projector
 from kdmps.tensor import Tensor, TruncationPolicy, env_step_left
 
@@ -523,12 +523,16 @@ def test_excitation_archive_rejects_a_changed_reference(tmp_path):
     save_mps(random_mps(4, 2, bond_cap=4, seed=9), tmp_path / "gs")  # overwrite the reference
     with pytest.raises(ValueError, match="reference archive .* changed"):
         load_excitation(tmp_path / "exc")
-    # a format-2 archive carries no hash and loads as before
+    # a format-2 archive carries no hash; the windows' gauge condition
+    # still exposes the changed reference, and the original one loads as before
     manifest_path = tmp_path / "exc" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     del manifest["ground_state_sha256"]
     manifest["format_version"] = 2
     manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="gauge condition"):
+        load_excitation(tmp_path / "exc")
+    save_mps(gs.psi, tmp_path / "gs")
     back, _ = load_excitation(tmp_path / "exc")
     assert back.n == 1 and back.L == 4
 
@@ -548,3 +552,49 @@ def test_excitation_archive_reloads_from_another_directory(tmp_path, monkeypatch
     for ca, cb in zip(back.windows, res.state.windows):
         for ta, tb in zip(ca, cb):
             npt.assert_array_equal(ta.data, tb.data)
+
+
+def _saved_excitation(tmp_path):
+    """A gauge-fixed n=1 excitation over a random L=10, D=8 reference, both
+    saved, and checked to load before any test corrupts it."""
+    save_mps(random_mps(10, 2, bond_cap=8, seed=3), tmp_path / "gs")
+    bases, _ = build_bases(load_mps(tmp_path / "gs"))
+    x = init_excitation(bases, 1, seed=4)
+    save_excitation(x, tmp_path / "exc", gs_path=str(tmp_path / "gs"))
+    load_excitation(tmp_path / "exc")
+    return tmp_path / "exc"
+
+
+def _swap_blobs(path, a: str, b: str) -> None:
+    blob_a, blob_b = (path / f"{a}.ten").read_bytes(), (path / f"{b}.ten").read_bytes()
+    (path / f"{a}.ten").write_bytes(blob_b)
+    (path / f"{b}.ten").write_bytes(blob_a)
+
+
+def test_excitation_archive_rejects_a_blob_of_the_wrong_shape(tmp_path):
+    exc = _saved_excitation(tmp_path)
+    _swap_blobs(exc, "t_2_1", "t_3_1")  # shapes (2, 2, 4) and (4, 2, 8)
+    with pytest.raises(ValueError, match="t_2_1.ten has shape"):
+        load_excitation(exc)
+
+
+def test_excitation_archive_rejects_an_equal_shape_swap(tmp_path):
+    exc = _saved_excitation(tmp_path)
+    _swap_blobs(exc, "t_4_1", "t_5_1")  # both (8, 2, 8)
+    with pytest.raises(ValueError, match="gauge condition"):
+        load_excitation(exc)
+
+
+def test_excitation_archive_rejects_a_wrong_manifest(tmp_path):
+    exc = _saved_excitation(tmp_path)
+    manifest_path = exc / "manifest.json"
+    good = json.loads(manifest_path.read_text())
+    for field, value, message in (
+        ("n", 2, "n = 2 does not fit"),
+        ("L", 12, "L = 12, d = 2, but the reference has L = 10"),
+        ("d", 3, "d = 3, but the reference has L = 10, d = 2"),
+        ("window_bonds", [[]] * 9, "n = 1 does not fit"),
+    ):
+        manifest_path.write_text(json.dumps({**good, field: value}))
+        with pytest.raises(ValueError, match=message):
+            load_excitation(exc)

@@ -142,6 +142,33 @@ def test_window_peak_memory_stays_below_bound():
     assert peak < 10 * 2**20
 
 
+def test_dense_oracle_peak_memory_stays_below_bound():
+    # at L=12 the oracle runs: folding H over the vector peaks near 3 MiB,
+    # where forming the 4096x4096 matrix peaked at 257 MiB
+    psi = random_mps(12, 2, 32, seed=0)
+    h = haldane_shastry_mpo(12)
+    tracemalloc.start()
+    try:
+        report = nsite_variance(psi, h, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.total_dense is not None
+    assert peak < 8 * 2**20
+
+
+def test_total_dense_equals_the_matrix_residual():
+    L = 10
+    h = haldane_shastry_mpo(L)
+    psi = random_mps(L, 2, bond_cap=8, seed=17)
+    report = nsite_variance(psi, h, 2)
+    kept, _ = build_bases(psi)
+    vec = dense_state(kept.reference).vec
+    resid = dense_hamiltonian(h) @ vec - report.energy * vec
+    want = float(resid @ resid)
+    assert abs(report.total_dense - want) <= 1e-12 * want
+
+
 def test_n_max_validation():
     psi = random_mps(4, 2, bond_cap=2, seed=1)
     with pytest.raises(ValueError):

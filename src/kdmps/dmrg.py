@@ -10,6 +10,11 @@ one- and two-site updates; two-site updates truncate per a
 :class:`~kdmps.tensor.TruncationPolicy`. Excited-sector searches pass
 previously found states through ``orthogonal_to``: every local eigensolve
 is then deflated against those states pulled into the local frame.
+
+Every local eigenproblem, here and in :mod:`kdmps.excitation`, goes through
+:func:`lanczos_lowest`. It keeps the Krylov basis as rows of 16-row float64
+blocks, reorthogonalizes each new vector by two classical Gram-Schmidt
+passes, and deflates against the constraint set orthonormalized once.
 """
 
 from __future__ import annotations
@@ -173,10 +178,7 @@ class LanczosResult:
     near_degenerate: bool = False
 
 
-def _orthogonalize(v: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    for q in basis:
-        v = v - np.dot(q, v) * q
-    return v
+_BLOCK_ROWS = 16  # Krylov rows per storage block
 
 
 def lanczos_lowest(
@@ -188,50 +190,50 @@ def lanczos_lowest(
 ) -> LanczosResult:
     """Lowest eigenpair of a symmetric map by Lanczos iteration.
 
-    The Krylov basis is kept fully reorthogonalized; every generated vector
-    is also projected against ``orth_against`` (deflation), so the returned
-    pair lives in the orthogonal complement of that set. Iteration stops
-    when the residual bound drops below ``tol * max(1, |value|)`` or the
-    Krylov space is exhausted (flagged as breakdown, best pair returned).
+    The Krylov vectors are rows of float64 blocks of 16 (at most
+    ``min(max_iter, init.size)`` rows, so an early stop never holds storage
+    sized by ``max_iter``), and each new one is reorthogonalized by two
+    passes of classical Gram-Schmidt against the filled rows. The
+    ``orth_against`` vectors are orthonormalized once (SVD, relative cutoff
+    1e-12) and every generated vector is projected off their span
+    (deflation), so the returned pair lives in its orthogonal complement
+    even when those vectors overlap. Iteration stops when the residual
+    bound drops below ``tol * max(1, |value|)`` or the Krylov space is
+    exhausted (flagged as breakdown, best pair returned).
     """
     if max_iter < 1:
         raise ValueError("need at least one iteration")
-    ortho = []
-    for g in orth_against:
-        gn = np.linalg.norm(g)
-        if gn > 0.0:
-            ortho.append(np.asarray(g, dtype=np.float64) / gn)
+    v = np.asarray(init, dtype=np.float64).reshape(-1)
+    g = np.zeros((0, v.size))
+    if orth_against:
+        g = svd_split(np.stack([np.reshape(x, -1) for x in orth_against]), TruncationPolicy(rel_cutoff=1e-12))[2]
 
-    v = np.asarray(init, dtype=np.float64).reshape(-1).copy()
-    v = _orthogonalize(v, ortho)
+    def deflate(x: np.ndarray) -> np.ndarray:
+        return x - g.T @ (g @ x) if len(g) else x
+
+    v = deflate(v)
     nrm = np.linalg.norm(v)
     if nrm == 0.0:
         raise ValueError("initial vector vanishes after orthogonalization")
-    v /= nrm
+    v = v / nrm
 
-    basis: list[np.ndarray] = [v]
-    alphas: list[float] = []
-    betas: list[float] = []
-    theta = 0.0
-    ritz: np.ndarray | None = None
+    cap = min(max_iter, v.size)
+    blocks: list[np.ndarray] = []
+    tri = np.zeros((cap, cap))
     breakdown = False
-
-    for it in range(1, max_iter + 1):
-        w = matvec(basis[-1])
-        w = _orthogonalize(w, ortho)
-        alphas.append(float(np.dot(basis[-1], w)))
-        tri = np.diag(alphas)
-        if betas:
-            tri += np.diag(betas, 1) + np.diag(betas, -1)
-        evals, evecs = np.linalg.eigh(tri)
+    for it in range(cap):
+        if it % _BLOCK_ROWS == 0:
+            blocks.append(np.empty((min(_BLOCK_ROWS, cap - it), v.size)))
+        blocks[-1][it % _BLOCK_ROWS] = v
+        rows = [b[: it + 1 - _BLOCK_ROWS * k] for k, b in enumerate(blocks)]
+        w = deflate(matvec(v))
+        tri[it, it] = v @ w
+        evals, evecs = np.linalg.eigh(tri[: it + 1, : it + 1])
         theta = float(evals[0])
         ritz = evecs[:, 0]
-
-        w = w - alphas[-1] * basis[-1]
-        if len(basis) > 1:
-            w = w - betas[-1] * basis[-2]
-        w = _orthogonalize(w, basis)  # full reorthogonalization
-        w = _orthogonalize(w, ortho)
+        for _ in range(2):  # classical Gram-Schmidt
+            w = w - sum((q @ w) @ q for q in rows)
+        w = deflate(w)
         beta = float(np.linalg.norm(w))
 
         # residual bound for the lowest Ritz pair
@@ -241,22 +243,18 @@ def lanczos_lowest(
         if beta < 1e-14:
             breakdown = True
             break
-        betas.append(beta)
-        basis.append(w / beta)
+        if it + 1 < cap:
+            tri[it, it + 1] = tri[it + 1, it] = beta
+            v = w / beta
 
-    vec = np.zeros_like(v)
-    for c, q in zip(ritz, basis):
-        vec += c * q
-    vec = _orthogonalize(vec, ortho)
+    vec = deflate(sum(ritz[_BLOCK_ROWS * k : _BLOCK_ROWS * (k + 1)] @ q for k, q in enumerate(rows)))
     vn = np.linalg.norm(vec)
     if vn > 0.0:
-        vec /= vn
-    resid_vec = matvec(vec) - theta * vec
-    resid_vec = _orthogonalize(resid_vec, ortho)
-    residual = float(np.linalg.norm(resid_vec))
+        vec = vec / vn
+    residual = float(np.linalg.norm(deflate(matvec(vec) - theta * vec)))
     converged = residual <= tol * max(1.0, abs(theta))
-    near_degenerate = not converged and len(alphas) > 1 and float(evals[1] - evals[0]) < 1e-10
-    return LanczosResult(theta, vec, residual, converged, len(alphas), breakdown, near_degenerate)
+    near_degenerate = not converged and it > 0 and float(evals[1] - evals[0]) < 1e-10
+    return LanczosResult(theta, vec, residual, converged, it + 1, breakdown, near_degenerate)
 
 
 # ---------- DMRG ----------
@@ -328,9 +326,8 @@ class _Sweeper:
                 cur = np.tensordot(cur, g[s - 1], axes=(-1, 0))  # (b, .., p, g')
             cur = np.tensordot(cur, self.orights[i][l + width], axes=(-1, 1))
             v = cur.reshape(-1)
-            n = np.linalg.norm(v)
-            if n > 1e-12:
-                out.append(v / n)
+            if np.linalg.norm(v) > 1e-12:
+                out.append(v)
         return tuple(out)
 
     def _solve_local(self, l: int, width: int) -> tuple[float, np.ndarray, LanczosResult]:

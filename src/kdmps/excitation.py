@@ -494,7 +494,6 @@ def solve_lowest_excitation(gs: Mps, h: Mpo, n: int, opts: ExcitationOptions | N
     if not 1 <= n <= bases.L:
         raise ValueError(f"n must lie in [1, {bases.L}]")
     gs_flat = flatten(ground_state_in_ansatz(bases, n))
-    gs_flat /= np.linalg.norm(gs_flat)
     base = build_env(bases.reference, h, bases=bases)
 
     def matvec(vec: np.ndarray) -> np.ndarray:
@@ -525,16 +524,26 @@ def solve_lowest_excitation(gs: Mps, h: Mpo, n: int, opts: ExcitationOptions | N
 # ---------- archives ----------
 
 
+def _sha256(blobs: list[Path]) -> str:
+    """sha256 over the bytes of the given files, in order."""
+    digest = hashlib.sha256()
+    for blob in blobs:
+        digest.update(blob.read_bytes())
+    return digest.hexdigest()
+
+
 def _reference_digest(gs_path: Path) -> str:
     """sha256 of a reference archive's site blobs (and bond weights, if any)."""
     L = json.loads((gs_path / "manifest.json").read_text())["L"]
     blobs = [gs_path / f"site_{l}.ten" for l in range(1, L + 1)]
     if (gs_path / "bond_weights.ten").exists():
         blobs.append(gs_path / "bond_weights.ten")
-    digest = hashlib.sha256()
-    for blob in blobs:
-        digest.update(blob.read_bytes())
-    return digest.hexdigest()
+    return _sha256(blobs)
+
+
+def _window_blobs(path: Path, L: int, n: int) -> list[Path]:
+    """An excitation archive's window blobs in (branch l, slot i) order."""
+    return [path / f"t_{l}_{i}.ten" for l in range(1, L - n + 2) for i in range(1, n + 1)]
 
 
 def save_excitation(x: ExcitationState, path, gs_path: str, extra: dict | None = None) -> None:
@@ -544,7 +553,7 @@ def save_excitation(x: ExcitationState, path, gs_path: str, extra: dict | None =
     relative to the archive directory, so the archive reloads from any
     working directory; an absolute one is stored as given. The manifest
     also holds a sha256 of the reference's blobs, which the windows are
-    only meaningful against.
+    only meaningful against, and one of the window blobs in (l, i) order.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -552,7 +561,7 @@ def save_excitation(x: ExcitationState, path, gs_path: str, extra: dict | None =
     if not Path(gs_path).is_absolute():
         gs_path = os.path.relpath(gs_path, path)
     manifest = {
-        "format_version": 3,
+        "format_version": 4,
         "kind": "excitation",
         "n": x.n,
         "L": x.L,
@@ -567,6 +576,7 @@ def save_excitation(x: ExcitationState, path, gs_path: str, extra: dict | None =
     for l in range(1, x.n_branches + 1):
         for i, t in enumerate(x.windows[l - 1], start=1):
             write_tensor_blob(path / f"t_{l}_{i}.ten", t)
+    manifest["windows_sha256"] = _sha256(_window_blobs(path, x.L, x.n))
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
@@ -574,10 +584,12 @@ def load_excitation(path) -> tuple[ExcitationState, dict]:
     """Read an excitation archive (rebuilds the gauge from the referenced
     reference-state archive).
 
-    Formats 2 and 3 resolve a relative reference path against the archive
+    Formats 2 to 4 resolve a relative reference path against the archive
     directory; format 1 archives stored it relative to the working
-    directory of the writer, and are read that way. Format 3 raises
-    ValueError when the reference's blobs no longer match the stored hash.
+    directory of the writer, and are read that way. Formats 3 and 4 raise
+    ValueError when the reference's blobs no longer match the stored hash,
+    and format 4 when the window blobs no longer match theirs (an
+    equal-shape swap of windows passes every other check).
 
     Also raises ValueError when the manifest's L or d disagree with the
     reference, when n or the window bonds do not fit the chain, when a
@@ -616,4 +628,6 @@ def load_excitation(path) -> tuple[ExcitationState, dict]:
     defect = gauge_defect(x)
     if not defect <= FORM_TOL * max(1.0, np.sqrt(ex_overlap(x, x))):
         raise ValueError(f"{path}: the windows violate the discarded-space gauge condition by {defect:.3g}")
+    if manifest["format_version"] >= 4 and _sha256(_window_blobs(path, L, n)) != manifest.get("windows_sha256"):
+        raise ValueError(f"{path}: the window blobs changed after the excitation was saved")
     return x, manifest

@@ -1,5 +1,7 @@
 """Tests for environments, effective Hamiltonians, Lanczos, and DMRG."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -23,7 +25,7 @@ from kdmps.mpo import (
 )
 from kdmps.mps import overlap, random_mps
 from kdmps.projectors import build_bases, _fold_left_chain, _fold_right_chain
-from kdmps.tensor import TruncationPolicy, env_step_left, env_step_right
+from kdmps.tensor import TruncationPolicy, env_step_left, env_step_right, orthogonal_complement
 
 SYM_TOL = 1e-10
 
@@ -152,6 +154,40 @@ def test_lanczos_deflation_finds_second_state():
     res = lanczos_lowest(lambda v: m @ v, rng.standard_normal(40), orth_against=(vecs[:, 0],))
     npt.assert_allclose(res.value, vals[1], atol=1e-9)
     npt.assert_allclose(abs(res.vector @ vecs[:, 0]), 0.0, atol=1e-10)
+
+
+def test_lanczos_deflates_against_an_overlapping_set():
+    # projecting off g1 and then g2 one after the other is not the projector
+    # onto the complement of their span when they overlap
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((60, 60))
+    m = (m + m.T) / 2.0
+    g1 = rng.standard_normal(60)
+    g2 = g1 + 0.5 * rng.standard_normal(60)
+    res = lanczos_lowest(lambda v: m @ v, rng.standard_normal(60), orth_against=(g1, g2))
+    comp = orthogonal_complement(np.linalg.qr(np.stack([g1, g2], axis=1))[0])
+    vals, vecs = np.linalg.eigh(comp.T @ m @ comp)
+    assert res.converged
+    npt.assert_allclose(res.value, vals[0], atol=1e-10)
+    npt.assert_allclose([res.vector @ g1, res.vector @ g2], 0.0, atol=1e-10)
+    npt.assert_allclose(abs(res.vector @ comp @ vecs[:, 0]), 1.0, atol=1e-10)
+
+
+def test_lanczos_storage_is_capped_by_the_vector_size():
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((6, 6))
+    m = m + m.T
+    vals, vecs = np.linalg.eigh(m)
+    tracemalloc.start()
+    try:
+        res = lanczos_lowest(lambda v: m @ v, np.ones(6), max_iter=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.iterations <= 6
+    npt.assert_allclose(res.value, vals[0], atol=1e-12)
+    npt.assert_allclose(abs(res.vector @ vecs[:, 0]), 1.0, atol=1e-10)
+    assert peak < 2**20
 
 
 def test_lanczos_breakdown_returns_exact_pair():

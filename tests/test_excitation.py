@@ -548,18 +548,18 @@ def test_excitation_archive_reloads_from_another_directory(tmp_path, monkeypatch
     elsewhere.mkdir()
     monkeypatch.chdir(elsewhere)
     back, manifest = load_excitation("../exc")
-    assert manifest["format_version"] == 3 and manifest["ground_state"] == "../gs"
+    assert manifest["format_version"] == 4 and manifest["ground_state"] == "../gs"
     for ca, cb in zip(back.windows, res.state.windows):
         for ta, tb in zip(ca, cb):
             npt.assert_array_equal(ta.data, tb.data)
 
 
-def _saved_excitation(tmp_path):
-    """A gauge-fixed n=1 excitation over a random L=10, D=8 reference, both
-    saved, and checked to load before any test corrupts it."""
+def _saved_excitation(tmp_path, n=1):
+    """A gauge-fixed n-site excitation over a random L=10, D=8 reference,
+    both saved, and checked to load before any test corrupts it."""
     save_mps(random_mps(10, 2, bond_cap=8, seed=3), tmp_path / "gs")
     bases, _ = build_bases(load_mps(tmp_path / "gs"))
-    x = init_excitation(bases, 1, seed=4)
+    x = init_excitation(bases, n, seed=4)
     save_excitation(x, tmp_path / "exc", gs_path=str(tmp_path / "gs"))
     load_excitation(tmp_path / "exc")
     return tmp_path / "exc"
@@ -583,6 +583,21 @@ def test_excitation_archive_rejects_an_equal_shape_swap(tmp_path):
     _swap_blobs(exc, "t_4_1", "t_5_1")  # both (8, 2, 8)
     with pytest.raises(ValueError, match="gauge condition"):
         load_excitation(exc)
+
+
+@pytest.mark.parametrize("a, b", [("t_4_2", "t_5_2"), ("t_9_1", "t_8_2")])
+def test_excitation_archive_rejects_a_window_swap_the_gauge_allows(tmp_path, a, b):
+    # neither blob is a gauge-conditioned first slot of a non-anchor branch
+    exc = _saved_excitation(tmp_path, n=2)
+    _swap_blobs(exc, a, b)
+    with pytest.raises(ValueError, match="window blobs changed"):
+        load_excitation(exc)
+    # a format-3 manifest carries no window hash and loads as before
+    manifest_path = exc / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["windows_sha256"]
+    manifest_path.write_text(json.dumps({**manifest, "format_version": 3}))
+    load_excitation(exc)
 
 
 def test_excitation_archive_rejects_a_wrong_manifest(tmp_path):

@@ -179,13 +179,15 @@ class LanczosResult:
 
 
 _BLOCK_ROWS = 16  # Krylov rows per storage block
+LANCZOS_MAX_ITER = 100  # iteration budget of every DMRG local solve
+LANCZOS_TOL = 1e-10  # relative residual bound of every DMRG local solve
 
 
 def lanczos_lowest(
     matvec,
     init: np.ndarray,
-    max_iter: int = 100,
-    tol: float = 1e-10,
+    max_iter: int = LANCZOS_MAX_ITER,
+    tol: float = LANCZOS_TOL,
     orth_against: tuple[np.ndarray, ...] = (),
 ) -> LanczosResult:
     """Lowest eigenpair of a symmetric map by Lanczos iteration.
@@ -272,8 +274,6 @@ class DmrgOptions:
     n_sweeps: int = 12
     policy: TruncationPolicy = field(default_factory=lambda: TruncationPolicy(max_rank=64, rel_cutoff=1e-13))
     conv_tol: float = 1e-10
-    lanczos_max_iter: int = 100
-    lanczos_tol: float = 1e-10
     orthogonal_to: tuple[Mps, ...] = ()
 
 
@@ -342,8 +342,6 @@ class _Sweeper:
         res = lanczos_lowest(
             heff.matvec,
             x0.reshape(-1),
-            max_iter=self.opts.lanczos_max_iter,
-            tol=self.opts.lanczos_tol,
             orth_against=self._local_constraints(l, width),
         )
         return res.value, res.vector.reshape(heff.x_shape), res

@@ -29,13 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from .dmrg import EnvCache, build_env, lanczos_lowest
-from .mps import FORM_TOL, Mps, _left_normalize, load_mps, mps_add, phys, site_tensors, virt
+from .mps import FORM_TOL, Mps, _left_normalize, load_mps, phys, site_tensors, virt
 from .mpo import Mpo, s2_total_mpo, sz_total_mpo
 from .projectors import KeptBases, _project_out_left, build_bases
 from .tensor import (
     Tensor,
     TruncationPolicy,
     apply_window,
+    chain_sum,
     env_step_left,
     env_step_right,
     qr,
@@ -65,6 +66,9 @@ __all__ = [
     "save_excitation",
     "load_excitation",
 ]
+
+WINDOW_CUTOFF = 1e-12  # relative singular-value cutoff of compress_windows
+EXCITE_MAX_ITER = 200  # Lanczos iteration budget of solve_lowest_excitation
 
 
 @dataclass(frozen=True)
@@ -188,16 +192,24 @@ def gauge_defect(x: ExcitationState) -> float:
     return dev
 
 
+def _check_compatible(x: ExcitationState, y: ExcitationState) -> None:
+    """Raise ValueError unless both states have one window size and one
+    reference gauge: the same bases, or left and right isometries equal
+    entry by entry (an archive reloaded twice rebuilds equal ones)."""
+    if x.n != y.n:
+        raise ValueError("states must share the window size")
+    pairs = zip(x.bases.left + x.bases.right, y.bases.left + y.bases.right)
+    if x.bases is not y.bases and (x.L != y.L or not all(np.array_equal(s.data, t.data) for s, t in pairs)):
+        raise ValueError("states must share a reference gauge")
+
+
 def ex_overlap(x: ExcitationState, y: ExcitationState) -> float:
     """Inner product <x|y>: one term per branch (never a double sum).
 
     Equals the state overlap when both arguments satisfy the gauge
     condition (then the branches are mutually orthogonal).
     """
-    if x.bases is not y.bases and x.bases.dims != y.bases.dims:
-        raise ValueError("states must share a reference gauge")
-    if x.n != y.n:
-        raise ValueError("states must share the window size")
+    _check_compatible(x, y)
     total = 0.0
     for l in range(1, x.n_branches + 1):
         # the two window chains share their boundary legs
@@ -211,55 +223,31 @@ def ex_overlap(x: ExcitationState, y: ExcitationState) -> float:
 
 def ex_scale(x: ExcitationState, c: float) -> ExcitationState:
     """Scale the represented state by ``c`` (folded into each first slot)."""
-    chains = []
-    for l in range(1, x.n_branches + 1):
-        arrs = x.branch_arrays(l)
-        arrs[0] = c * arrs[0]
-        chains.append(site_tensors(arrs, l))
-    return ExcitationState(bases=x.bases, n=x.n, windows=tuple(chains))
+    chains = tuple(site_tensors(chain_sum([x.branch_arrays(l)], (c,)), l) for l in range(1, x.n_branches + 1))
+    return ExcitationState(bases=x.bases, n=x.n, windows=chains)
 
 
 def ex_axpy(x: ExcitationState, a: float, y: ExcitationState) -> ExcitationState:
-    """The state ``x + a * y``, branch by branch.
+    """The state ``x + a * y``: per branch, the direct sum of the two window
+    chains with coefficients (1, a) (:func:`~kdmps.tensor.chain_sum`).
 
-    For n = 1 this is plain tensor addition; for n >= 2 the window chains
-    are joined block-diagonally, so interior window bonds add. No
-    recompression happens here (see :func:`compress_windows`).
+    For n = 1 the windows are added; for n >= 2 interior window bonds add.
+    No recompression happens here (see :func:`compress_windows`).
     """
-    if x.n != y.n or x.L != y.L:
-        raise ValueError("states must share window size and length")
-    n = x.n
-    chains = []
-    for l in range(1, x.n_branches + 1):
-        xa = x.branch_arrays(l)
-        ya = y.branch_arrays(l)
-        if n == 1:
-            merged = [xa[0] + a * ya[0]]
-        else:
-            merged = []
-            for i in range(n):
-                tx, ty = xa[i], ya[i]
-                if i == 0:
-                    block = np.concatenate([tx, a * ty], axis=2)
-                elif i == n - 1:
-                    block = np.concatenate([tx, ty], axis=0)
-                else:
-                    block = np.zeros(
-                        (tx.shape[0] + ty.shape[0], tx.shape[1], tx.shape[2] + ty.shape[2])
-                    )
-                    block[: tx.shape[0], :, : tx.shape[2]] = tx
-                    block[tx.shape[0] :, :, tx.shape[2] :] = ty
-                merged.append(block)
-        chains.append(site_tensors(merged, l))
-    return ExcitationState(bases=x.bases, n=n, windows=tuple(chains))
+    _check_compatible(x, y)
+    chains = tuple(
+        site_tensors(chain_sum([x.branch_arrays(l), y.branch_arrays(l)], (1.0, a)), l)
+        for l in range(1, x.n_branches + 1)
+    )
+    return ExcitationState(bases=x.bases, n=x.n, windows=chains)
 
 
-def compress_windows(x: ExcitationState, rel_cutoff: float = 1e-12) -> ExcitationState:
-    """Recompress interior window bonds (QR pass, then SVD with a relative
-    cutoff per bond). Boundary legs are untouched."""
+def compress_windows(x: ExcitationState) -> ExcitationState:
+    """Recompress interior window bonds (QR pass, then SVD with relative
+    cutoff WINDOW_CUTOFF per bond). Boundary legs are untouched."""
     if x.n == 1:
         return x
-    policy = TruncationPolicy(rel_cutoff=rel_cutoff, keep_degenerate=False)
+    policy = TruncationPolicy(rel_cutoff=WINDOW_CUTOFF, keep_degenerate=False)
     chains = []
     for l in range(1, x.n_branches + 1):
         arrs = x.branch_arrays(l)
@@ -276,16 +264,14 @@ def compress_windows(x: ExcitationState, rel_cutoff: float = 1e-12) -> Excitatio
 
 def branch_mps(x: ExcitationState, l: int) -> Mps:
     """One branch materialized as an ordinary MPS."""
-    sites = list(x.bases.left[: l - 1]) + list(x.windows[l - 1]) + list(x.bases.right[l + x.n - 1 :])
-    return Mps(tuple(sites))
+    return Mps(x.bases.left[: l - 1] + x.windows[l - 1] + x.bases.right[l + x.n - 1 :])
 
 
 def materialize(x: ExcitationState) -> Mps:
-    """The represented state as a single MPS (bond dimensions add)."""
-    acc = branch_mps(x, 1)
-    for l in range(2, x.n_branches + 1):
-        acc = mps_add(acc, branch_mps(x, l), 1.0, 1.0)
-    return acc
+    """The represented state as a single MPS: the direct sum of the branches
+    (bond dimensions add)."""
+    branches = [[t.data for t in branch_mps(x, l).sites] for l in range(1, x.n_branches + 1)]
+    return Mps(site_tensors(chain_sum(branches)))
 
 
 def ground_state_in_ansatz(bases: KeptBases, n: int) -> ExcitationState:
@@ -465,7 +451,6 @@ def state_from_flat(bases: KeptBases, n: int, vec: np.ndarray) -> ExcitationStat
 
 @dataclass(frozen=True)
 class ExcitationOptions:
-    max_iter: int = 200
     tol: float = 1e-10
     seed: int = 0
 
@@ -504,7 +489,7 @@ def solve_lowest_excitation(gs: Mps, h: Mpo, n: int, opts: ExcitationOptions | N
 
     rng = np.random.Generator(np.random.PCG64(opts.seed))
     v0 = flatten(gauge_fix_T1(state_from_flat(bases, n, rng.standard_normal(gs_flat.shape))))
-    res = lanczos_lowest(matvec, v0, max_iter=opts.max_iter, tol=opts.tol, orth_against=(gs_flat,))
+    res = lanczos_lowest(matvec, v0, max_iter=EXCITE_MAX_ITER, tol=opts.tol, orth_against=(gs_flat,))
 
     state = gauge_fix_T1(state_from_flat(bases, n, res.vector))
     flat = flatten(state)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .mps import Mps, _read_sites, phys
-from .tensor import Tensor, env_step_left, qr, svd_split, transfer_left, write_tensor_blob
+from .tensor import Tensor, chain_sum, env_step_left, qr, svd_split, transfer_left, write_tensor_blob
 
 __all__ = [
     "Mpo",
@@ -50,6 +50,7 @@ ID2 = np.eye(2)
 _OPENS = np.stack((SP, SM, SZ), axis=-1)
 _PASS = np.einsum("kl,pq->kpql", np.eye(3), ID2)
 _CLOSES = np.stack((0.5 * SM, 0.5 * SP, SZ))
+HS_CUTOFF = 1e-12  # relative compression cutoff of haldane_shastry_mpo
 
 
 def wleg(bond: int) -> str:
@@ -157,12 +158,12 @@ def hs_coupling(L: int, i: int, j: int) -> float:
     return np.pi**2 / (L**2 * np.sin(np.pi * (i - j) / L) ** 2)
 
 
-def haldane_shastry_mpo(L: int, tol: float = 1e-12) -> Mpo:
+def haldane_shastry_mpo(L: int) -> Mpo:
     """Spin-1/2 ring with inverse-square chord-distance exchange.
 
     H = sum_{i<j} pi^2 / (L^2 sin^2(pi (i-j)/L)) S_i . S_j, built from its
     coupling matrix as one finite-state MPO of bond dimension 2 + 3l at cut
-    l and compressed once, dropping bond singular values below ``tol``
+    l and compressed once, dropping bond singular values below HS_CUTOFF
     times the operator's Frobenius norm. Deterministic for fixed arguments.
     """
     if L < 2:
@@ -170,33 +171,7 @@ def haldane_shastry_mpo(L: int, tol: float = 1e-12) -> Mpo:
     J = np.zeros((L, L))
     i, j = np.triu_indices(L, 1)
     J[i, j] = hs_coupling(L, i, j)
-    return mpo_sum_compress([_coupling_mpo(J)], tol)
-
-
-def _mpo_block_sum(terms: list[Mpo]) -> Mpo:
-    """Direct (block-diagonal) sum of MPOs, bond dimensions adding up."""
-    L, d = terms[0].L, terms[0].d
-    arrays = []
-    for l in range(1, L + 1):
-        blocks = [t.site(l).data for t in terms]
-        if L == 1:
-            arrays.append(sum(blocks))
-            continue
-        if l == 1:
-            arrays.append(np.concatenate(blocks, axis=3))
-        elif l == L:
-            arrays.append(np.concatenate(blocks, axis=0))
-        else:
-            left = sum(b.shape[0] for b in blocks)
-            right = sum(b.shape[3] for b in blocks)
-            w = np.zeros((left, d, d, right))
-            lo_l = lo_r = 0
-            for b in blocks:
-                w[lo_l : lo_l + b.shape[0], :, :, lo_r : lo_r + b.shape[3]] = b
-                lo_l += b.shape[0]
-                lo_r += b.shape[3]
-            arrays.append(w)
-    return _mpo_from_arrays(arrays)
+    return mpo_sum_compress([_coupling_mpo(J)], HS_CUTOFF)
 
 
 def _zero_mpo(L: int, d: int) -> Mpo:
@@ -213,7 +188,8 @@ def mpo_frobenius(h: Mpo) -> float:
 
 
 def mpo_sum_compress(terms: list[Mpo], tol: float = 0.0) -> Mpo:
-    """Sum MPOs block-diagonally, then recompress the virtual bonds.
+    """Sum MPOs as one direct sum (:func:`~kdmps.tensor.chain_sum`; a single
+    term is taken as it is), then recompress the virtual bonds.
 
     A left-to-right QR pass fixes the gauge, then a right-to-left SVD pass
     drops bond singular values below ``max(tol, 1e-14)`` times the largest
@@ -228,7 +204,7 @@ def mpo_sum_compress(terms: list[Mpo], tol: float = 0.0) -> Mpo:
     for t in terms[1:]:
         if t.L != terms[0].L or t.d != terms[0].d:
             raise ValueError("terms must share length and physical dimension")
-    total = _mpo_block_sum(terms) if len(terms) > 1 else terms[0]
+    total = _mpo_from_arrays(chain_sum([[t.data for t in h.sites] for h in terms])) if len(terms) > 1 else terms[0]
     L, d = total.L, total.d
     if L == 1:
         return total
@@ -257,10 +233,9 @@ def mpo_sum_compress(terms: list[Mpo], tol: float = 0.0) -> Mpo:
 
 
 def mpo_shift(h: Mpo, c: float) -> Mpo:
-    """The operator H + c * identity (uncompressed block sum)."""
-    idm = identity_mpo(h.L, h.d)
-    scaled = _mpo_from_arrays([idm.site(1).data * c] + [idm.site(k).data for k in range(2, h.L + 1)])
-    return _mpo_block_sum([h, scaled])
+    """The operator H + c * identity (uncompressed direct sum)."""
+    chains = [[t.data for t in op.sites] for op in (h, identity_mpo(h.L, h.d))]
+    return _mpo_from_arrays(chain_sum(chains, (1.0, c)))
 
 
 def expectation(psi: Mps, h: Mpo) -> float:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Tensor, qr, read_tensor_blob, svd_split, transfer_left, write_tensor_blob
+from .tensor import Tensor, chain_sum, qr, read_tensor_blob, svd_split, transfer_left, write_tensor_blob
 
 __all__ = [
     "Mps",
@@ -306,37 +306,18 @@ def mps_norm(psi: Mps) -> float:
 
 def mps_scale(psi: Mps, c: float) -> Mps:
     """Scale the represented state by ``c`` (folded into site 1)."""
-    sites = [t.data for t in psi.plain_sites()]
-    sites[0] = sites[0] * c
-    return Mps(site_tensors(sites))
+    return Mps(site_tensors(chain_sum([[t.data for t in psi.plain_sites()]], (c,))))
 
 
 def mps_add(a: Mps, b: Mps, ca: float = 1.0, cb: float = 1.0) -> Mps:
-    """Represent ``ca*a + cb*b`` by block-diagonal virtual embedding.
+    """Represent ``ca*a + cb*b`` as their direct sum (:func:`~kdmps.tensor.chain_sum`).
 
     Interior bond extents add; the coefficients are folded into site 1.
     """
     if a.L != b.L or a.d != b.d:
         raise ValueError("mps_add requires equal length and physical dimension")
-    L, d = a.L, a.d
-    sa, sb = a.plain_sites(), b.plain_sites()
-    if L == 1:
-        return Mps(site_tensors([ca * sa[0].data + cb * sb[0].data]))
-    sites = []
-    for l in range(1, L + 1):
-        ta, tb = sa[l - 1].data, sb[l - 1].data
-        if l == 1:
-            block = np.concatenate([ca * ta, cb * tb], axis=2)
-        elif l == L:
-            block = np.concatenate([ta, tb], axis=0)
-        else:
-            left = ta.shape[0] + tb.shape[0]
-            right = ta.shape[2] + tb.shape[2]
-            block = np.zeros((left, d, right))
-            block[: ta.shape[0], :, : ta.shape[2]] = ta
-            block[ta.shape[0] :, :, ta.shape[2] :] = tb
-        sites.append(block)
-    return Mps(site_tensors(sites))
+    chains = [[t.data for t in psi.plain_sites()] for psi in (a, b)]
+    return Mps(site_tensors(chain_sum(chains, (ca, cb))))
 
 
 # ---------- fixed A/B/bond-matrix gauge ----------

@@ -29,14 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ed import guard_dims
-from .mps import Mps, canonical_sets, mps_add, mps_scale, site_tensors
-from .tensor import Tensor, orthogonal_complement, transfer_left, transfer_right
+from .mps import Mps, canonical_sets, site_tensors
+from .tensor import Tensor, chain_sum, orthogonal_complement, transfer_left, transfer_right
 
 __all__ = [
     "KeptBases",
     "DiscardedBases",
     "ProjectorSpec",
-    "MpsSum",
     "build_bases",
     "apply_projector",
     "dense_projector",
@@ -403,31 +402,13 @@ def apply_sector_pair(bases: KeptBases, pair: Pair, phi: Mps) -> Mps:
     return Mps(site_tensors([arrs[j] for j in range(1, L + 1)]))
 
 
-@dataclass(frozen=True)
-class MpsSum:
-    """Sum of coefficient-weighted MPS branches (kept uncompressed).
-
-    Composite projectors return their branch structure unmerged so oracle
-    comparisons stay exact; ``combine`` folds everything into one MPS with
-    additive bond dimensions.
-    """
-
-    terms: tuple[tuple[float, Mps], ...]
-
-    def combine(self) -> Mps:
-        if not self.terms:
-            raise ValueError("empty sum")
-        coeff, acc = self.terms[0]
-        acc = mps_scale(acc, coeff)
-        for coeff, term in self.terms[1:]:
-            acc = mps_add(acc, term, 1.0, coeff)
-        return acc
-
-
-def apply_projector(spec: ProjectorSpec, bases: KeptBases, phi: Mps) -> MpsSum:
-    """Apply a symbolic projector to a state, one MPS branch per term."""
+def apply_projector(spec: ProjectorSpec, bases: KeptBases, phi: Mps) -> Mps:
+    """Apply a symbolic projector to a state: one MPS branch per sector-pair
+    term, returned as their coefficient-weighted direct sum
+    (:func:`~kdmps.tensor.chain_sum`; bond dimensions add)."""
     terms = expand_spec(spec, bases.L)
-    return MpsSum(tuple((coeff, apply_sector_pair(bases, pair, phi)) for coeff, pair in terms))
+    branches = [[t.data for t in apply_sector_pair(bases, pair, phi).plain_sites()] for _, pair in terms]
+    return Mps(site_tensors(chain_sum(branches, [coeff for coeff, _ in terms])))
 
 
 # ---------- dense materialization ----------

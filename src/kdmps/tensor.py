@@ -15,6 +15,8 @@ written once here:
   which fix their sign freedom so gauges are reproducible: QR makes the R
   diagonal nonnegative, SVD vectors and complement columns get their
   largest-magnitude entry positive;
+- the direct sum of chains (:func:`chain_sum`), behind every sum of states,
+  operators, projector branches and excitation windows;
 - two-layer bra-ket transfers (:func:`transfer_left`, :func:`transfer_right`);
 - three-layer (bra, MPO, ket) networks, all through one ket-first kernel
   that grows a left environment over a run of ket arrays
@@ -39,6 +41,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -48,6 +51,7 @@ __all__ = [
     "qr",
     "svd_split",
     "orthogonal_complement",
+    "chain_sum",
     "transfer_left",
     "transfer_right",
     "apply_window",
@@ -216,6 +220,37 @@ def orthogonal_complement(iso: np.ndarray) -> np.ndarray:
     comp = np.linalg.qr(iso, mode="complete")[0][:, k:].copy()
     _fix_signs(comp)
     return comp
+
+
+# ---------- direct sums ----------
+
+
+def chain_sum(chains: Sequence[Sequence[np.ndarray]], coeffs: Sequence[float] | None = None) -> list[np.ndarray]:
+    """The chain of ``sum_k coeffs[k] * chains[k]`` by block-diagonal embedding.
+
+    Every chain is a run of site arrays of equal length whose bonds are the
+    first and last axis (MPS sites, MPO sites, excitation window slots);
+    the axes between must agree site by site. The first sites are stacked
+    along the last axis, each multiplied by its coefficient (none when
+    ``coeffs`` is None), the last sites along axis 0, and the interior sites
+    go block-diagonally in input order, so interior bond extents add. A
+    one-site chain has no bond to stack on: its arrays are added.
+    """
+    if not chains:
+        raise ValueError("empty chain list")
+    sites = list(zip(*chains, strict=True))  # sites[i]: the i-th arrays of all chains
+    firsts = sites[0] if coeffs is None else [k * a for k, a in zip(coeffs, sites[0], strict=True)]
+    if len(sites) == 1:
+        return [reduce(np.add, firsts)]
+    out = [np.concatenate(firsts, axis=-1)]
+    for blocks in sites[1:-1]:
+        block = np.zeros((sum(b.shape[0] for b in blocks), *blocks[0].shape[1:-1], sum(b.shape[-1] for b in blocks)))
+        lo_l = lo_r = 0
+        for b in blocks:
+            block[lo_l : lo_l + b.shape[0], ..., lo_r : lo_r + b.shape[-1]] = b
+            lo_l, lo_r = lo_l + b.shape[0], lo_r + b.shape[-1]
+        out.append(block)
+    return out + [np.concatenate(sites[-1], axis=0)]
 
 
 # ---------- transfers ----------

@@ -172,6 +172,23 @@ def test_ex_overlap_mismatch_errors():
         ex_overlap(x, init_excitation(other, 1, seed=0))
 
 
+def test_states_on_different_references_do_not_mix():
+    # equal bond dimensions, different reference states
+    x = init_excitation(bases_for(6, 4, 1), 2, seed=0)
+    y = init_excitation(bases_for(6, 4, 2), 2, seed=0)
+    with pytest.raises(ValueError, match="reference"):
+        ex_axpy(x, 1.0, y)
+    with pytest.raises(ValueError, match="reference"):
+        ex_overlap(x, y)
+    # the same reference rebuilt into a second bases object is accepted
+    again = init_excitation(bases_for(6, 4, 1), 2, seed=3)
+    assert again.bases is not x.bases
+    want = float(dense_state(materialize(x)).vec @ dense_state(materialize(again)).vec)
+    npt.assert_allclose(ex_overlap(x, again), want, atol=DENSE_TOL)
+    summed = dense_state(materialize(ex_axpy(x, 0.5, again))).vec
+    npt.assert_allclose(summed, dense_state(materialize(x)).vec + 0.5 * dense_state(materialize(again)).vec, atol=DENSE_TOL)
+
+
 def test_ex_axpy_trivial_and_cancellation():
     kept = bases_for(5, 2, 10)
     x = init_excitation(kept, 2, seed=7)
@@ -200,7 +217,7 @@ def test_compress_windows_preserves_state():
     x = init_excitation(kept, 3, seed=11)
     y = init_excitation(kept, 3, seed=12)
     grown = ex_axpy(x, -0.4, y)
-    packed = compress_windows(grown, 1e-12)
+    packed = compress_windows(grown)
     npt.assert_allclose(
         dense_state(materialize(packed)).vec, dense_state(materialize(grown)).vec, atol=1e-10
     )
@@ -230,7 +247,7 @@ def test_membership_of_gauge_fixed_states():
     for n in (1, 2):
         x = init_excitation(kept, n, seed=13)
         m = materialize(x)
-        projected = apply_projector(ProjectorSpec.global_ns(n), kept, m).combine()
+        projected = apply_projector(ProjectorSpec.global_ns(n), kept, m)
         npt.assert_allclose(dense_state(projected).vec, dense_state(m).vec, atol=DENSE_TOL)
 
 

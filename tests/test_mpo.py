@@ -91,7 +91,7 @@ def test_hs_two_sites_single_coupling():
 
 
 def test_hs_matches_pairwise_dense_sum():
-    got = dense_hamiltonian(haldane_shastry_mpo(6, tol=1e-12))
+    got = dense_hamiltonian(haldane_shastry_mpo(6))
     npt.assert_allclose(got, hs_dense_oracle(6), atol=DENSE_TOL)
 
 

@@ -100,7 +100,7 @@ def test_spec_validation():
 def test_apply_rank_one_projector():
     kept, _ = build_bases(random_mps(4, 2, bond_cap=2, seed=2))
     phi = random_mps(4, 2, bond_cap=3, seed=3)
-    out = apply_projector(ProjectorSpec.irreducible(0), kept, phi).combine()
+    out = apply_projector(ProjectorSpec.irreducible(0), kept, phi)
     c = overlap(kept.reference, phi)
     npt.assert_allclose(dense_state(out).vec, c * dense_state(kept.reference).vec, atol=1e-12)
 
@@ -108,7 +108,7 @@ def test_apply_rank_one_projector():
 def test_irreducible_annihilates_reference():
     kept, _ = build_bases(random_mps(5, 2, bond_cap=2, seed=6))
     for n in range(1, 6):
-        out = apply_projector(ProjectorSpec.irreducible(n), kept, kept.reference).combine()
+        out = apply_projector(ProjectorSpec.irreducible(n), kept, kept.reference)
         assert mps_norm(out) <= 1e-12
 
 
@@ -131,7 +131,7 @@ def test_apply_matches_dense_action():
     ]
     for spec in specs:
         dm = dense_projector(spec, kept, disc)
-        got = dense_state(apply_projector(spec, kept, phi).combine()).vec
+        got = dense_state(apply_projector(spec, kept, phi)).vec
         npt.assert_allclose(got, dm @ vphi, atol=DENSE_TOL, err_msg=str(spec))
 
 
@@ -140,8 +140,8 @@ def test_apply_projector_idempotent():
     kept, _ = build_bases(psi)
     phi = random_mps(5, 2, bond_cap=2, seed=14)
     for spec in (ProjectorSpec.global_ns(1), ProjectorSpec.irreducible(2)):
-        once = apply_projector(spec, kept, phi).combine()
-        twice = apply_projector(spec, kept, once).combine()
+        once = apply_projector(spec, kept, phi)
+        twice = apply_projector(spec, kept, once)
         npt.assert_allclose(dense_state(twice).vec, dense_state(once).vec, atol=BLOCK_TOL)
 
 

@@ -1,4 +1,4 @@
-"""Tests for the array kernels (gauge moves, transfers) and the tensor record."""
+"""Tests for the array kernels (gauge moves, direct sums, transfers) and the tensor record."""
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +8,7 @@ from kdmps.tensor import (
     Tensor,
     TruncationPolicy,
     apply_window,
+    chain_sum,
     env_step_left,
     env_step_right,
     orthogonal_complement,
@@ -24,6 +25,96 @@ TOL = 1e-12
 
 def rand_tensor(rng, shape, legs):
     return Tensor(rng.standard_normal(shape), legs)
+
+
+# ---------- direct sums ----------
+
+
+def dense_chain(chain):
+    """Contract a chain over its bonds, leaving the outer bonds open:
+    (left, middle axes of every site..., right)."""
+    cur = chain[0]
+    for a in chain[1:]:
+        cur = np.tensordot(cur, a, axes=(-1, 0))
+    return cur
+
+
+def random_chain(rng, bonds, middle):
+    return [rng.standard_normal((bonds[i], *middle, bonds[i + 1])) for i in range(len(bonds) - 1)]
+
+
+def test_chain_sum_of_three_mps_chains_with_coefficients():
+    rng = np.random.default_rng(20)
+    chains = [random_chain(rng, (2, 3, 1, 4, 3), (2,)), random_chain(rng, (2, 1, 2, 2, 3), (2,))]
+    chains.append(random_chain(rng, (2, 4, 3, 1, 3), (2,)))
+    coeffs = (0.5, -1.5, 2.0)
+    out = chain_sum(chains, coeffs)
+    assert [a.shape for a in out] == [(2, 2, 8), (8, 2, 6), (6, 2, 7), (7, 2, 3)]
+    want = sum(c * dense_chain(chain) for c, chain in zip(coeffs, chains))
+    npt.assert_allclose(dense_chain(out), want, atol=TOL)
+    # interior sites are block diagonal in input order: chain k sits at its
+    # bond offsets, and every entry outside the blocks is zero
+    mid = out[1]
+    filled = np.zeros(mid.shape, dtype=bool)
+    lo_l = lo_r = 0
+    for chain in chains:
+        dl, _, dr = chain[1].shape
+        for i in range(dl):
+            for j in range(dr):
+                npt.assert_array_equal(mid[lo_l + i, :, lo_r + j], chain[1][i, :, j])
+                filled[lo_l + i, :, lo_r + j] = True
+        lo_l, lo_r = lo_l + dl, lo_r + dr
+    assert not np.any(mid[~filled])
+    # coefficients land on the first sites only
+    npt.assert_array_equal(out[0], np.concatenate([c * chain[0] for c, chain in zip(coeffs, chains)], axis=2))
+    npt.assert_array_equal(out[-1], np.concatenate([chain[-1] for chain in chains], axis=0))
+
+
+def test_chain_sum_of_mpo_chains():
+    rng = np.random.default_rng(21)
+    a = random_chain(rng, (1, 3, 2, 1), (2, 2))
+    b = random_chain(rng, (1, 2, 4, 1), (2, 2))
+    out = chain_sum([a, b])
+    assert [w.shape for w in out] == [(1, 2, 2, 5), (5, 2, 2, 6), (6, 2, 2, 1)]
+    dense = [np.einsum("apqb,brsc,ctud->prtqsu", *ws) for ws in (out, a, b)]
+    npt.assert_allclose(dense[0], dense[1] + dense[2], atol=TOL)
+
+
+def test_chain_sum_of_one_site_chains_adds_the_arrays():
+    rng = np.random.default_rng(22)
+    arrays = [rng.standard_normal((3, 2, 4)) for _ in range(3)]
+    (out,) = chain_sum([[x] for x in arrays], (1.0, -0.25, 3.0))
+    npt.assert_array_equal(out, (1.0 * arrays[0] + -0.25 * arrays[1]) + 3.0 * arrays[2])
+    (plain,) = chain_sum([[x] for x in arrays])
+    npt.assert_array_equal(plain, (arrays[0] + arrays[1]) + arrays[2])
+
+
+def test_chain_sum_with_a_zero_width_interior_bond():
+    rng = np.random.default_rng(23)
+    empty = random_chain(rng, (1, 2, 0, 3, 1), (2,))  # represents the zero state
+    full = random_chain(rng, (1, 2, 4, 2, 1), (2,))
+    out = chain_sum([empty, full], (2.0, -0.5))
+    assert [a.shape for a in out] == [(1, 2, 4), (4, 2, 4), (4, 2, 5), (5, 2, 1)]
+    npt.assert_allclose(dense_chain(out), -0.5 * dense_chain(full), atol=TOL)
+
+
+@pytest.mark.parametrize("length", [1, 2, 4])
+def test_chain_sum_n_ary_equals_nested_pairs_bitwise(length):
+    rng = np.random.default_rng(24 + length)
+    bonds = [(1,) + tuple(rng.integers(1, 4, size=length - 1)) + (1,) for _ in range(3)]
+    a, b, c = (random_chain(rng, bs, (2,)) for bs in bonds)
+    once = chain_sum([a, b, c], (0.3, -1.7, 2.9))
+    nested = chain_sum([chain_sum([a, b], (0.3, -1.7)), c], (1.0, 2.9))
+    assert [x.shape for x in once] == [y.shape for y in nested]
+    assert all(np.array_equal(x, y) for x, y in zip(once, nested))
+
+
+def test_chain_sum_rejects_unequal_lengths():
+    rng = np.random.default_rng(25)
+    with pytest.raises(ValueError):
+        chain_sum([random_chain(rng, (1, 2, 1), (2,)), random_chain(rng, (1, 2, 2, 1), (2,))])
+    with pytest.raises(ValueError):
+        chain_sum([random_chain(rng, (1, 2, 1), (2,))], (1.0, 2.0))
 
 
 # ---------- transfers ----------

@@ -1,10 +1,11 @@
 """Kept/discarded projector toolkit for finite matrix product states.
 
 Dense MPS/MPO machinery, the kept- and discarded-space projector algebra
-(local, global, and irreducible n-site projectors), DMRG ground-state
-search, the n-site energy variance diagnostic, and the finite-chain n-site
-excitation eigensolver, all cross-checked against brute-force dense linear
-algebra on small chains.
+(local, global, and irreducible n-site projectors, each a list of signed
+kept/discarded sector-pair terms built by an ``expand_*`` function), DMRG
+ground-state search, the n-site energy variance diagnostic, and the
+finite-chain n-site excitation eigensolver, all cross-checked against
+brute-force dense linear algebra on small chains.
 """
 
 from .tensor import Tensor, TruncationPolicy, orthogonal_complement, svd_split
@@ -13,11 +14,18 @@ from .mpo import Mpo, expectation, haldane_shastry_mpo, heisenberg_mpo, mpo_sum_
 from .projectors import (
     DiscardedBases,
     KeptBases,
-    ProjectorSpec,
     apply_projector,
     build_bases,
     convert_kd_dk,
     dense_projector,
+    expand_global,
+    expand_global_overlapping,
+    expand_irreducible,
+    expand_irreducible_overlapping,
+    expand_irreducible_right,
+    expand_local,
+    expand_local_ortho,
+    expand_tangent_mixed,
     subspace_dimension,
 )
 from .dmrg import DmrgOptions, apply_effective, build_env, dmrg_ground_state, lanczos_lowest
@@ -51,12 +59,19 @@ __all__ = [
     "expectation",
     "KeptBases",
     "DiscardedBases",
-    "ProjectorSpec",
     "build_bases",
+    "expand_local",
+    "expand_local_ortho",
+    "expand_global",
+    "expand_global_overlapping",
+    "expand_irreducible",
+    "expand_irreducible_right",
+    "expand_irreducible_overlapping",
+    "expand_tangent_mixed",
+    "convert_kd_dk",
     "apply_projector",
     "dense_projector",
     "subspace_dimension",
-    "convert_kd_dk",
     "DmrgOptions",
     "build_env",
     "apply_effective",

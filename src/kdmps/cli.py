@@ -36,6 +36,10 @@ from .variance import nsite_variance, write_variance_csv
 MODELS = ("heisenberg", "haldane_shastry")
 EXCITE_N_CAP = 4  # window cost grows as d^n; larger windows need other tools
 VARIANCE_N_CAP = 10
+EXCITE_HELP = (
+    "Lowest window-form excitation above a stored state. sz_total and s2_total are the expectation "
+    "values <S^z> and <S^2> of the returned vector; inside a degenerate level they are not sector labels."
+)
 
 
 @dataclass(frozen=True)
@@ -251,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mps", required=True, help="MPS archive directory")
     p.add_argument("--n-max", dest="n_max", type=int)
 
-    p = sub.add_parser("excite", help="lowest excitation above a stored state")
+    p = sub.add_parser("excite", help="lowest excitation above a stored state", description=EXCITE_HELP)
     _add_common(p)
     p.add_argument("--gs", required=True, help="ground-state MPS archive directory")
     p.add_argument("--excite-n", dest="excite_n", type=int)

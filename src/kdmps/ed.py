@@ -184,17 +184,16 @@ def verify_identity_suite(psi: Mps, h: Mpo, tol: float = 1e-10) -> IdentityRepor
     from .dmrg import build_env, effective_ham
     from .mpo import mpo_shift
     from .projectors import (
-        ProjectorSpec,
         build_bases,
         convert_kd_dk,
+        dense_projector,
         dense_sector_pair,
-        dense_terms,
         expand_global,
         expand_global_overlapping,
         expand_irreducible,
         expand_irreducible_overlapping,
         expand_irreducible_right,
-        expand_spec,
+        expand_local_ortho,
         expand_tangent_mixed,
         subspace_dimension,
     )
@@ -374,23 +373,17 @@ def verify_identity_suite(psi: Mps, h: Mpo, tol: float = 1e-10) -> IdentityRepor
     dev = 0.0
     for n in range(1, L):
         for l in range(1, L + 1 - n):
-            lt = dense_terms(bases, disc, expand_spec(ProjectorSpec.local_ortho(n, l, "<"), L))
+            lt = dense_projector(expand_local_ortho(n, l, "<", L), bases, disc)
             dev = max(dev, np.max(np.abs(lt - local(n, l) @ (eye - local(n, l + 1)))))
         for l in range(2, L + 2 - n):
-            gt = dense_terms(bases, disc, expand_spec(ProjectorSpec.local_ortho(n, l, ">"), L))
+            gt = dense_projector(expand_local_ortho(n, l, ">", L), bases, disc)
             dev = max(dev, np.max(np.abs(gt - local(n, l) @ (eye - local(n, l - 1)))))
     record("local_ortho_forms", dev)
 
     dev = 0.0
     for n in range(1, min(3, L)):
-        less = {
-            l: dense_terms(bases, disc, expand_spec(ProjectorSpec.local_ortho(n, l, "<"), L))
-            for l in range(1, L + 1 - n)
-        }
-        greater = {
-            l: dense_terms(bases, disc, expand_spec(ProjectorSpec.local_ortho(n, l, ">"), L))
-            for l in range(2, L + 2 - n)
-        }
+        less = {l: dense_projector(expand_local_ortho(n, l, "<", L), bases, disc) for l in range(1, L + 1 - n)}
+        greater = {l: dense_projector(expand_local_ortho(n, l, ">", L), bases, disc) for l in range(2, L + 2 - n)}
         for l, m1 in less.items():
             for lp, m2 in less.items():
                 want = m1 if l == lp else 0.0
@@ -415,14 +408,12 @@ def verify_identity_suite(psi: Mps, h: Mpo, tol: float = 1e-10) -> IdentityRepor
     for n in range(1, min(3, L)):
         for lbar in range(1, L + 2 - n):
             for lprime in range(lbar, L + 2 - n):
-                lhs, rhs = convert_kd_dk(bases, n, lbar, lprime)
-                dev = max(
-                    dev, np.max(np.abs(dense_terms(bases, disc, lhs) - dense_terms(bases, disc, rhs)))
-                )
+                lhs, rhs = convert_kd_dk(L, n, lbar, lprime)
+                dev = max(dev, np.max(np.abs(dense_projector(lhs, bases, disc) - dense_projector(rhs, bases, disc))))
     record("kd_dk_conversion", dev)
 
     # global projectors: idempotence, absorption of locals, nesting
-    globals_ = [dense_terms(bases, disc, expand_global(n, L)) for n in range(0, L + 1)]
+    globals_ = [dense_projector(expand_global(n, L), bases, disc) for n in range(0, L + 1)]
     dev = 0.0
     for n in range(0, L + 1):
         g = globals_[n]
@@ -437,16 +428,16 @@ def verify_identity_suite(psi: Mps, h: Mpo, tol: float = 1e-10) -> IdentityRepor
     dev = 0.0
     for n in range(1, L + 1):
         for anchor in range(1, L + 2 - n):
-            dev = max(dev, np.max(np.abs(dense_terms(bases, disc, expand_global(n, L, anchor)) - globals_[n])))
+            dev = max(dev, np.max(np.abs(dense_projector(expand_global(n, L, anchor), bases, disc) - globals_[n])))
     record("global_anchor_independence", dev)
 
     dev = 0.0
     for n in range(1, L + 1):
-        dev = max(dev, np.max(np.abs(dense_terms(bases, disc, expand_global_overlapping(n, L)) - globals_[n])))
+        dev = max(dev, np.max(np.abs(dense_projector(expand_global_overlapping(n, L), bases, disc) - globals_[n])))
     record("global_two_forms", dev)
 
     # irreducible family: partition of unity and mutual orthogonality
-    irr = [dense_terms(bases, disc, expand_irreducible(n, L)) for n in range(0, L + 1)]
+    irr = [dense_projector(expand_irreducible(n, L), bases, disc) for n in range(0, L + 1)]
     dev = np.max(np.abs(sum(irr) - eye))
     for n in range(0, L + 1):
         for m in range(0, L + 1):
@@ -457,11 +448,11 @@ def verify_identity_suite(psi: Mps, h: Mpo, tol: float = 1e-10) -> IdentityRepor
     # irreducible family: all equivalent closed forms
     dev = np.max(np.abs(irr[0] - np.outer(vec, vec)))
     dev = max(dev, np.max(np.abs(irr[0] - pmat("K", "K", 0, 1))))
-    dev = max(dev, np.max(np.abs(dense_terms(bases, disc, expand_irreducible_right(1, L)) - irr[1])))
+    dev = max(dev, np.max(np.abs(dense_projector(expand_irreducible_right(L), bases, disc) - irr[1])))
     for anchor in range(1, L + 1):
-        dev = max(dev, np.max(np.abs(dense_terms(bases, disc, expand_tangent_mixed(L, anchor)) - irr[1])))
+        dev = max(dev, np.max(np.abs(dense_projector(expand_tangent_mixed(L, anchor), bases, disc) - irr[1])))
     for n in range(1, L + 1):
-        dev = max(dev, np.max(np.abs(dense_terms(bases, disc, expand_irreducible_overlapping(n, L)) - irr[n])))
+        dev = max(dev, np.max(np.abs(dense_projector(expand_irreducible_overlapping(n, L), bases, disc) - irr[n])))
         dev = max(dev, np.max(np.abs(globals_[n] - globals_[n - 1] - irr[n])))
     record("irreducible_forms", dev)
 

@@ -457,6 +457,14 @@ class ExcitationOptions:
 
 @dataclass(frozen=True)
 class ExcitationResult:
+    """Lowest excitation found by :func:`solve_lowest_excitation`.
+
+    ``sz_total`` and ``s2_total`` are the expectation values <S^z> and <S^2>
+    of the returned vector. Inside a degenerate level they are not sector
+    labels: Lanczos returns some vector of the level, and round-off picks
+    which one, so they change with the seed.
+    """
+
     energy: float
     state: ExcitationState
     residual: float
@@ -471,8 +479,8 @@ def solve_lowest_excitation(gs: Mps, h: Mpo, n: int, opts: ExcitationOptions | N
 
     Runs Lanczos on the projected operator over the gauge-fixed window
     parameters, deflating the reference itself from the search space at
-    every iteration (the window form contains it). Reports the total-spin
-    diagnostics of the result for sector classification.
+    every iteration (the window form contains it). Reports <S^z> and <S^2>
+    of the returned vector (see :class:`ExcitationResult`).
     """
     opts = opts or ExcitationOptions()
     bases, _ = build_bases(gs)

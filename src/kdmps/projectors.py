@@ -5,16 +5,20 @@ family of left isometries A_l, right isometries B_l, bond matrices C_l and
 orthogonal complements (Abar_l, Bbar_l) such that for every bond l the
 chain ``A_1..A_l C_l B_{l+1}..B_L`` rebuilds the reference exactly.
 
-Projectors are handled symbolically as :class:`ProjectorSpec` values built
-from sector pairs: a kept (K) or discarded (D) sector on a left anchor
-site, identity on the sites in between, and a K or D sector on a right
-anchor. Composite projectors expand to coefficient-weighted lists of
-sector pairs:
+A projector is its list of sector-pair terms: ``(coeff, (x, xbar, l,
+lbar))`` stands for coeff times the projector with a kept (K) or
+discarded (D) sector x on the left anchor l, identity on the sites in
+between, and a K or D sector xbar on the right anchor lbar. Every
+``expand_*`` builder returns such a list for a chain of length L:
 
 * local n-site projectors (a KK pair with n free sites),
 * their one-sided orthogonalized versions (DK / KD pairs),
 * global n-site projectors (sum over positions, any anchor choice),
-* irreducible n-site projectors (DK row for n=1, DD row for n>=2).
+* irreducible n-site projectors (DK row for n=1, DD row for n>=2),
+
+plus the alternative forms the identity suite checks. A single sector
+pair is the one-term list ``[(1.0, pair)]``. :func:`apply_projector` and
+:func:`dense_projector` take any list and reject malformed pairs.
 
 Applications to arbitrary states never materialize the discarded-space
 projector ``Abar Abar^T``; they use ``1 - A A^T`` on the parent legs. The
@@ -35,12 +39,19 @@ from .tensor import Tensor, chain_sum, orthogonal_complement, transfer_left, tra
 __all__ = [
     "KeptBases",
     "DiscardedBases",
-    "ProjectorSpec",
     "build_bases",
+    "expand_local",
+    "expand_local_ortho",
+    "expand_global",
+    "expand_global_overlapping",
+    "expand_irreducible",
+    "expand_irreducible_right",
+    "expand_irreducible_overlapping",
+    "expand_tangent_mixed",
+    "convert_kd_dk",
     "apply_projector",
     "dense_projector",
     "subspace_dimension",
-    "convert_kd_dk",
 ]
 
 
@@ -83,12 +94,6 @@ class KeptBases:
         """The 1-site center C_l = C_{l-1} B_l (legs like an ordinary site)."""
         b = self.right[l - 1]
         return Tensor(np.tensordot(self.bond[l - 1], b.data, axes=(1, 0)), b.legs)
-
-    def discarded_left_dim(self, l: int) -> int:
-        return self.dims[l - 1] * self.d - self.dims[l]
-
-    def discarded_right_dim(self, l: int) -> int:
-        return self.dims[l] * self.d - self.dims[l - 1]
 
 
 @dataclass(frozen=True)
@@ -135,66 +140,20 @@ def build_bases(psi: Mps) -> tuple[KeptBases, DiscardedBases]:
     return kept, DiscardedBases(left=site_tensors(abar), right=site_tensors(bbar))
 
 
-# ---------- symbolic projector specs ----------
-
-KINDS = ("sector_pair", "local", "local_ortho", "global", "irreducible")
-
-
-@dataclass(frozen=True)
-class ProjectorSpec:
-    """Symbolic projector: sector pair, local/orthogonalized/global/irreducible.
-
-    Build via the factory methods; ``expand(L)`` lowers any spec to a list
-    of (coefficient, (x, xbar, l, lbar)) sector-pair terms.
-    """
-
-    kind: str
-    n: int = 0
-    site: int = 0
-    sectors: tuple[str, str] = ("K", "K")
-    positions: tuple[int, int] = (0, 1)
-    side: str = "<"
-    anchor: int | None = None
-
-    @staticmethod
-    def sector_pair(x: str, xbar: str, l: int, lbar: int) -> ProjectorSpec:
-        if x not in ("K", "D") or xbar not in ("K", "D"):
-            raise ValueError("sectors must be 'K' or 'D'")
-        if not l < lbar:
-            raise ValueError("need left anchor < right anchor")
-        return ProjectorSpec(kind="sector_pair", sectors=(x, xbar), positions=(l, lbar))
-
-    @staticmethod
-    def local_ns(n: int, l: int) -> ProjectorSpec:
-        return ProjectorSpec(kind="local", n=n, site=l)
-
-    @staticmethod
-    def local_ortho(n: int, l: int, side: str) -> ProjectorSpec:
-        if side not in ("<", ">"):
-            raise ValueError("side must be '<' or '>'")
-        return ProjectorSpec(kind="local_ortho", n=n, site=l, side=side)
-
-    @staticmethod
-    def global_ns(n: int, anchor: int | None = None) -> ProjectorSpec:
-        return ProjectorSpec(kind="global", n=n, anchor=anchor)
-
-    @staticmethod
-    def irreducible(n: int) -> ProjectorSpec:
-        return ProjectorSpec(kind="irreducible", n=n)
-
-    def expand(self, L: int) -> list[tuple[float, tuple[str, str, int, int]]]:
-        return expand_spec(self, L)
-
+# ---------- sector-pair term lists ----------
 
 Pair = tuple[str, str, int, int]
 Terms = list[tuple[float, Pair]]
 
 
-def _check_pair(pair: Pair, L: int) -> Pair:
+def _check_pair(pair: Pair, L: int) -> bool:
+    """Validate a pair; True when it is zero (a boundary discarded sector is empty)."""
     x, xbar, l, lbar = pair
+    if x not in ("K", "D") or xbar not in ("K", "D"):
+        raise ValueError(f"sectors ({x!r}, {xbar!r}) must be 'K' or 'D'")
     if not 0 <= l < lbar <= L + 1:
         raise ValueError(f"anchors ({l}, {lbar}) outside 0 <= l < lbar <= {L + 1}")
-    return pair
+    return (x == "D" and l == 0) or (xbar == "D" and lbar == L + 1)
 
 
 def _local_pair(n: int, l: int, L: int) -> Pair:
@@ -203,29 +162,26 @@ def _local_pair(n: int, l: int, L: int) -> Pair:
     return ("K", "K", l - 1, l + n)
 
 
-def expand_spec(spec: ProjectorSpec, L: int) -> Terms:
-    """Lower a spec to coefficient-weighted sector pairs at chain length L."""
-    if spec.kind == "sector_pair":
-        return [(1.0, _check_pair((*spec.sectors, *spec.positions), L))]
-    if spec.kind == "local":
-        return [(1.0, _local_pair(spec.n, spec.site, L))]
-    if spec.kind == "local_ortho":
-        n, l = spec.n, spec.site
-        if n < 1 or not 1 <= l <= L + 1 - n:
-            raise ValueError(f"orthogonalized local projector needs n >= 1, site in [1, {L + 1 - n}]")
-        if spec.side == "<":
-            return [(1.0, _check_pair(("D", "K", l, l + n), L))]
-        return [(1.0, _check_pair(("K", "D", l - 1, l - 1 + n), L))]
-    if spec.kind == "global":
-        return expand_global(spec.n, L, spec.anchor)
-    if spec.kind == "irreducible":
-        return expand_irreducible(spec.n, L)
-    raise ValueError(f"unknown projector kind {spec.kind!r}")
+def expand_local(n: int, l: int, L: int) -> Terms:
+    """Local n-site projector on sites l..l+n-1: one KK pair (l-1, l+n)."""
+    return [(1.0, _local_pair(n, l, L))]
+
+
+def expand_local_ortho(n: int, l: int, side: str, L: int) -> Terms:
+    """One-sided orthogonalized local projector: the DK pair (l, l+n) for
+    side "<", the KD pair (l-1, l-1+n) for side ">".
+    """
+    if side not in ("<", ">"):
+        raise ValueError("side must be '<' or '>'")
+    if n < 1 or not 1 <= l <= L + 1 - n:
+        raise ValueError(f"orthogonalized local projector needs n >= 1, site in [1, {L + 1 - n}]")
+    return [(1.0, ("D", "K", l, l + n) if side == "<" else ("K", "D", l - 1, l - 1 + n))]
 
 
 def expand_global(n: int, L: int, anchor: int | None = None) -> Terms:
     """Global n-site projector as DK terms left of an anchor, the local
-    projector at the anchor, and KD terms right of it (mutually orthogonal).
+    projector at the anchor (in [1, L+1-n], default L+1-n), and KD terms
+    right of it (mutually orthogonal).
     """
     if not 0 <= n <= L:
         raise ValueError(f"n must lie in [0, {L}]")
@@ -233,10 +189,9 @@ def expand_global(n: int, L: int, anchor: int | None = None) -> Terms:
         return [(1.0, ("K", "K", L, L + 1))]
     if anchor is None:
         anchor = L + 1 - n
-    if not 1 <= anchor <= L + 1 - n:
-        raise ValueError(f"anchor {anchor} outside [1, {L + 1 - n}]")
+    local = _local_pair(n, anchor, L)  # validates the anchor before the loops use it
     terms: Terms = [(1.0, ("D", "K", l, l + n)) for l in range(1, anchor)]
-    terms.append((1.0, _local_pair(n, anchor, L)))
+    terms.append((1.0, local))
     terms += [(1.0, ("K", "D", l - 1, l - 1 + n)) for l in range(anchor + 1, L + 2 - n)]
     return terms
 
@@ -265,10 +220,8 @@ def expand_irreducible(n: int, L: int) -> Terms:
     return [(1.0, ("D", "D", l, l + n - 1)) for l in range(1, L + 2 - n)]
 
 
-def expand_irreducible_right(n: int, L: int) -> Terms:
+def expand_irreducible_right(L: int) -> Terms:
     """Gauge-reflected form of the n=1 irreducible projector (KD row)."""
-    if n != 1:
-        raise ValueError("the reflected closed form exists for n = 1")
     return [(1.0, ("K", "D", l - 1, l)) for l in range(1, L + 1)]
 
 
@@ -291,20 +244,13 @@ def expand_irreducible_overlapping(n: int, L: int) -> Terms:
 
 
 def expand_tangent_mixed(L: int, anchor: int) -> Terms:
-    """n=1 irreducible projector with DK terms left of the anchor, KD terms
-    right of it, the full local 1-site projector at the anchor, minus the
-    rank-1 reference projector.
+    """n=1 irreducible projector as the global 1-site projector at this
+    anchor minus the rank-1 reference projector.
     """
-    if not 1 <= anchor <= L:
-        raise ValueError(f"anchor {anchor} outside [1, {L}]")
-    terms: Terms = [(1.0, ("D", "K", l, l + 1)) for l in range(1, anchor)]
-    terms.append((1.0, _local_pair(1, anchor, L)))
-    terms += [(1.0, ("K", "D", l - 1, l)) for l in range(anchor + 1, L + 1)]
-    terms.append((-1.0, ("K", "K", L, L + 1)))
-    return terms
+    return expand_global(1, L, anchor) + [(-1.0, ("K", "K", L, L + 1))]
 
 
-def convert_kd_dk(bases: KeptBases, n: int, lbar: int, lprime: int) -> tuple[Terms, Terms]:
+def convert_kd_dk(L: int, n: int, lbar: int, lprime: int) -> tuple[Terms, Terms]:
     """Two equivalent sector-pair sums for a window of DK projectors.
 
     The left list is sum_{l=lbar..lprime} DK(l, l+n); the right list is the
@@ -312,7 +258,6 @@ def convert_kd_dk(bases: KeptBases, n: int, lbar: int, lprime: int) -> tuple[Ter
     matching KD terms, minus the local (n-1)-site projector at lprime+1.
     Their dense materializations agree.
     """
-    L = bases.L
     if n < 1:
         raise ValueError("conversion needs n >= 1")
     if not 1 <= lbar <= lprime <= L + 1 - n:
@@ -356,9 +301,8 @@ def apply_sector_pair(bases: KeptBases, pair: Pair, phi: Mps) -> Mps:
     L, d = bases.L, bases.d
     if phi.L != L or phi.d != d:
         raise ValueError("state and bases shapes disagree")
-    _check_pair(pair, L)
-    if (x == "D" and l == 0) or (xbar == "D" and lbar == L + 1):
-        return _zero_like(phi)  # the boundary discarded sectors are empty
+    if _check_pair(pair, L):
+        return _zero_like(phi)
 
     A = [t.data for t in bases.left]
     B = [t.data for t in bases.right]
@@ -402,11 +346,10 @@ def apply_sector_pair(bases: KeptBases, pair: Pair, phi: Mps) -> Mps:
     return Mps(site_tensors([arrs[j] for j in range(1, L + 1)]))
 
 
-def apply_projector(spec: ProjectorSpec, bases: KeptBases, phi: Mps) -> Mps:
-    """Apply a symbolic projector to a state: one MPS branch per sector-pair
-    term, returned as their coefficient-weighted direct sum
+def apply_projector(terms: Terms, bases: KeptBases, phi: Mps) -> Mps:
+    """Apply a sector-pair term list to a state: one MPS branch per term,
+    returned as their coefficient-weighted direct sum
     (:func:`~kdmps.tensor.chain_sum`; bond dimensions add)."""
-    terms = expand_spec(spec, bases.L)
     branches = [[t.data for t in apply_sector_pair(bases, pair, phi).plain_sites()] for _, pair in terms]
     return Mps(site_tensors(chain_sum(branches, [coeff for coeff, _ in terms])))
 
@@ -444,8 +387,7 @@ def dense_sector_pair(bases: KeptBases, disc: DiscardedBases, pair: Pair) -> np.
     x, xbar, l, lbar = pair
     L, d = bases.L, bases.d
     guard_dims(d, L)
-    _check_pair(pair, L)
-    if (x == "D" and l == 0) or (xbar == "D" and lbar == L + 1):
+    if _check_pair(pair, L):
         return np.zeros((d**L, d**L))
 
     A = [t.data for t in bases.left]
@@ -462,18 +404,13 @@ def dense_sector_pair(bases: KeptBases, disc: DiscardedBases, pair: Pair) -> np.
     return np.kron(np.kron(v @ v.T, np.eye(mid)), w @ w.T)
 
 
-def dense_terms(bases: KeptBases, disc: DiscardedBases, terms: Terms) -> np.ndarray:
-    """Dense matrix of a coefficient-weighted sector-pair sum."""
+def dense_projector(terms: Terms, bases: KeptBases, disc: DiscardedBases) -> np.ndarray:
+    """Exact dense matrix of a sector-pair term list (d^L <= 4096)."""
     d, L = bases.d, bases.L
     out = np.zeros((d**L, d**L))
     for coeff, pair in terms:
         out += coeff * dense_sector_pair(bases, disc, pair)
     return out
-
-
-def dense_projector(spec: ProjectorSpec, bases: KeptBases, disc: DiscardedBases) -> np.ndarray:
-    """Exact dense realization of a symbolic projector (d^L <= 4096)."""
-    return dense_terms(bases, disc, expand_spec(spec, bases.L))
 
 
 # ---------- bookkeeping ----------

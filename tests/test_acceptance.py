@@ -39,7 +39,7 @@ from kdmps.mpo import (
     mpo_shift,
 )
 from kdmps.mps import random_mps
-from kdmps.projectors import ProjectorSpec, build_bases, dense_projector, subspace_dimension
+from kdmps.projectors import build_bases, dense_projector, expand_global, expand_irreducible, subspace_dimension
 from kdmps.tensor import TruncationPolicy
 from kdmps.variance import nsite_variance
 
@@ -85,7 +85,7 @@ def test_criterion_02_irreducible_completeness():
     worst = 0.0
     for L, D, seed in ((4, None, 7), (5, 2, 8), (6, 3, 9)):
         kept, disc = build_bases(random_mps(L, 2, bond_cap=D, seed=seed))
-        mats = [dense_projector(ProjectorSpec.irreducible(n), kept, disc) for n in range(L + 1)]
+        mats = [dense_projector(expand_irreducible(n, L), kept, disc) for n in range(L + 1)]
         dev = float(np.max(np.abs(sum(mats) - np.eye(2**L))))
         for n in range(L + 1):
             for m in range(L + 1):
@@ -102,14 +102,14 @@ def test_criterion_03_dimension_bookkeeping():
     kept, disc = build_bases(random_mps(4, 2, bond_cap=None, seed=11))
     dims = [subspace_dimension(kept, n) for n in range(5)]
     assert dims == [1, 15, 0, 0, 0]
-    ranks = [dense_rank(dense_projector(ProjectorSpec.irreducible(n), kept, disc)) for n in range(5)]
+    ranks = [dense_rank(dense_projector(expand_irreducible(n, 4), kept, disc)) for n in range(5)]
     assert ranks == dims and sum(dims) == 16
 
     kept, disc = build_bases(random_mps(4, 2, bond_cap=2, seed=12))
     assert kept.dims == (1, 2, 2, 2, 1)
     dims = [subspace_dimension(kept, n) for n in range(5)]
     assert dims == [1, 11, 4, 0, 0]
-    ranks = [dense_rank(dense_projector(ProjectorSpec.irreducible(n), kept, disc)) for n in range(5)]
+    ranks = [dense_rank(dense_projector(expand_irreducible(n, 4), kept, disc)) for n in range(5)]
     assert ranks == dims and sum(dims) == 16
     report(3, "dimension tables (1,15,0,0,0) and (1,11,4,0,0) match ranks exactly")
 
@@ -216,7 +216,7 @@ def test_criterion_08_excitation_solver_correctness():
     hm = dense_hamiltonian(h)
     worst = 0.0
     for n in (1, 2):
-        proj = dense_projector(ProjectorSpec.global_ns(n), kept, disc)
+        proj = dense_projector(expand_global(n, L), kept, disc)
         php = proj @ hm @ proj
         probe = init_excitation(kept, n, seed=0)
         total = flatten(probe).shape[0]

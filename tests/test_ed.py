@@ -163,11 +163,11 @@ def test_identity_suite_guard():
 
 
 def test_dimension_table_maximal_l4():
-    from kdmps.projectors import ProjectorSpec, build_bases, dense_projector, subspace_dimension
+    from kdmps.projectors import build_bases, dense_projector, expand_irreducible, subspace_dimension
 
     psi = random_mps(4, 2, bond_cap=None, seed=5)
     kept, disc = build_bases(psi)
     dims = [subspace_dimension(kept, n) for n in range(5)]
     assert dims == [1, 15, 0, 0, 0]
-    ranks = [dense_rank(dense_projector(ProjectorSpec.irreducible(n), kept, disc)) for n in range(5)]
+    ranks = [dense_rank(dense_projector(expand_irreducible(n, 4), kept, disc)) for n in range(5)]
     assert ranks == dims

@@ -36,7 +36,7 @@ from kdmps.mpo import (
     identity_mpo,
 )
 from kdmps.mps import load_mps, overlap, product_mps, random_mps, save_mps
-from kdmps.projectors import ProjectorSpec, apply_projector, build_bases, dense_projector
+from kdmps.projectors import apply_projector, build_bases, dense_projector, expand_global
 from kdmps.tensor import Tensor, TruncationPolicy, env_step_left
 
 DENSE_TOL = 1e-10
@@ -247,7 +247,7 @@ def test_membership_of_gauge_fixed_states():
     for n in (1, 2):
         x = init_excitation(kept, n, seed=13)
         m = materialize(x)
-        projected = apply_projector(ProjectorSpec.global_ns(n), kept, m)
+        projected = apply_projector(expand_global(n, kept.L), kept, m)
         npt.assert_allclose(dense_state(projected).vec, dense_state(m).vec, atol=DENSE_TOL)
 
 
@@ -386,7 +386,7 @@ def test_apply_matches_dense_projected_hamiltonian():
     for h in (heisenberg_mpo(L), haldane_shastry_mpo(L)):
         hm = dense_hamiltonian(h)
         for n in (1, 2, 3):
-            p = dense_projector(ProjectorSpec.global_ns(n), kept, disc)
+            p = dense_projector(expand_global(n, L), kept, disc)
             x = init_excitation(kept, n, seed=7)
             got = dense_state(materialize(apply_projected_h(x, h))).vec
             want = p @ hm @ dense_state(materialize(x)).vec
@@ -403,7 +403,7 @@ def test_apply_with_maximal_profile_annihilated_branches():
     hm = dense_hamiltonian(h)
     x = init_excitation(kept, 1, seed=13)
     assert any(np.allclose(chain[0].data, 0.0) for chain in x.windows[:-1])
-    p = dense_projector(ProjectorSpec.global_ns(1), kept, disc)
+    p = dense_projector(expand_global(1, L), kept, disc)
     got = dense_state(materialize(apply_projected_h(x, h))).vec
     want = p @ hm @ dense_state(materialize(x)).vec
     npt.assert_allclose(got, want, atol=1e-12)

@@ -1,4 +1,4 @@
-"""Tests for kept/discarded bases and the symbolic projector algebra."""
+"""Tests for kept/discarded bases and the sector-pair projector algebra."""
 
 import numpy as np
 import numpy.testing as npt
@@ -7,15 +7,17 @@ import pytest
 from kdmps.ed import dense_rank, dense_state
 from kdmps.mps import mps_norm, overlap, product_mps, random_mps
 from kdmps.projectors import (
-    ProjectorSpec,
+    _check_pair,
     apply_projector,
     apply_sector_pair,
     build_bases,
     convert_kd_dk,
     dense_projector,
     dense_sector_pair,
-    dense_terms,
     expand_global,
+    expand_irreducible,
+    expand_local,
+    expand_local_ortho,
     expand_tangent_mixed,
     subspace_dimension,
 )
@@ -39,8 +41,6 @@ def test_build_bases_maximal_profile_dimensions():
     assert kept.dims == (1, 2, 4, 2, 1)
     assert disc.left_dims == (0, 0, 6, 3)
     assert disc.right_dims == (3, 6, 0, 0)
-    assert [kept.discarded_left_dim(l) for l in range(1, 5)] == [0, 0, 6, 3]
-    assert [kept.discarded_right_dim(l) for l in range(1, 5)] == [3, 6, 0, 0]
 
 
 def test_build_bases_orthogonality_blocks():
@@ -75,32 +75,45 @@ def test_build_bases_reference_consistency():
         npt.assert_allclose(cur.reshape(-1), ref, atol=1e-12)
 
 
-# ---------- symbolic specs ----------
+# ---------- term builders ----------
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        ProjectorSpec.sector_pair("K", "X", 0, 1)
+        _check_pair(("K", "X", 0, 1), 4)
     with pytest.raises(ValueError):
-        ProjectorSpec.sector_pair("K", "K", 2, 2)
+        _check_pair(("K", "K", 2, 2), 4)
     with pytest.raises(ValueError):
-        ProjectorSpec.local_ns(2, 0).expand(4)
+        expand_local(2, 0, 4)
     with pytest.raises(ValueError):
-        ProjectorSpec.local_ns(2, 4).expand(4)
+        expand_local(2, 4, 4)
     with pytest.raises(ValueError):
-        ProjectorSpec.global_ns(5).expand(4)
+        expand_global(5, 4)
     with pytest.raises(ValueError):
-        ProjectorSpec.global_ns(1, anchor=5).expand(4)
+        expand_global(1, 4, anchor=5)
     with pytest.raises(ValueError):
-        ProjectorSpec.irreducible(-1).expand(4)
+        expand_irreducible(-1, 4)
     with pytest.raises(ValueError):
-        ProjectorSpec.local_ortho(1, 2, "x")
+        expand_local_ortho(1, 2, "x", 4)
+
+
+def test_bad_sector_letters_are_rejected():
+    kept, disc = build_bases(random_mps(4, 2, bond_cap=2, seed=2))
+    phi = random_mps(4, 2, bond_cap=2, seed=3)
+    with pytest.raises(ValueError, match="'K' or 'D'"):
+        apply_sector_pair(kept, ("K", "X", 0, 3), phi)
+    with pytest.raises(ValueError, match="'K' or 'D'"):
+        dense_sector_pair(kept, disc, ("k", "D", 1, 3))
+    with pytest.raises(ValueError, match="'K' or 'D'"):
+        apply_projector([(1.0, ("K", "K", 0, 2)), (1.0, ("K", "X", 0, 3))], kept, phi)
+    with pytest.raises(ValueError, match="'K' or 'D'"):
+        dense_projector([(1.0, ("k", "D", 1, 3))], kept, disc)
 
 
 def test_apply_rank_one_projector():
     kept, _ = build_bases(random_mps(4, 2, bond_cap=2, seed=2))
     phi = random_mps(4, 2, bond_cap=3, seed=3)
-    out = apply_projector(ProjectorSpec.irreducible(0), kept, phi)
+    out = apply_projector(expand_irreducible(0, 4), kept, phi)
     c = overlap(kept.reference, phi)
     npt.assert_allclose(dense_state(out).vec, c * dense_state(kept.reference).vec, atol=1e-12)
 
@@ -108,7 +121,7 @@ def test_apply_rank_one_projector():
 def test_irreducible_annihilates_reference():
     kept, _ = build_bases(random_mps(5, 2, bond_cap=2, seed=6))
     for n in range(1, 6):
-        out = apply_projector(ProjectorSpec.irreducible(n), kept, kept.reference)
+        out = apply_projector(expand_irreducible(n, 5), kept, kept.reference)
         assert mps_norm(out) <= 1e-12
 
 
@@ -117,31 +130,31 @@ def test_apply_matches_dense_action():
     kept, disc = build_bases(psi)
     phi = random_mps(5, 2, bond_cap=3, seed=12)
     vphi = dense_state(phi).vec
-    specs = [
-        ProjectorSpec.global_ns(1),
-        ProjectorSpec.global_ns(2),
-        ProjectorSpec.global_ns(2, anchor=1),
-        ProjectorSpec.irreducible(1),
-        ProjectorSpec.irreducible(3),
-        ProjectorSpec.local_ns(2, 2),
-        ProjectorSpec.local_ortho(1, 2, "<"),
-        ProjectorSpec.local_ortho(2, 3, ">"),
-        ProjectorSpec.sector_pair("D", "D", 2, 4),
-        ProjectorSpec.sector_pair("K", "D", 0, 3),
+    projectors = [
+        expand_global(1, 5),
+        expand_global(2, 5),
+        expand_global(2, 5, anchor=1),
+        expand_irreducible(1, 5),
+        expand_irreducible(3, 5),
+        expand_local(2, 2, 5),
+        expand_local_ortho(1, 2, "<", 5),
+        expand_local_ortho(2, 3, ">", 5),
+        [(1.0, ("D", "D", 2, 4))],
+        [(1.0, ("K", "D", 0, 3))],
     ]
-    for spec in specs:
-        dm = dense_projector(spec, kept, disc)
-        got = dense_state(apply_projector(spec, kept, phi)).vec
-        npt.assert_allclose(got, dm @ vphi, atol=DENSE_TOL, err_msg=str(spec))
+    for terms in projectors:
+        dm = dense_projector(terms, kept, disc)
+        got = dense_state(apply_projector(terms, kept, phi)).vec
+        npt.assert_allclose(got, dm @ vphi, atol=DENSE_TOL, err_msg=str(terms))
 
 
 def test_apply_projector_idempotent():
     psi = random_mps(5, 2, bond_cap=2, seed=13)
     kept, _ = build_bases(psi)
     phi = random_mps(5, 2, bond_cap=2, seed=14)
-    for spec in (ProjectorSpec.global_ns(1), ProjectorSpec.irreducible(2)):
-        once = apply_projector(spec, kept, phi)
-        twice = apply_projector(spec, kept, once)
+    for terms in (expand_global(1, 5), expand_irreducible(2, 5)):
+        once = apply_projector(terms, kept, phi)
+        twice = apply_projector(terms, kept, once)
         npt.assert_allclose(dense_state(twice).vec, dense_state(once).vec, atol=BLOCK_TOL)
 
 
@@ -160,7 +173,7 @@ def test_apply_boundary_discarded_sector_is_zero():
 def test_dense_one_site_projector_trace():
     kept, disc = build_bases(random_mps(5, 2, bond_cap=2, seed=21))
     for l in range(1, 6):
-        p = dense_projector(ProjectorSpec.local_ns(1, l), kept, disc)
+        p = dense_projector(expand_local(1, l, 5), kept, disc)
         want = kept.dims[l - 1] * kept.d * kept.dims[l]
         npt.assert_allclose(np.trace(p), want, atol=1e-9)
         assert dense_rank(p) == want
@@ -170,13 +183,13 @@ def test_dense_one_site_projector_trace():
 
 def test_dense_irreducible_trace_maximal_l4():
     kept, disc = build_bases(random_mps(4, 2, bond_cap=None, seed=8))
-    p = dense_projector(ProjectorSpec.irreducible(1), kept, disc)
+    p = dense_projector(expand_irreducible(1, 4), kept, disc)
     npt.assert_allclose(np.trace(p), 15.0, atol=1e-9)
 
 
 def test_dense_irreducible_partition_of_unity():
     kept, disc = build_bases(random_mps(4, 2, bond_cap=None, seed=9))
-    total = sum(dense_projector(ProjectorSpec.irreducible(n), kept, disc) for n in range(5))
+    total = sum(dense_projector(expand_irreducible(n, 4), kept, disc) for n in range(5))
     npt.assert_allclose(total, np.eye(16), atol=BLOCK_TOL)
 
 
@@ -218,7 +231,7 @@ def test_subspace_dimensions_match_ranks_random():
     for n in range(6):
         want = subspace_dimension(kept, n)
         total += want
-        p = dense_projector(ProjectorSpec.irreducible(n), kept, disc)
+        p = dense_projector(expand_irreducible(n, 5), kept, disc)
         assert dense_rank(p) == want
     assert total == 2**5
 
@@ -235,32 +248,31 @@ def test_subspace_dimension_range():
 def test_convert_single_term_window():
     psi = random_mps(4, 2, bond_cap=2, seed=30)
     kept, disc = build_bases(psi)
-    lhs, rhs = convert_kd_dk(kept, 1, 2, 2)
-    npt.assert_allclose(dense_terms(kept, disc, lhs), dense_terms(kept, disc, rhs), atol=BLOCK_TOL)
+    lhs, rhs = convert_kd_dk(4, 1, 2, 2)
+    npt.assert_allclose(dense_projector(lhs, kept, disc), dense_projector(rhs, kept, disc), atol=BLOCK_TOL)
 
 
 def test_convert_full_window_n1():
     psi = random_mps(4, 2, bond_cap=2, seed=31)
     kept, disc = build_bases(psi)
-    lhs, rhs = convert_kd_dk(kept, 1, 1, 4)
-    npt.assert_allclose(dense_terms(kept, disc, lhs), dense_terms(kept, disc, rhs), atol=BLOCK_TOL)
+    lhs, rhs = convert_kd_dk(4, 1, 1, 4)
+    npt.assert_allclose(dense_projector(lhs, kept, disc), dense_projector(rhs, kept, disc), atol=BLOCK_TOL)
 
 
 def test_tangent_mixed_form_matches_closed_form():
     psi = random_mps(4, 2, bond_cap=2, seed=32)
     kept, disc = build_bases(psi)
-    closed = dense_projector(ProjectorSpec.irreducible(1), kept, disc)
+    closed = dense_projector(expand_irreducible(1, 4), kept, disc)
     for anchor in range(1, 5):
-        mixed = dense_terms(kept, disc, expand_tangent_mixed(4, anchor))
+        mixed = dense_projector(expand_tangent_mixed(4, anchor), kept, disc)
         npt.assert_allclose(mixed, closed, atol=BLOCK_TOL)
 
 
 def test_convert_window_validation():
-    kept, _ = build_bases(random_mps(4, 2, bond_cap=2, seed=33))
     with pytest.raises(ValueError):
-        convert_kd_dk(kept, 1, 3, 2)
+        convert_kd_dk(4, 1, 3, 2)
     with pytest.raises(ValueError):
-        convert_kd_dk(kept, 2, 1, 4)
+        convert_kd_dk(4, 2, 1, 4)
 
 
 def test_global_default_anchor_matches_explicit():
@@ -268,6 +280,6 @@ def test_global_default_anchor_matches_explicit():
     psi = random_mps(L, 2, bond_cap=2, seed=34)
     kept, disc = build_bases(psi)
     for n in (1, 2):
-        default = dense_projector(ProjectorSpec.global_ns(n), kept, disc)
-        explicit = dense_terms(kept, disc, expand_global(n, L, L + 1 - n))
+        default = dense_projector(expand_global(n, L), kept, disc)
+        explicit = dense_projector(expand_global(n, L, L + 1 - n), kept, disc)
         npt.assert_array_equal(default, explicit)

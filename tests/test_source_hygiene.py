@@ -1,4 +1,5 @@
-"""Source hygiene: no package module imports a name it neither uses nor exports."""
+"""Source hygiene: no package module imports a name it neither uses nor
+exports, or exports a name it does not bind."""
 
 import ast
 from pathlib import Path
@@ -29,12 +30,48 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used | exported]
 
 
+def stale_exports(source: str) -> list[str]:
+    """Names ``__all__`` lists that no top-level statement of ``source``
+    binds (by import, def, class or assignment)."""
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            if any(getattr(t, "id", None) == "__all__" for t in targets):
+                exported = [elt.value for elt in node.value.elts]
+    return [name for name in exported if name not in bound]
+
+
 def test_checker_finds_a_planted_unused_import():
     source = "from __future__ import annotations\nimport os.path\nfrom .a import b, c as d\n__all__ = ['d']\nb()\n"
     assert unused_imports(source) == ["os"]
 
 
-@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_checker_finds_a_planted_stale_export():
+    source = (
+        "import os.path\nfrom .a import b as c\nX, Y = 1, 2\nZ: int = 3\n"
+        "def f():\n    gone = 1\nclass K:\n    pass\n"
+        "__all__ = ['os', 'c', 'X', 'Y', 'Z', 'f', 'K', 'b', 'gone', 'Spec']\n"
+    )
+    assert stale_exports(source) == ["b", "gone", "Spec"]
+
+
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_module_imports_only_what_it_uses(module):
     unused = [n for n in unused_imports((PACKAGE / f"{module}.py").read_text()) if (module, n) not in ALLOWED]
     assert not unused, f"kdmps.{module} imports {unused} without using or exporting them"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_exports_only_what_it_binds(module):
+    stale = stale_exports((PACKAGE / f"{module}.py").read_text())
+    assert not stale, f"kdmps.{module} lists {stale} in __all__ without binding them"

@@ -10,7 +10,7 @@ from kdmps.dmrg import DmrgOptions, dmrg_ground_state
 from kdmps.ed import dense_hamiltonian, dense_state
 from kdmps.mpo import haldane_shastry_mpo, heisenberg_mpo, mpo_shift
 from kdmps.mps import random_mps
-from kdmps.projectors import ProjectorSpec, build_bases, dense_projector
+from kdmps.projectors import build_bases, dense_projector, expand_irreducible
 from kdmps.tensor import TruncationPolicy
 from kdmps.variance import nsite_variance, write_variance_csv
 
@@ -43,7 +43,7 @@ def test_per_n_values_match_dense_projections():
     report = nsite_variance(psi, h, L)
     hv = dense_hamiltonian(h) @ dense_state(kept.reference).vec
     for n in range(1, L + 1):
-        p = dense_projector(ProjectorSpec.irreducible(n), kept, disc)
+        p = dense_projector(expand_irreducible(n, L), kept, disc)
         npt.assert_allclose(report.values[n - 1], float(hv @ p @ hv), atol=DECOMP_TOL)
 
 

@@ -10,18 +10,25 @@ single sum over positions, and sums of states act slot-wise on the window
 chains (interior window bonds add; recompression is a separate, explicit
 step).
 
-Applying the window-projected Hamiltonian uses two environment families
-per operator: for each count m of window tensors already absorbed, a left
-environment built against the reference's A-chain and a right environment
-against the B-chain. The recursions close over m (the m = n entries
-accumulate the sum over fully absorbed branches), after which each output
-window is assembled from 2n + 1 boundary terms and re-gauged.
+Applying the window-projected Hamiltonian runs on the dense branch windows
+T_l in one pass per reading direction; the backward pass is the forward one
+on the mirrored chain. For each output window the pass sums what reaches it
+from the left: the environment F with every earlier branch absorbed whole
+times the reference's B-window, the reference environment times T_l
+(forward only), and the branches l-1..l-n+1 absorbed part-way times the
+rest of the B-window. It applies the window's n MPO sites to that sum once;
+the result, closed by the reference environment on the right, is the
+output, and closed by the bra's A-window it is the next F. The operator
+cache (:class:`ExcEnvCache`) therefore depends only on the gauge, the
+operator and n, and the eigensolver's matvec never leaves the dense
+windows; chains are formed only for the returned state.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,10 +42,7 @@ from .projectors import KeptBases, _project_out_left, build_bases
 from .tensor import (
     Tensor,
     TruncationPolicy,
-    apply_window,
     chain_sum,
-    env_step_left,
-    env_step_right,
     qr,
     read_tensor_blob,
     svd_split,
@@ -129,9 +133,10 @@ def _window_to_chain(arr: np.ndarray, n: int) -> list[np.ndarray]:
     return out
 
 
-def _branch_window_shape(bases: KeptBases, n: int, l: int) -> tuple[int, ...]:
+def _window_shapes(bases: KeptBases, n: int) -> list[tuple[int, ...]]:
+    """The dense window shape of every branch l = 1..L-n+1."""
     dims = bases.dims
-    return (dims[l - 1],) + (bases.d,) * n + (dims[l + n - 1],)
+    return [(dims[l - 1],) + (bases.d,) * n + (dims[l + n - 1],) for l in range(1, bases.L - n + 2)]
 
 
 def _state_from_windows(bases: KeptBases, n: int, dense_windows: list[np.ndarray]) -> ExcitationState:
@@ -151,7 +156,7 @@ def init_excitation(bases: KeptBases, n: int, seed: int = 0) -> ExcitationState:
     if not 1 <= n <= bases.L:
         raise ValueError(f"n must lie in [1, {bases.L}]")
     rng = np.random.Generator(np.random.PCG64(seed))
-    windows = [rng.standard_normal(_branch_window_shape(bases, n, l)) for l in range(1, bases.L - n + 2)]
+    windows = [rng.standard_normal(shape) for shape in _window_shapes(bases, n)]
     x = _state_from_windows(bases, n, windows)
     x = gauge_fix_T1(x)
     nrm = np.sqrt(ex_overlap(x, x))
@@ -166,13 +171,8 @@ def gauge_fix_T1(x: ExcitationState) -> ExcitationState:
     Idempotent; branches whose first slot was purely kept-space content
     become zero. The anchor branch passes through unchanged.
     """
-    a = [t.data for t in x.bases.left]
-    chains = []
-    for l, chain in enumerate(x.windows, start=1):
-        arrs = [t.data for t in chain]
-        if l < x.anchor:
-            arrs[0] = _project_out_left(arrs[0], a[l - 1])
-        chains.append(site_tensors(arrs, l))
+    firsts = _gauge_fix_windows(x.bases, [chain[0].data for chain in x.windows])
+    chains = (site_tensors([t1] + x.branch_arrays(l)[1:], l) for l, t1 in enumerate(firsts, start=1))
     return ExcitationState(bases=x.bases, n=x.n, windows=tuple(chains))
 
 
@@ -198,9 +198,13 @@ def _check_compatible(x: ExcitationState, y: ExcitationState) -> None:
     entry by entry (an archive reloaded twice rebuilds equal ones)."""
     if x.n != y.n:
         raise ValueError("states must share the window size")
-    pairs = zip(x.bases.left + x.bases.right, y.bases.left + y.bases.right)
-    if x.bases is not y.bases and (x.L != y.L or not all(np.array_equal(s.data, t.data) for s, t in pairs)):
+    if not _same_gauge(x.bases, y.bases):
         raise ValueError("states must share a reference gauge")
+
+
+def _same_gauge(p: KeptBases, q: KeptBases) -> bool:
+    pairs = zip(p.left + p.right, q.left + q.right)
+    return p is q or (p.L == q.L and all(np.array_equal(s.data, t.data) for s, t in pairs))
 
 
 def ex_overlap(x: ExcitationState, y: ExcitationState) -> float:
@@ -303,30 +307,57 @@ def ground_state_in_ansatz(bases: KeptBases, n: int) -> ExcitationState:
 
 
 @dataclass(frozen=True)
-class ExcEnvCache:
-    """Left/right environments indexed by (absorbed window tensors m, bond).
+class _Reading:
+    """The reference seen in one reading direction of the chain.
 
-    ``lefts[(m, l)]`` covers sites 1..l with the bra on the A-chain;
-    ``rights[(m, l)]`` covers sites l..L with the bra on the B-chain.
-    Missing keys are structural zeros. The m = n entries accumulate the sum
-    over all branches absorbed whole. ``windows`` ties the cache to the
-    state it was built from.
+    Sites are numbered along the reading. ``bra[s-1]`` and ``ket[s-1]`` are
+    the left and right isometries of site s; ``ops[s-1]`` is its MPO site
+    as a (d w', w d) matrix (output leg and right bond by left bond and
+    input leg); ``lefts[k]`` covers sites 1..k and ``rights[k]`` sites
+    k+1..L (bond k, k = 0..L); ``bra_windows[l-1]`` is bra l..l+n-1
+    contracted into one (D, d, .., d, D) array.
     """
 
-    windows: tuple
+    bra: tuple[np.ndarray, ...]
+    ket: tuple[np.ndarray, ...]
+    ops: tuple[np.ndarray, ...]
+    lefts: tuple[np.ndarray, ...]
+    rights: tuple[np.ndarray, ...]
+    bra_windows: tuple[np.ndarray, ...]
+
+
+def _reading(bra, ket, ws, lefts, rights, n: int) -> _Reading:
+    ops = tuple(w.transpose(1, 3, 0, 2).reshape(w.shape[1] * w.shape[3], -1) for w in ws)
+    wins = tuple(_chain_to_window(bra[l : l + n]) for l in range(len(bra) - n + 1))
+    return _Reading(tuple(bra), tuple(ket), ops, tuple(lefts), tuple(rights), wins)
+
+
+@dataclass(frozen=True)
+class ExcEnvCache:
+    """What applying the projected operator needs besides the windows.
+
+    Depends only on the gauge ``bases``, the operator ``h`` and the window
+    size ``n``: ``forward`` holds the reference's isometries, MPO sites,
+    environments (reference in bra and ket) and A-windows in site order,
+    ``backward`` the same for the chain read backwards (B-windows as its bra
+    windows). It is built once per solve.
+    """
+
+    bases: KeptBases
     h: Mpo
-    lefts: dict[tuple[int, int], np.ndarray]
-    rights: dict[tuple[int, int], np.ndarray]
+    n: int
+    forward: _Reading
+    backward: _Reading
 
 
 def build_exc_env(x: ExcitationState, h: Mpo, base: EnvCache | None = None) -> ExcEnvCache:
-    """All (m, bond) environments for applying the projected operator.
+    """The per-operator cache for applying ``h`` to states in the gauge and
+    window size of ``x``; the windows of ``x`` are not read.
 
-    The m = 0 entries depend only on the reference gauge and the operator;
-    they are taken from ``base`` (the reference's :class:`EnvCache` for
-    ``h``), so a caller applying the operator many times builds that once.
+    The reference environments are taken from ``base`` (the reference's
+    :class:`EnvCache` for ``h``) when given.
     """
-    L, n, nb = x.L, x.n, x.n_branches
+    L, n = x.L, x.n
     if h.L != L or h.d != x.d:
         raise ValueError("operator shape disagrees with the state")
     if base is None:
@@ -336,117 +367,158 @@ def build_exc_env(x: ExcitationState, h: Mpo, base: EnvCache | None = None) -> E
     a = [t.data for t in x.bases.left]
     b = [t.data for t in x.bases.right]
     w = [t.data for t in h.sites]
-    t = [x.branch_arrays(l) for l in range(1, nb + 1)]
+    forward = _reading(a, b, w, base.lefts, base.rights[1:], n)
+    backward = _reading(
+        [np.ascontiguousarray(t.T) for t in reversed(b)],  # .T reverses every axis
+        [np.ascontiguousarray(t.T) for t in reversed(a)],
+        [t.transpose(3, 1, 2, 0) for t in reversed(w)],
+        base.rights[:0:-1],
+        base.lefts[::-1],
+        n,
+    )
+    return ExcEnvCache(bases=x.bases, h=h, n=n, forward=forward, backward=backward)
 
-    # (m, l): m window slots absorbed by site l. The open part absorbs slot m
-    # at site l; at m = n the closed part, added first, carries the branches
-    # absorbed whole on along the B-chain (on the right: the A-chain).
-    lefts: dict[tuple[int, int], np.ndarray] = {(0, l): base.lefts[l] for l in range(0, L + 1)}
-    for l in range(1, L + 1):
-        for m in range(1, n + 1):
-            parts = []
-            if m == n and (n, l - 1) in lefts:
-                parts.append(env_step_left(lefts[(n, l - 1)], a[l - 1], w[l - 1], b[l - 1]))
-            branch = l - m + 1
-            if 1 <= branch <= nb and (m - 1, l - 1) in lefts:
-                parts.append(env_step_left(lefts[(m - 1, l - 1)], a[l - 1], w[l - 1], t[branch - 1][m - 1]))
-            if parts:
-                lefts[(m, l)] = sum(parts[1:], parts[0])
 
-    rights: dict[tuple[int, int], np.ndarray] = {(0, l): base.rights[l] for l in range(1, L + 2)}
-    for l in range(L, 0, -1):
-        for m in range(1, n + 1):
-            parts = []
-            if m == n and (n, l + 1) in rights:
-                parts.append(env_step_right(rights[(n, l + 1)], b[l - 1], w[l - 1], a[l - 1]))
-            branch = l + m - n
-            if 1 <= branch <= nb and (m - 1, l + 1) in rights:
-                parts.append(env_step_right(rights[(m - 1, l + 1)], b[l - 1], w[l - 1], t[branch - 1][n - m]))
-            if parts:
-                rights[(m, l)] = sum(parts[1:], parts[0])
+# The pass keeps every open environment C-contiguous in the axis order
+# (bra bond, output legs..., MPO bond, ket legs..., ket bond), so each
+# contraction below is one matrix product on reshaped views, without the
+# transposed copies a general tensordot makes.
 
-    return ExcEnvCache(windows=x.windows, h=h, lefts=lefts, rights=rights)
+
+def _ket_step(env: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """Contract the left bond of ``ket`` against the last axis of ``env``."""
+    k = ket.shape[0]
+    return (env.reshape(-1, k) @ ket.reshape(k, -1)).reshape(*env.shape[:-1], *ket.shape[1:])
+
+
+def _mpo_step(z: np.ndarray, op: np.ndarray, j: int) -> np.ndarray:
+    """Apply an MPO site (a ``_Reading.ops`` matrix) to an open environment
+    with ``j`` output legs: its MPO bond and next ket leg are contracted, and
+    the new output leg goes after the others."""
+    lead, d = z.shape[: j + 1], z.shape[j + 2]
+    y = np.matmul(op, z.reshape(math.prod(lead), op.shape[1], -1))
+    return y.reshape(*lead, d, op.shape[0] // d, *z.shape[j + 3 :])
+
+
+def _close(bra: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Contract a bra's left bond and physical legs against the leading axes
+    of ``y``; its right bond goes first."""
+    k = bra.shape[-1]
+    rows = bra.size // k
+    return (bra.reshape(rows, k).T @ y.reshape(rows, -1)).reshape(k, *y.shape[bra.ndim - 1 :])
+
+
+def _absorb(r: _Reading, windows: list[np.ndarray], n: int, diagonal: bool):
+    """One pass over the branch windows along a reading direction.
+
+    Yields, for each output window l in turn, the window collecting every
+    input branch left of it (and branch l itself when ``diagonal``), and F at
+    bond l+n-1: the environment with all branches up to l absorbed whole.
+    The input to the window's n MPO sites is the sum of F at bond l-1 times
+    the ket window, the reference environment times T_l (when
+    ``diagonal``), and the branches l-1..l-n+1 absorbed part-way times the
+    rest of the ket window. The partial environments come from a chain per
+    branch, which without ``diagonal`` runs one slot further and adds the
+    branch's own share to F. Only the last n environments of each kind are
+    kept alive.
+    """
+    fs: dict[int, np.ndarray] = {}  # F by bond
+    partials: dict[int, list[np.ndarray]] = {}  # partials[l][j-1]: branch l, j slots absorbed
+    for l in range(1, len(windows) + 1):
+        acc = fs.pop(l - 1, None)
+        if acc is None:
+            acc = np.zeros_like(r.lefts[l - 1])
+        for j in range(n - 1, 0, -1):  # Horner over the part-way branches l - j
+            acc = _ket_step(acc, r.ket[l + n - 2 - j])
+            if l - j in partials:
+                acc += partials[l - j][j - 1]
+        z = _ket_step(acc, r.ket[l + n - 2])
+        g = _ket_step(r.lefts[l - 1], windows[l - 1])
+        if diagonal:
+            z += g
+        chain = []
+        for s in range(l, l + (n - 1 if diagonal else n)):
+            g = _close(r.bra[s - 1], _mpo_step(g, r.ops[s - 1], 0))
+            chain.append(g)
+        partials[l] = chain[: n - 1]
+        partials.pop(l - n + 1, None)  # its last use was this window's Horner sum
+        for j in range(n):
+            z = _mpo_step(z, r.ops[l - 1 + j], j)
+        f = _close(r.bra_windows[l - 1], z)
+        fs[l + n - 1] = f if diagonal else f + chain[-1]
+        right = r.rights[l + n - 1]
+        out = z.reshape(-1, right[0].size) @ right.reshape(len(right), -1).T
+        yield out.reshape(*z.shape[:-2], len(right)), fs[l + n - 1]
+
+
+def _gauge_fix_windows(bases: KeptBases, windows: list[np.ndarray]) -> list[np.ndarray]:
+    """Dense windows with every non-anchor first slot projected to the
+    discarded space (:func:`gauge_fix_T1` on dense windows)."""
+    out = []
+    for l, w in enumerate(windows, start=1):
+        if l < len(windows):
+            w = _project_out_left(w.reshape(w.shape[0], bases.d, -1), bases.left[l - 1].data).reshape(w.shape)
+        out.append(w)
+    return out
+
+
+def _apply_windows(env: ExcEnvCache, windows: list[np.ndarray]) -> list[np.ndarray]:
+    """The projected operator on gauge-fixed dense branch windows: the
+    forward pass collects the input branches at or left of each output
+    window, the pass over the mirrored chain those right of it."""
+    n = env.n
+    out = [y for y, _ in _absorb(env.forward, windows, n, diagonal=True)]
+    mirrored = _absorb(env.backward, [t.T for t in reversed(windows)], n, diagonal=False)
+    for y, (back, _) in zip(reversed(out), mirrored):
+        y += back.T
+    return _gauge_fix_windows(env.bases, out)
 
 
 def apply_projected_h(x: ExcitationState, h: Mpo, env: ExcEnvCache | None = None) -> ExcitationState:
     """The window-projected operator applied to a gauge-fixed state.
 
     Returns the state whose branches are the projector-frame components of
-    H|x>: for each output window, terms with the input branch left of the
-    window close through the m-counted left environments, terms at or
-    right of it through the right ones (2n + 1 terms in total). Non-anchor
-    outputs are re-projected to the discarded space on their first slot.
+    H|x>, non-anchor outputs re-projected to the discarded space on their
+    first slot. Runs on the dense windows (see :func:`_absorb`); ``env``
+    must belong to the gauge, operator and window size of ``x``.
     """
     if env is None:
         env = build_exc_env(x, h)
-    if env.windows is not x.windows or env.h is not h:
-        raise ValueError("environment cache is stale for this state/operator")
-    L, n, nb, d = x.L, x.n, x.n_branches, x.d
-    a = [t.data for t in x.bases.left]
-    b = [t.data for t in x.bases.right]
-    w = [t.data for t in h.sites]
-    t = [x.branch_arrays(l) for l in range(1, nb + 1)]
-
-    windows_out: list[np.ndarray] = []
-    for l in range(1, nb + 1):
-        ws = w[l - 1 : l + n - 1]
-        tilde = np.zeros(_branch_window_shape(x.bases, n, l))
-        # input branch strictly left of the output window
-        for m in range(1, n + 1):
-            lenv = env.lefts.get((m, l - 1))
-            renv = env.rights.get((0, l + n))
-            if lenv is None or renv is None:
-                continue
-            if m == n:
-                kets = b[l - 1 : l + n - 1]
-            else:
-                branch = l - m
-                kets = list(t[branch - 1][m:]) + b[l + n - m - 1 : l + n - 1]
-            tilde = tilde + apply_window(lenv, ws, kets, renv)
-        # input branch at or right of the output window
-        for m in range(0, n + 1):
-            lenv = env.lefts.get((0, l - 1))
-            renv = env.rights.get((m, l + n))
-            if lenv is None or renv is None:
-                continue
-            if m == n:
-                kets = a[l - 1 : l + n - 1]
-            else:
-                branch = l + m
-                if branch > nb:
-                    continue
-                kets = a[l - 1 : l + m - 1] + list(t[branch - 1][: n - m])
-            tilde = tilde + apply_window(lenv, ws, kets, renv)
-        if l < x.anchor:
-            shape = tilde.shape
-            tilde = _project_out_left(tilde.reshape(shape[0], d, -1), a[l - 1]).reshape(shape)
-        windows_out.append(tilde)
-    return _state_from_windows(x.bases, n, windows_out)
+    if env.h is not h or env.n != x.n or not _same_gauge(env.bases, x.bases):
+        raise ValueError("environment cache belongs to another gauge, operator or window size")
+    windows = [_chain_to_window(x.branch_arrays(l)) for l in range(1, x.n_branches + 1)]
+    return _state_from_windows(x.bases, x.n, _apply_windows(env, windows))
 
 
 # ---------- flat parameter vectors and the eigensolver ----------
 
 
-def _flat_sizes(bases: KeptBases, n: int) -> list[int]:
-    return [int(np.prod(_branch_window_shape(bases, n, l))) for l in range(1, bases.L - n + 2)]
-
-
 def flatten(x: ExcitationState) -> np.ndarray:
     """Concatenated dense branch windows. For gauge-fixed states the flat
     dot product equals the state inner product."""
-    return np.concatenate([_chain_to_window(x.branch_arrays(l)).reshape(-1) for l in range(1, x.n_branches + 1)])
+    return _join_flat([_chain_to_window(x.branch_arrays(l)) for l in range(1, x.n_branches + 1)])
 
 
-def state_from_flat(bases: KeptBases, n: int, vec: np.ndarray) -> ExcitationState:
-    sizes = _flat_sizes(bases, n)
+def _split_flat(bases: KeptBases, n: int, vec: np.ndarray) -> list[np.ndarray]:
+    """The dense branch windows of a flat vector (views into it)."""
+    shapes = _window_shapes(bases, n)
+    sizes = [math.prod(shape) for shape in shapes]
     if vec.shape != (sum(sizes),):
         raise ValueError("flat vector has the wrong size")
     windows = []
     offset = 0
-    for l, size in enumerate(sizes, start=1):
-        windows.append(vec[offset : offset + size].reshape(_branch_window_shape(bases, n, l)))
+    for shape, size in zip(shapes, sizes):
+        windows.append(vec[offset : offset + size].reshape(shape))
         offset += size
-    return _state_from_windows(bases, n, windows)
+    return windows
+
+
+def _join_flat(windows: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate([w.reshape(-1) for w in windows])
+
+
+def state_from_flat(bases: KeptBases, n: int, vec: np.ndarray) -> ExcitationState:
+    return _state_from_windows(bases, n, _split_flat(bases, n, vec))
 
 
 @dataclass(frozen=True)
@@ -479,24 +551,29 @@ def solve_lowest_excitation(gs: Mps, h: Mpo, n: int, opts: ExcitationOptions | N
 
     Runs Lanczos on the projected operator over the gauge-fixed window
     parameters, deflating the reference itself from the search space at
-    every iteration (the window form contains it). Reports <S^z> and <S^2>
-    of the returned vector (see :class:`ExcitationResult`).
+    every iteration (the window form contains it). The matvec stays on the
+    flat vector of dense windows, with one operator cache per solve; only
+    the returned state is split into window chains. Reports <S^z> and
+    <S^2> of the returned vector (see :class:`ExcitationResult`).
     """
     opts = opts or ExcitationOptions()
     bases, _ = build_bases(gs)
     if not 1 <= n <= bases.L:
         raise ValueError(f"n must lie in [1, {bases.L}]")
-    gs_flat = flatten(ground_state_in_ansatz(bases, n))
-    base = build_env(bases.reference, h, bases=bases)
+    reference = ground_state_in_ansatz(bases, n)
+    gs_flat = flatten(reference)
+    env = build_exc_env(reference, h)
+
+    def fixed(vec: np.ndarray) -> list[np.ndarray]:
+        return _gauge_fix_windows(bases, _split_flat(bases, n, vec))
 
     def matvec(vec: np.ndarray) -> np.ndarray:
         # gauge-fixing first makes the operator symmetric on the whole flat
         # space, so kept-space round-off in the Krylov basis cannot grow
-        state = gauge_fix_T1(state_from_flat(bases, n, vec))
-        return flatten(apply_projected_h(state, h, build_exc_env(state, h, base)))
+        return _join_flat(_apply_windows(env, fixed(vec)))
 
     rng = np.random.Generator(np.random.PCG64(opts.seed))
-    v0 = flatten(gauge_fix_T1(state_from_flat(bases, n, rng.standard_normal(gs_flat.shape))))
+    v0 = _join_flat(fixed(rng.standard_normal(gs_flat.shape)))
     res = lanczos_lowest(matvec, v0, max_iter=EXCITE_MAX_ITER, tol=opts.tol, orth_against=(gs_flat,))
 
     state = gauge_fix_T1(state_from_flat(bases, n, res.vector))

@@ -349,7 +349,10 @@ def apply_sector_pair(bases: KeptBases, pair: Pair, phi: Mps) -> Mps:
 def apply_projector(terms: Terms, bases: KeptBases, phi: Mps) -> Mps:
     """Apply a sector-pair term list to a state: one MPS branch per term,
     returned as their coefficient-weighted direct sum
-    (:func:`~kdmps.tensor.chain_sum`; bond dimensions add)."""
+    (:func:`~kdmps.tensor.chain_sum`; bond dimensions add). The empty list
+    is the zero projector and returns the zero state."""
+    if not terms:
+        return _zero_like(phi)
     branches = [[t.data for t in apply_sector_pair(bases, pair, phi).plain_sites()] for _, pair in terms]
     return Mps(site_tensors(chain_sum(branches, [coeff for coeff, _ in terms])))
 

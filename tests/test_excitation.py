@@ -11,6 +11,8 @@ from kdmps.dmrg import DmrgOptions, dmrg_ground_state
 from kdmps.ed import dense_hamiltonian, dense_state, exact_spectrum
 from kdmps.excitation import (
     ExcitationOptions,
+    _absorb,
+    _chain_to_window,
     apply_projected_h,
     branch_mps,
     build_exc_env,
@@ -37,7 +39,7 @@ from kdmps.mpo import (
 )
 from kdmps.mps import load_mps, overlap, product_mps, random_mps, save_mps
 from kdmps.projectors import apply_projector, build_bases, dense_projector, expand_global
-from kdmps.tensor import Tensor, TruncationPolicy, env_step_left
+from kdmps.tensor import Tensor, TruncationPolicy, env_step_left, env_step_right
 
 DENSE_TOL = 1e-10
 
@@ -254,29 +256,58 @@ def test_membership_of_gauge_fixed_states():
 # ---------- environments ----------
 
 
+def _passes(x, h, env=None):
+    """(out, F) pairs of the forward pass and of the pass over the mirrored
+    chain, on the dense windows of ``x``."""
+    env = env or build_exc_env(x, h)
+    windows = [_chain_to_window(x.branch_arrays(l)) for l in range(1, x.n_branches + 1)]
+    forward = list(_absorb(env.forward, windows, x.n, diagonal=True))
+    mirrored = [np.transpose(w) for w in reversed(windows)]
+    return forward, list(_absorb(env.backward, mirrored, x.n, diagonal=False))
+
+
+def _branch_env(kept, h, x, branch, sites, right=False):
+    """<A-chain | h | branch> over sites 1..sites (or, with ``right``, over
+    sites..L against the B-chain), contracted directly."""
+    L, n = kept.L, x.n
+    ket = [t.data for t in kept.left[: branch - 1]] + x.branch_arrays(branch)
+    ket += [t.data for t in kept.right[branch + n - 1 :]]
+    w = [t.data for t in h.sites]
+    env = np.ones((1, 1, 1))
+    if right:
+        for s in range(L, sites - 1, -1):
+            env = env_step_right(env, kept.right[s - 1].data, w[s - 1], ket[s - 1])
+    else:
+        for s in range(1, sites + 1):
+            env = env_step_left(env, kept.left[s - 1].data, w[s - 1], ket[s - 1])
+    return env
+
+
 def test_exc_env_zero_windows_reduce_to_plain_environments():
     from kdmps.dmrg import build_env
 
     kept = bases_for(5, 2, 15)
     h = heisenberg_mpo(5)
-    x = ex_scale(init_excitation(kept, 1, seed=1), 0.0)
-    env = build_exc_env(x, h)
     plain = build_env(kept.reference, h, bases=kept)
-    for l in range(0, 6):
-        npt.assert_allclose(env.lefts[(0, l)], plain.lefts[l], atol=1e-13)
-        if (1, l) in env.lefts:
-            npt.assert_allclose(env.lefts[(1, l)], 0.0, atol=0)
-    for l in range(1, 7):
-        npt.assert_allclose(env.rights[(0, l)], plain.rights[l], atol=1e-13)
-        if (1, l) in env.rights:
-            npt.assert_allclose(env.rights[(1, l)], 0.0, atol=0)
+    for n in (1, 2):
+        x = ex_scale(init_excitation(kept, n, seed=1), 0.0)
+        env = build_exc_env(x, h)
+        for k in range(0, 6):
+            npt.assert_array_equal(env.forward.lefts[k], plain.lefts[k])
+            npt.assert_array_equal(env.forward.rights[k], plain.rights[k + 1])
+            npt.assert_array_equal(env.backward.lefts[k], plain.rights[6 - k])
+            npt.assert_array_equal(env.backward.rights[k], plain.lefts[5 - k])
+        forward, backward = _passes(x, h, env)
+        for out, f in forward + backward:
+            npt.assert_array_equal(out, 0.0)
+            npt.assert_array_equal(f, 0.0)
 
 
 def test_exc_env_identity_mpo_gives_partial_overlap_transfer():
     L = 4
     kept = bases_for(L, 2, 16)
     x = init_excitation(kept, 1, seed=2)
-    env = build_exc_env(x, identity_mpo(L))
+    forward, _ = _passes(x, identity_mpo(L))
     a = [t.data for t in kept.left]
     t = [x.windows[l - 1][0].data for l in range(1, L + 1)]
     for l in range(1, L + 1):
@@ -289,30 +320,25 @@ def test_exc_env_identity_mpo_gives_partial_overlap_transfer():
                 tmp = np.tensordot(g, a[s - 1], axes=(0, 0))
                 g = np.tensordot(tmp, ket, axes=((0, 1), (0, 1)))
             acc += g
-        got = env.lefts[(1, l)][:, 0, :]
+        got = forward[l - 1][1][:, 0, :]
         npt.assert_allclose(got, acc, atol=1e-12)
 
 
 def test_exc_env_recursions_rebuild():
+    # F at bond l + n - 1 sums the branches 1..l absorbed whole, both ways
     L, n = 5, 2
     kept = bases_for(L, 2, 17)
     h = heisenberg_mpo(L)
     x = init_excitation(kept, n, seed=3)
-    env = build_exc_env(x, h)
-    a = [t.data for t in kept.left]
-    b = [t.data for t in kept.right]
-    w = [t.data for t in h.sites]
-    t = [[tt.data for tt in chain] for chain in x.windows]
-    nb = L - n + 1
-    for l in range(1, L + 1):
-        branch = l - n + 1
-        parts = []
-        if (n, l - 1) in env.lefts:
-            parts.append(env_step_left(env.lefts[(n, l - 1)], a[l - 1], w[l - 1], b[l - 1]))
-        if 1 <= branch <= nb and (n - 1, l - 1) in env.lefts:
-            parts.append(env_step_left(env.lefts[(n - 1, l - 1)], a[l - 1], w[l - 1], t[branch - 1][n - 1]))
-        if parts:
-            npt.assert_allclose(env.lefts[(n, l)], sum(parts[1:], parts[0]), atol=1e-12)
+    forward, backward = _passes(x, h)
+    nb = x.n_branches
+    for l in range(1, nb + 1):
+        want = sum(_branch_env(kept, h, x, lp, l + n - 1) for lp in range(1, l + 1))
+        npt.assert_allclose(forward[l - 1][1], want, atol=1e-12)
+        # the mirrored pass at its window l: branches nb + 1 - l .. nb, sites nb + 1 - l .. L
+        first = nb + 1 - l
+        want = sum(_branch_env(kept, h, x, lp, first, right=True) for lp in range(first, nb + 1))
+        npt.assert_allclose(backward[l - 1][1], want, atol=1e-12)
 
 
 def test_exc_env_cached_reference_environments_match_rebuilt():
@@ -336,10 +362,24 @@ def test_exc_env_stale_cache_rejected():
     kept = bases_for(4, 2, 18)
     h = heisenberg_mpo(4)
     x = init_excitation(kept, 1, seed=4)
-    y = init_excitation(kept, 1, seed=5)
     env = build_exc_env(x, h)
-    with pytest.raises(ValueError, match="stale"):
-        apply_projected_h(y, h, env=env)
+    other_gauge = init_excitation(bases_for(4, 2, 19), 1, seed=4)
+    for y, op in ((other_gauge, h), (x, heisenberg_mpo(4)), (init_excitation(kept, 2, seed=4), h)):
+        with pytest.raises(ValueError, match="another gauge, operator or window size"):
+            apply_projected_h(y, op, env=env)
+
+
+def test_exc_env_cache_serves_every_state_of_its_gauge():
+    kept = bases_for(6, 2, 18)
+    h = haldane_shastry_mpo(6)
+    for n in (1, 2):
+        x = init_excitation(kept, n, seed=4)
+        y = init_excitation(kept, n, seed=5)
+        reused = apply_projected_h(y, h, env=build_exc_env(x, h))
+        fresh = apply_projected_h(y, h, env=build_exc_env(y, h))
+        for ca, cb in zip(reused.windows, fresh.windows):
+            for ta, tb in zip(ca, cb):
+                npt.assert_array_equal(ta.data, tb.data)
 
 
 # ---------- projected Hamiltonian ----------
@@ -484,6 +524,80 @@ def test_solve_window_nesting_improves_energy():
     e1 = solve_lowest_excitation(gs.psi, h, 1, ExcitationOptions(tol=1e-10)).energy
     e2 = solve_lowest_excitation(gs.psi, h, 2, ExcitationOptions(tol=1e-10)).energy
     assert e2 <= e1 + 1e-12
+
+
+class _Captured(Exception):
+    pass
+
+
+def _solver_matvec(monkeypatch, gs, h, n):
+    """The flat matvec solve_lowest_excitation hands to Lanczos."""
+    import kdmps.excitation as kexc
+
+    def capture(matvec, *args, **kwargs):
+        raise _Captured(matvec)
+
+    monkeypatch.setattr(kexc, "lanczos_lowest", capture)
+    with pytest.raises(_Captured) as caught:
+        solve_lowest_excitation(gs, h, n)
+    monkeypatch.undo()
+    return caught.value.args[0]
+
+
+@pytest.mark.parametrize("model, L, cap", [(heisenberg_mpo, 8, 8), (haldane_shastry_mpo, 10, 16)])
+def test_solver_matvec_symmetric_on_the_whole_flat_space(monkeypatch, model, L, cap):
+    # Lanczos needs <x, A y> = <y, A x> also off the gauge-fixed subspace
+    gs = random_mps(L, 2, bond_cap=cap, seed=4)
+    h = model(L)
+    kept, _ = build_bases(gs)
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3):
+        matvec = _solver_matvec(monkeypatch, gs, h, n)
+        size = flatten(init_excitation(kept, n)).size
+        x, y = rng.standard_normal(size), rng.standard_normal(size)
+        ax, ay = matvec(x), matvec(y)
+        bound = 1e-12 * max(1.0, np.linalg.norm(x) * np.linalg.norm(ay))
+        assert abs(x @ ay - y @ ax) <= bound
+
+
+def test_solver_keeps_windows_dense_inside_lanczos(monkeypatch):
+    # the matvec must not split windows into chains; only the result is split
+    import kdmps.excitation as kexc
+
+    def no_chains(*args, **kwargs):
+        raise AssertionError("window split into a chain inside the Lanczos loop")
+
+    real = kexc.lanczos_lowest
+
+    def guarded(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(kexc, "_window_to_chain", no_chains)
+            return real(*args, **kwargs)
+
+    monkeypatch.setattr(kexc, "lanczos_lowest", guarded)
+    h = haldane_shastry_mpo(6)
+    gs = dmrg_ground_state(random_mps(6, 2, bond_cap=4, seed=2), h, "2s", DmrgOptions(n_sweeps=6)).psi
+    for n in (1, 2):
+        res = solve_lowest_excitation(gs, h, n)
+        assert res.converged
+        assert len(res.state.windows[0]) == n
+
+
+def test_apply_peak_memory_stays_below_bound():
+    # one pass keeps only the last n absorbed environments alive, not one
+    # per bond; the peak was 5.2 MiB when this bound was set
+    import tracemalloc
+
+    kept, _ = build_bases(random_mps(12, 2, 32, seed=0))
+    h = haldane_shastry_mpo(12)
+    x = init_excitation(kept, 2, seed=0)
+    tracemalloc.start()
+    try:
+        apply_projected_h(x, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_apply_cost_grows_at_most_linearly_in_local_dimension():

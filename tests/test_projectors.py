@@ -158,6 +158,15 @@ def test_apply_projector_idempotent():
         npt.assert_allclose(dense_state(twice).vec, dense_state(once).vec, atol=BLOCK_TOL)
 
 
+def test_empty_term_list_is_the_zero_projector():
+    phi = random_mps(4, 2, bond_cap=2, seed=2)
+    kept, disc = build_bases(phi)
+    vec = dense_state(phi).vec
+    got = dense_state(apply_projector([], kept, phi)).vec
+    npt.assert_array_equal(got, np.zeros_like(vec))
+    npt.assert_array_equal(got, dense_projector([], kept, disc) @ vec)
+
+
 def test_apply_boundary_discarded_sector_is_zero():
     kept, _ = build_bases(random_mps(3, 2, bond_cap=2, seed=1))
     phi = random_mps(3, 2, bond_cap=2, seed=2)

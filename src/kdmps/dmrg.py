@@ -83,13 +83,12 @@ def build_env(psi: Mps, h: Mpo, bases: KeptBases | None = None) -> EnvCache:
         raise ValueError("state and operator shapes disagree")
     a = [t.data for t in bases.left]
     b = [t.data for t in bases.right]
-    w = [t.data for t in h.sites]
     lefts: list[np.ndarray] = [np.ones((1, 1, 1))]
     for l in range(1, L + 1):
-        lefts.append(env_step_left(lefts[l - 1], a[l - 1], w[l - 1], a[l - 1]))
+        lefts.append(env_step_left(lefts[l - 1], a[l - 1], h.ops[l - 1], a[l - 1]))
     rights: list[np.ndarray] = [np.ones((1, 1, 1))] * (L + 2)
     for l in range(L, 0, -1):
-        rights[l] = env_step_right(rights[l + 1], b[l - 1], w[l - 1], b[l - 1])
+        rights[l] = env_step_right(rights[l + 1], b[l - 1], h.mirrored_ops[l - 1], b[l - 1])
     return EnvCache(bases=bases, h=h, lefts=tuple(lefts), rights=tuple(rights))
 
 
@@ -102,7 +101,8 @@ class EffectiveHam:
 
     ``mode`` is "bond" (acting on a D x D bond matrix at bond ``site``),
     "1s" (a single site tensor at ``site``) or "2s" (the pair ``site``,
-    ``site``+1 and the bond between).
+    ``site``+1 and the bond between). ``ws`` are the window's MPO sites and
+    ``ops`` the same sites as kernel matrices (:attr:`kdmps.mpo.Mpo.ops`).
     """
 
     mode: str
@@ -110,40 +110,31 @@ class EffectiveHam:
     left: np.ndarray
     right: np.ndarray
     ws: tuple[np.ndarray, ...]
+    ops: tuple[np.ndarray, ...]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return apply_window(self.left, self.ws, (x,), self.right)
+        return apply_window(self.left, self.ops, (x,), self.right)
 
     def matvec(self, flat: np.ndarray) -> np.ndarray:
         return self.apply(flat.reshape(self.x_shape)).reshape(-1)
 
     @property
     def x_shape(self) -> tuple[int, ...]:
-        dl = self.left.shape[2]
-        dr = self.right.shape[2]
-        if self.mode == "bond":
-            return (dl, dr)
-        phys_dims = tuple(w.shape[2] for w in self.ws)
-        return (dl, *phys_dims, dr)
+        return (self.left.shape[2], *(w.shape[2] for w in self.ws), self.right.shape[2])
 
 
 def effective_ham(env: EnvCache, mode: str, site: int) -> EffectiveHam:
     """The bond/one-site/two-site effective Hamiltonian from a cache."""
-    w = [t.data for t in env.h.sites]
     L = env.bases.L
-    if mode == "bond":
-        if not 0 <= site <= L:
-            raise ValueError("bond index out of range")
-        return EffectiveHam("bond", site, env.lefts[site], env.rights[site + 1], ())
-    if mode == "1s":
-        if not 1 <= site <= L:
-            raise ValueError("site index out of range")
-        return EffectiveHam("1s", site, env.lefts[site - 1], env.rights[site + 1], (w[site - 1],))
-    if mode == "2s":
-        if not 1 <= site <= L - 1:
-            raise ValueError("two-site window out of range")
-        return EffectiveHam("2s", site, env.lefts[site - 1], env.rights[site + 2], (w[site - 1], w[site]))
-    raise ValueError(f"unknown mode {mode!r}")
+    width = {"bond": 0, "1s": 1, "2s": 2}.get(mode)
+    if width is None:
+        raise ValueError(f"unknown mode {mode!r}")
+    first = site + 1 if mode == "bond" else site  # first site in the window
+    if not 1 <= first <= L + 1 - width:
+        raise ValueError(f"{mode} window at {site} out of range")
+    ws = tuple(t.data for t in env.h.sites[first - 1 : first - 1 + width])
+    ops = env.h.ops[first - 1 : first - 1 + width]
+    return EffectiveHam(mode, site, env.lefts[first - 1], env.rights[first + width], ws, ops)
 
 
 def apply_effective(heff: EffectiveHam, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
@@ -298,6 +289,7 @@ class _Sweeper:
         self.center = 1
         self.h = h
         self.w = [t.data for t in h.sites]
+        self.ops, self.mirrored_ops = h.ops, h.mirrored_ops
         self.L = h.L
         self.d = h.d
         self.opts = opts
@@ -305,17 +297,12 @@ class _Sweeper:
         self.rights: list[np.ndarray | None] = [None] * (self.L + 2)
         self.lefts[0] = np.ones((1, 1, 1))
         self.rights[self.L + 1] = np.ones((1, 1, 1))
-        for l in range(self.L, 1, -1):
-            self.rights[l] = env_step_right(self.rights[l + 1], self.sites[l - 1], self.w[l - 1], self.sites[l - 1])
         # overlap environments per orthogonality constraint: (ket bond, gs bond)
         self.ortho = [[t.data for t in g.plain_sites()] for g in opts.orthogonal_to]
-        self.olefts = [[None] * (self.L + 1) for _ in self.ortho]
-        self.orights = [[None] * (self.L + 2) for _ in self.ortho]
-        for i, g in enumerate(self.ortho):
-            self.olefts[i][0] = np.ones((1, 1))
-            self.orights[i][self.L + 1] = np.ones((1, 1))
-            for l in range(self.L, 1, -1):
-                self.orights[i][l] = transfer_right(self.orights[i][l + 1], self.sites[l - 1], g[l - 1])
+        self.olefts = [[np.ones((1, 1))] + [None] * self.L for _ in self.ortho]
+        self.orights = [[None] * (self.L + 1) + [np.ones((1, 1))] for _ in self.ortho]
+        for l in range(self.L, 1, -1):
+            self._update_envs_right(l)
 
     def _local_constraints(self, l: int, width: int) -> tuple[np.ndarray, ...]:
         """Constraint states pulled into the local frame at sites l..l+width-1."""
@@ -334,7 +321,7 @@ class _Sweeper:
         left = self.lefts[l - 1]
         right = self.rights[l + width]
         ws = tuple(self.w[l - 1 : l + width - 1])
-        heff = EffectiveHam("1s" if width == 1 else "2s", l, left, right, ws)
+        heff = EffectiveHam("1s" if width == 1 else "2s", l, left, right, ws, self.ops[l - 1 : l + width - 1])
         if width == 1:
             x0 = self.sites[l - 1]
         else:
@@ -347,14 +334,16 @@ class _Sweeper:
         return res.value, res.vector.reshape(heff.x_shape), res
 
     def _update_envs_left(self, l: int) -> None:
-        self.lefts[l] = env_step_left(self.lefts[l - 1], self.sites[l - 1], self.w[l - 1], self.sites[l - 1])
+        a = self.sites[l - 1]
+        self.lefts[l] = env_step_left(self.lefts[l - 1], a, self.ops[l - 1], a)
         for i, g in enumerate(self.ortho):
-            self.olefts[i][l] = transfer_left(self.olefts[i][l - 1], self.sites[l - 1], g[l - 1])
+            self.olefts[i][l] = transfer_left(self.olefts[i][l - 1], a, g[l - 1])
 
     def _update_envs_right(self, l: int) -> None:
-        self.rights[l] = env_step_right(self.rights[l + 1], self.sites[l - 1], self.w[l - 1], self.sites[l - 1])
+        b = self.sites[l - 1]
+        self.rights[l] = env_step_right(self.rights[l + 1], b, self.mirrored_ops[l - 1], b)
         for i, g in enumerate(self.ortho):
-            self.orights[i][l] = transfer_right(self.orights[i][l + 1], self.sites[l - 1], g[l - 1])
+            self.orights[i][l] = transfer_right(self.orights[i][l + 1], b, g[l - 1])
 
     def _split_two_site(self, l: int, theta: np.ndarray, to_right: bool) -> float:
         dl, d, _, dr = theta.shape

@@ -43,6 +43,10 @@ from .tensor import (
     Tensor,
     TruncationPolicy,
     chain_sum,
+    close,
+    close_right,
+    ket_step,
+    mpo_step,
     qr,
     read_tensor_blob,
     svd_split,
@@ -311,11 +315,10 @@ class _Reading:
     """The reference seen in one reading direction of the chain.
 
     Sites are numbered along the reading. ``bra[s-1]`` and ``ket[s-1]`` are
-    the left and right isometries of site s; ``ops[s-1]`` is its MPO site
-    as a (d w', w d) matrix (output leg and right bond by left bond and
-    input leg); ``lefts[k]`` covers sites 1..k and ``rights[k]`` sites
-    k+1..L (bond k, k = 0..L); ``bra_windows[l-1]`` is bra l..l+n-1
-    contracted into one (D, d, .., d, D) array.
+    the left and right isometries of site s, ``ops[s-1]`` its MPO matrix
+    (:attr:`kdmps.mpo.Mpo.ops` or ``mirrored_ops``); ``lefts[k]`` covers
+    sites 1..k and ``rights[k]`` sites k+1..L (bond k, k = 0..L);
+    ``bra_windows[l-1]`` is bra l..l+n-1 contracted into one array.
     """
 
     bra: tuple[np.ndarray, ...]
@@ -326,10 +329,9 @@ class _Reading:
     bra_windows: tuple[np.ndarray, ...]
 
 
-def _reading(bra, ket, ws, lefts, rights, n: int) -> _Reading:
-    ops = tuple(w.transpose(1, 3, 0, 2).reshape(w.shape[1] * w.shape[3], -1) for w in ws)
+def _reading(bra, ket, ops, lefts, rights, n: int) -> _Reading:
     wins = tuple(_chain_to_window(bra[l : l + n]) for l in range(len(bra) - n + 1))
-    return _Reading(tuple(bra), tuple(ket), ops, tuple(lefts), tuple(rights), wins)
+    return _Reading(tuple(bra), tuple(ket), tuple(ops), tuple(lefts), tuple(rights), wins)
 
 
 @dataclass(frozen=True)
@@ -366,46 +368,16 @@ def build_exc_env(x: ExcitationState, h: Mpo, base: EnvCache | None = None) -> E
         raise ValueError("reference environments belong to another operator or gauge")
     a = [t.data for t in x.bases.left]
     b = [t.data for t in x.bases.right]
-    w = [t.data for t in h.sites]
-    forward = _reading(a, b, w, base.lefts, base.rights[1:], n)
+    forward = _reading(a, b, h.ops, base.lefts, base.rights[1:], n)
     backward = _reading(
         [np.ascontiguousarray(t.T) for t in reversed(b)],  # .T reverses every axis
         [np.ascontiguousarray(t.T) for t in reversed(a)],
-        [t.transpose(3, 1, 2, 0) for t in reversed(w)],
+        h.mirrored_ops[::-1],
         base.rights[:0:-1],
         base.lefts[::-1],
         n,
     )
     return ExcEnvCache(bases=x.bases, h=h, n=n, forward=forward, backward=backward)
-
-
-# The pass keeps every open environment C-contiguous in the axis order
-# (bra bond, output legs..., MPO bond, ket legs..., ket bond), so each
-# contraction below is one matrix product on reshaped views, without the
-# transposed copies a general tensordot makes.
-
-
-def _ket_step(env: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """Contract the left bond of ``ket`` against the last axis of ``env``."""
-    k = ket.shape[0]
-    return (env.reshape(-1, k) @ ket.reshape(k, -1)).reshape(*env.shape[:-1], *ket.shape[1:])
-
-
-def _mpo_step(z: np.ndarray, op: np.ndarray, j: int) -> np.ndarray:
-    """Apply an MPO site (a ``_Reading.ops`` matrix) to an open environment
-    with ``j`` output legs: its MPO bond and next ket leg are contracted, and
-    the new output leg goes after the others."""
-    lead, d = z.shape[: j + 1], z.shape[j + 2]
-    y = np.matmul(op, z.reshape(math.prod(lead), op.shape[1], -1))
-    return y.reshape(*lead, d, op.shape[0] // d, *z.shape[j + 3 :])
-
-
-def _close(bra: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Contract a bra's left bond and physical legs against the leading axes
-    of ``y``; its right bond goes first."""
-    k = bra.shape[-1]
-    rows = bra.size // k
-    return (bra.reshape(rows, k).T @ y.reshape(rows, -1)).reshape(k, *y.shape[bra.ndim - 1 :])
 
 
 def _absorb(r: _Reading, windows: list[np.ndarray], n: int, diagonal: bool):
@@ -429,26 +401,24 @@ def _absorb(r: _Reading, windows: list[np.ndarray], n: int, diagonal: bool):
         if acc is None:
             acc = np.zeros_like(r.lefts[l - 1])
         for j in range(n - 1, 0, -1):  # Horner over the part-way branches l - j
-            acc = _ket_step(acc, r.ket[l + n - 2 - j])
+            acc = ket_step(acc, r.ket[l + n - 2 - j])
             if l - j in partials:
                 acc += partials[l - j][j - 1]
-        z = _ket_step(acc, r.ket[l + n - 2])
-        g = _ket_step(r.lefts[l - 1], windows[l - 1])
+        z = ket_step(acc, r.ket[l + n - 2])
+        g = ket_step(r.lefts[l - 1], windows[l - 1])
         if diagonal:
             z += g
         chain = []
         for s in range(l, l + (n - 1 if diagonal else n)):
-            g = _close(r.bra[s - 1], _mpo_step(g, r.ops[s - 1], 0))
+            g = close(r.bra[s - 1], mpo_step(g, r.ops[s - 1], 0))
             chain.append(g)
         partials[l] = chain[: n - 1]
         partials.pop(l - n + 1, None)  # its last use was this window's Horner sum
         for j in range(n):
-            z = _mpo_step(z, r.ops[l - 1 + j], j)
-        f = _close(r.bra_windows[l - 1], z)
+            z = mpo_step(z, r.ops[l - 1 + j], j)
+        f = close(r.bra_windows[l - 1], z)
         fs[l + n - 1] = f if diagonal else f + chain[-1]
-        right = r.rights[l + n - 1]
-        out = z.reshape(-1, right[0].size) @ right.reshape(len(right), -1).T
-        yield out.reshape(*z.shape[:-2], len(right)), fs[l + n - 1]
+        yield close_right(z, r.rights[l + n - 1]), fs[l + n - 1]
 
 
 def _gauge_fix_windows(bases: KeptBases, windows: list[np.ndarray]) -> list[np.ndarray]:

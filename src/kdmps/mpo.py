@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .mps import Mps, _read_sites, phys
-from .tensor import Tensor, chain_sum, env_step_left, qr, svd_split, transfer_left, write_tensor_blob
+from .tensor import Tensor, chain_sum, env_step_left, mpo_matrix, qr, svd_split, transfer_left, write_tensor_blob
 
 __all__ = [
     "Mpo",
@@ -96,6 +97,16 @@ class Mpo:
 
     def site(self, l: int) -> Tensor:
         return self.sites[l - 1]
+
+    @cached_property
+    def ops(self) -> tuple[np.ndarray, ...]:
+        """Every site's :func:`~kdmps.tensor.mpo_matrix`, built once."""
+        return tuple(mpo_matrix(t.data) for t in self.sites)
+
+    @cached_property
+    def mirrored_ops(self) -> tuple[np.ndarray, ...]:
+        """The same for the chain read right to left (bonds swapped), in site order."""
+        return tuple(mpo_matrix(t.data.transpose(3, 1, 2, 0)) for t in self.sites)
 
 
 def _mpo_from_arrays(arrays: list[np.ndarray]) -> Mpo:
@@ -245,7 +256,7 @@ def expectation(psi: Mps, h: Mpo) -> float:
     ket = [t.data for t in psi.plain_sites()]
     env = np.ones((1, 1, 1))  # (bra, mpo, ket)
     for l in range(1, psi.L + 1):
-        env = env_step_left(env, ket[l - 1], h.site(l).data, ket[l - 1])
+        env = env_step_left(env, ket[l - 1], h.ops[l - 1], ket[l - 1])
     return float(env.reshape(()))
 
 

@@ -17,15 +17,12 @@ written once here:
   largest-magnitude entry positive;
 - the direct sum of chains (:func:`chain_sum`), behind every sum of states,
   operators, projector branches and excitation windows;
-- two-layer bra-ket transfers (:func:`transfer_left`, :func:`transfer_right`);
-- three-layer (bra, MPO, ket) networks, all through one ket-first kernel
-  that grows a left environment over a run of ket arrays
-  (left, physical..., right) while leaving the bra's physical legs open. An
-  MPO window closed by a right environment (:func:`apply_window`) is the
-  effective-Hamiltonian matvec, the variance window and the excitation
-  window; one site with its bra contracted is an environment step
-  (:func:`env_step_left`; :func:`env_step_right` is the same step on
-  mirrored arrays).
+- one ket-first matmul kernel for every (bra, MPO, ket) network
+  (:func:`ket_step`, :func:`mpo_step`, :func:`close`, :func:`close_right`
+  on MPO sites as :func:`mpo_matrix`). The bra-ket transfers, the MPO
+  window between two environments (:func:`apply_window`: the DMRG matvec,
+  the variance window, the energy at a bond), the environment steps and the
+  excitation pass of :mod:`kdmps.excitation` all run on it.
 
 :class:`Tensor` is the immutable ``(data, legs)`` record that states,
 operators and bases hand across the public API; leg names label the axes
@@ -38,6 +35,7 @@ representations, so no complex support is provided.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -52,6 +50,11 @@ __all__ = [
     "svd_split",
     "orthogonal_complement",
     "chain_sum",
+    "mpo_matrix",
+    "ket_step",
+    "mpo_step",
+    "close",
+    "close_right",
     "transfer_left",
     "transfer_right",
     "apply_window",
@@ -253,78 +256,103 @@ def chain_sum(chains: Sequence[Sequence[np.ndarray]], coeffs: Sequence[float] | 
     return out + [np.concatenate(sites[-1], axis=0)]
 
 
-# ---------- transfers ----------
+# ---------- transfers and (bra, MPO, ket) networks ----------
+#
+# Every network here grows an open environment in the C-contiguous axis order
+# (bra bond, output legs..., MPO bond, ket legs..., ket bond), so each step is
+# one matrix product on reshaped views, without the transposed copies a
+# general tensordot makes. A network read right to left is the same steps on
+# mirrored arrays: site arrays with every axis reversed (``a.T``) and MPO
+# sites with their bonds swapped (``w.transpose(3, 1, 2, 0)``).
+
+
+def mpo_matrix(w: np.ndarray) -> np.ndarray:
+    """An MPO site (w, p, q, w') as the read-only (p w', w q) matrix
+    :func:`mpo_step` applies (cached per operator as :attr:`kdmps.mpo.Mpo.ops`)."""
+    m = w.transpose(1, 3, 0, 2).reshape(w.shape[1] * w.shape[3], -1)
+    m.flags.writeable = False
+    return m
+
+
+def ket_step(env: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """Contract the left bond of ``ket`` against the last axis of ``env``;
+    the ket's other axes go last."""
+    k = ket.shape[0]
+    return (env.reshape(-1, k) @ ket.reshape(k, -1)).reshape(*env.shape[:-1], *ket.shape[1:])
+
+
+def mpo_step(z: np.ndarray, op: np.ndarray, j: int) -> np.ndarray:
+    """Apply an MPO site matrix (:func:`mpo_matrix`) to an open environment
+    with ``j`` output legs: its MPO bond and next ket leg are contracted, and
+    the new output leg goes after the others. Physical legs are square."""
+    lead, d = z.shape[: j + 1], z.shape[j + 2]
+    y = np.matmul(op, z.reshape(math.prod(lead), op.shape[1], -1))
+    return y.reshape(*lead, d, op.shape[0] // d, *z.shape[j + 3 :])
+
+
+def close(bra: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Contract a bra's left bond and physical legs against the leading axes
+    of ``y``; the bra's right bond goes first."""
+    k = bra.shape[-1]
+    rows = bra.size // k
+    return (bra.reshape(rows, k).T @ y.reshape(rows, -1)).reshape(k, *y.shape[bra.ndim - 1 :])
+
+
+def close_right(y: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Contract the trailing (MPO bond, ket bond) axes of ``y`` against a
+    right environment; its bra bond goes last."""
+    out = y.reshape(-1, right[0].size) @ right.reshape(len(right), -1).T
+    return out.reshape(*y.shape[:-2], len(right))
 
 
 def transfer_left(env: np.ndarray, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """Grow a left (bra bond, ket bond) overlap environment by one site.
-
-    ``bra`` and ``ket`` are (left, physical, right) arrays; an MPO site
-    reshaped to (w, d*d, w') is one too.
-    """
-    tmp = np.tensordot(env, bra, axes=(0, 0))  # (k, p, b')
-    return np.tensordot(tmp, ket, axes=((0, 1), (0, 1)))  # (b', k')
+    """Grow a left (bra bond, ket bond) overlap environment by one site;
+    ``bra`` and ``ket`` are (left, physical..., right) arrays, or MPO sites."""
+    return close(bra, ket_step(env, ket))
 
 
 def transfer_right(env: np.ndarray, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """Grow a right (bra bond, ket bond) overlap environment by one site."""
-    tmp = np.tensordot(bra, env, axes=(2, 0))  # (b, p, k)
-    return np.tensordot(tmp, ket, axes=((1, 2), (1, 2)))  # (b, k)
+    """Grow a right (bra bond, ket bond) overlap environment by one site:
+    the left transfer on mirrored arrays."""
+    return transfer_left(env, bra.T, ket.T)
 
 
-# ---------- (bra, MPO, ket) networks ----------
-
-
-def _grow_open_env(env: np.ndarray, ws: Sequence[np.ndarray], kets: Sequence[np.ndarray]) -> np.ndarray:
-    """Absorb ket arrays and MPO sites into a left (bra, MPO, ket) environment.
-
-    Each ket is (left, physical..., right) and spans as many sites as it has
-    physical legs (none for a bond matrix); ``ws`` holds one MPO site per
-    physical leg, in order. Ket first: every site contracts the ket's next
-    physical leg against the MPO's input leg. Returns (bra bond, MPO bond,
-    ket bond, output physical legs...), the bra's physical legs left open.
-    """
-    sites = iter(ws)
-    cur = env
-    for ket in kets:
-        opened = cur.ndim - 3
-        cur = np.tensordot(cur, ket, axes=(2, 0))  # (b, w, opened.., p.., r)
-        # transpose, not np.moveaxis: the same views, but several microseconds
-        # cheaper per call, which the small matvecs of a sweep notice
-        cur = cur.transpose(0, 1, *range(2 + opened, cur.ndim), *range(2, 2 + opened))
-        for _ in range(ket.ndim - 2):
-            cur = np.tensordot(cur, next(sites), axes=((1, 2), (0, 2)))  # (b, .., r, .., pout, w')
-            cur = cur.transpose(0, cur.ndim - 1, *range(1, cur.ndim - 1))
-    return cur
+def _op(w: np.ndarray) -> np.ndarray:
+    return w if w.ndim == 2 else mpo_matrix(w)
 
 
 def apply_window(
-    left: np.ndarray,
-    ws: Sequence[np.ndarray],
-    kets: Sequence[np.ndarray],
-    right: np.ndarray,
+    left: np.ndarray, ws: Sequence[np.ndarray], kets: Sequence[np.ndarray], right: np.ndarray
 ) -> np.ndarray:
     """Apply an MPO window between two environments, leaving bra legs open.
 
-    ``left``/``right`` are (bra, MPO, ket) environments flanking the window,
-    ``kets`` the state arrays inside it (see :func:`_grow_open_env`).
-    Returns the bra-side array (left bra bond, output physical legs..., right
-    bra bond).
+    ``left``/``right`` are (bra, MPO, ket) environments flanking the window;
+    each of ``kets`` is (left, physical..., right) and spans as many sites
+    as it has physical legs (none for a bond matrix). ``ws`` holds one MPO
+    site or :func:`mpo_matrix` per physical leg. Returns (left bra bond,
+    output physical legs..., right bra bond).
     """
-    cur = _grow_open_env(left, ws, kets)
-    return np.tensordot(cur, right, axes=((2, 1), (2, 1)))
+    ops = iter(ws)
+    z, j = left, 0
+    for ket in kets:
+        z = ket_step(z, ket)
+        for _ in range(ket.ndim - 2):
+            z = mpo_step(z, _op(next(ops)), j)
+            j += 1
+    return close_right(z, right)
 
 
 def env_step_left(env: np.ndarray, bra: np.ndarray, w: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """Grow a left (bra, MPO, ket) environment by one site."""
-    cur = _grow_open_env(env, (w,), (ket,))  # (b, w', k', p)
-    return np.tensordot(bra, cur, axes=((0, 1), (0, 3)))
+    """Grow a left (bra, MPO, ket) environment by one site. ``w`` is the
+    MPO site or its :func:`mpo_matrix`."""
+    return close(bra, mpo_step(ket_step(env, ket), _op(w), 0))
 
 
 def env_step_right(env: np.ndarray, bra: np.ndarray, w: np.ndarray, ket: np.ndarray) -> np.ndarray:
     """Grow a right (bra, MPO, ket) environment by one site: the left step
-    on the chain read backwards (site and MPO bonds swapped)."""
-    return env_step_left(env, bra.transpose(2, 1, 0), w.transpose(3, 1, 2, 0), ket.transpose(2, 1, 0))
+    on mirrored arrays. ``w`` is the MPO site or its mirrored matrix
+    (:attr:`kdmps.mpo.Mpo.mirrored_ops`)."""
+    return env_step_left(env, bra.T, mpo_matrix(w.transpose(3, 1, 2, 0)) if w.ndim == 4 else w, ket.T)
 
 
 # ---------- binary blob format ----------

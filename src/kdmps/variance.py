@@ -69,7 +69,6 @@ def nsite_variance(psi: Mps, h: Mpo, n_max: int) -> VarianceReport:
     L = bases.L
     a = [t.data for t in bases.left]
     b = [t.data for t in bases.right]
-    w = [t.data for t in h.sites]
     energy = env.energy_at_bond(0)
 
     values = np.zeros(n_max)
@@ -77,7 +76,7 @@ def nsite_variance(psi: Mps, h: Mpo, n_max: int) -> VarianceReport:
         total = 0.0
         for l in range(1, L + 2 - n):
             kets = [bases.center_site(l).data] + b[l : l + n - 1]
-            window = apply_window(env.lefts[l - 1], w[l - 1 : l + n - 1], kets, env.rights[l + n])
+            window = apply_window(env.lefts[l - 1], h.ops[l - 1 : l + n - 1], kets, env.rights[l + n])
             shape = window.shape  # (D_{l-1}, d, ..., d, D_{l+n-1})
             out = _project_out_left(window.reshape(shape[0], shape[1], -1), a[l - 1]).reshape(shape)
             if n >= 2:

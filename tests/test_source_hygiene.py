@@ -1,5 +1,6 @@
 """Source hygiene: no package module imports a name it neither uses nor
-exports, or exports a name it does not bind."""
+exports, or exports a name it does not bind, and the (bra, MPO, ket)
+contraction steps live in kdmps.tensor alone."""
 
 import ast
 from pathlib import Path
@@ -75,3 +76,17 @@ def test_module_imports_only_what_it_uses(module):
 def test_module_exports_only_what_it_binds(module):
     stale = stale_exports((PACKAGE / f"{module}.py").read_text())
     assert not stale, f"kdmps.{module} lists {stale} in __all__ without binding them"
+
+
+def test_excitation_runs_on_the_tensor_kernel():
+    """kdmps.excitation takes its contraction steps from kdmps.tensor and
+    defines no matmul steps of its own."""
+    import kdmps.excitation as kexc
+    import kdmps.tensor as kten
+
+    for name in ("ket_step", "mpo_step", "close", "close_right"):
+        assert getattr(kexc, name) is getattr(kten, name)
+    tree = ast.parse((PACKAGE / "excitation.py").read_text())
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not {n for n in defined if n.endswith("_step") or n.lstrip("_").startswith("close")}
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "matmul"]

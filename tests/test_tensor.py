@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from kdmps.mpo import haldane_shastry_mpo, heisenberg_mpo
 from kdmps.tensor import (
     Tensor,
     TruncationPolicy,
@@ -11,6 +12,7 @@ from kdmps.tensor import (
     chain_sum,
     env_step_left,
     env_step_right,
+    mpo_matrix,
     orthogonal_complement,
     qr,
     read_tensor_blob,
@@ -208,6 +210,54 @@ def test_apply_window_two_site_ket_then_one_site_ket_matches_einsum():
     k3 = rng.standard_normal((3, 2, 7))
     want = np.einsum("bwk,wpqv,vstu,uyzx,kqtm,mzr,cxr->bpsyc", left, *ws, x, k3, right)
     npt.assert_allclose(apply_window(left, ws, (x, k3), right), want, atol=TOL)
+
+
+def test_apply_window_three_one_site_kets_matches_einsum():
+    rng, left, ws, right = window_inputs(15, 3)
+    k1, k2, k3 = (rng.standard_normal(shape) for shape in ((5, 2, 3), (3, 2, 4), (4, 2, 7)))
+    want = np.einsum("bwk,wpqv,vstu,uyzx,kqm,mtn,nzr,cxr->bpsyc", left, *ws, k1, k2, k3, right)
+    npt.assert_allclose(apply_window(left, ws, (k1, k2, k3), right), want, atol=TOL)
+
+
+def test_apply_window_three_site_ket_matches_einsum():
+    rng, left, ws, right = window_inputs(16, 3)
+    x = rng.standard_normal((5, 2, 2, 2, 7))
+    want = np.einsum("bwk,wpqv,vstu,uyzx,kqtzr,cxr->bpsyc", left, *ws, x, right)
+    npt.assert_allclose(apply_window(left, ws, (x,), right), want, atol=TOL)
+
+
+def test_apply_window_takes_mpo_matrices_for_sites():
+    rng, left, ws, right = window_inputs(17, 2)
+    x = rng.standard_normal((5, 2, 2, 7))
+    want = apply_window(left, ws, (x,), right)
+    npt.assert_array_equal(apply_window(left, [mpo_matrix(w) for w in ws], (x,), right), want)
+
+
+def test_env_step_right_on_transposed_views_matches_einsum():
+    rng, _, (w,), _ = window_inputs(18, 1)
+    # every input a non-contiguous view of an array stored in another order
+    bra = rng.standard_normal((6, 2, 4)).transpose(2, 1, 0)
+    ket = rng.standard_normal((7, 2, 5)).transpose(2, 1, 0)
+    w = np.ascontiguousarray(w.transpose(3, 2, 1, 0)).transpose(3, 2, 1, 0)
+    right = rng.standard_normal((7, 3, 6)).transpose(2, 1, 0)
+    assert not any(a.flags.c_contiguous for a in (bra, ket, w, right))
+    want = np.einsum("cvr,bpc,wpqv,kqr->bwk", right, bra, w, ket)
+    npt.assert_allclose(env_step_right(right, bra, w, ket), want, atol=TOL)
+    mirrored = mpo_matrix(w.transpose(3, 1, 2, 0))
+    npt.assert_allclose(env_step_right(right, bra, mirrored, ket), want, atol=TOL)
+
+
+@pytest.mark.parametrize("build", [lambda: heisenberg_mpo(5), lambda: haldane_shastry_mpo(6)])
+def test_mpo_matrices_are_built_once_per_direction(build):
+    h = build()
+    for attr, site_view in (("ops", lambda w: w), ("mirrored_ops", lambda w: w.transpose(3, 1, 2, 0))):
+        mats = getattr(h, attr)
+        assert getattr(h, attr) is mats
+        assert len(mats) == h.L
+        for t, m in zip(h.sites, mats):
+            w = site_view(t.data)
+            npt.assert_array_equal(m, w.transpose(1, 3, 0, 2).reshape(w.shape[1] * w.shape[3], -1))
+            assert not m.flags.writeable
 
 
 def test_env_steps_match_einsum():

@@ -13,8 +13,9 @@ is then deflated against those states pulled into the local frame.
 
 Every local eigenproblem, here and in :mod:`kdmps.excitation`, goes through
 :func:`lanczos_lowest`. It keeps the Krylov basis as rows of 16-row float64
-blocks, reorthogonalizes each new vector by two classical Gram-Schmidt
-passes, and deflates against the constraint set orthonormalized once.
+blocks, builds it by the three-term recurrence, runs one classical
+Gram-Schmidt pass only when Simon's estimate says orthogonality is lost,
+and deflates against the constraint set orthonormalized once.
 """
 
 from __future__ import annotations
@@ -170,6 +171,7 @@ class LanczosResult:
 
 
 _BLOCK_ROWS = 16  # Krylov rows per storage block
+_EPS = np.finfo(np.float64).eps
 LANCZOS_MAX_ITER = 100  # iteration budget of every DMRG local solve
 LANCZOS_TOL = 1e-10  # relative residual bound of every DMRG local solve
 
@@ -185,8 +187,11 @@ def lanczos_lowest(
 
     The Krylov vectors are rows of float64 blocks of 16 (at most
     ``min(max_iter, init.size)`` rows, so an early stop never holds storage
-    sized by ``max_iter``), and each new one is reorthogonalized by two
-    passes of classical Gram-Schmidt against the filled rows. The
+    sized by ``max_iter``). Each comes from the three-term recurrence;
+    once Simon's estimate (Math. Comp. 42, 115 (1984)) of its largest
+    overlap with the filled rows exceeds ``min(sqrt(eps), 0.01 tol
+    max(1, |value|) / |T|)`` (T: the tridiagonal so far), it and the next
+    vector get one classical Gram-Schmidt pass against those rows. The
     ``orth_against`` vectors are orthonormalized once (SVD, relative cutoff
     1e-12) and every generated vector is projected off their span
     (deflation), so the returned pair lives in its orthogonal complement
@@ -208,26 +213,31 @@ def lanczos_lowest(
     nrm = np.linalg.norm(v)
     if nrm == 0.0:
         raise ValueError("initial vector vanishes after orthogonalization")
-    v = v / nrm
 
     cap = min(max_iter, v.size)
-    blocks: list[np.ndarray] = []
+    blocks = [np.empty((min(_BLOCK_ROWS, cap), v.size))]
+    v_prev = v = np.divide(v, nrm, out=blocks[0][0])
     tri = np.zeros((cap, cap))
-    breakdown = False
+    om, om_prev, b = np.ones(1), np.zeros(0), 0.0  # overlap estimates of v, v_prev with the rows; v_prev-v coupling
+    breakdown = reorth = False
     for it in range(cap):
-        if it % _BLOCK_ROWS == 0:
-            blocks.append(np.empty((min(_BLOCK_ROWS, cap - it), v.size)))
-        blocks[-1][it % _BLOCK_ROWS] = v
-        rows = [b[: it + 1 - _BLOCK_ROWS * k] for k, b in enumerate(blocks)]
-        w = deflate(matvec(v))
-        tri[it, it] = v @ w
+        w = matvec(v)
+        tri[it, it] = alpha = v @ w
         evals, evecs = np.linalg.eigh(tri[: it + 1, : it + 1])
-        theta = float(evals[0])
+        theta, tnorm = float(evals[0]), max(-evals[0], evals[-1])
         ritz = evecs[:, 0]
-        for _ in range(2):  # classical Gram-Schmidt
-            w = w - sum((q @ w) @ q for q in rows)
-        w = deflate(w)
+        w = deflate(w - alpha * v - b * v_prev)
         beta = float(np.linalg.norm(w))
+        nxt = np.zeros(it + 2)  # Simon's recurrence: overlaps of the next vector with the rows
+        nxt[:it] = tri[:it, : it + 1] @ om - alpha * om[:it] - b * om_prev
+        nxt[:-1] = (nxt[:-1] + np.copysign(_EPS * tnorm, nxt[:-1])) / max(beta, 1e-14)
+        nxt[-1], lost = 1.0, np.abs(nxt[:-1]).max()
+        if reorth or beta < 1e-14 or lost > _EPS**0.5 or lost * tnorm > 0.01 * tol * max(1.0, abs(theta)):
+            for k, q in enumerate(blocks):  # one classical Gram-Schmidt pass, here and on the next vector
+                q = q[: it + 1 - _BLOCK_ROWS * k]
+                w -= (q @ w) @ q
+            beta = float(np.linalg.norm(w))
+            nxt[:-1], reorth = _EPS, not reorth
 
         # residual bound for the lowest Ritz pair
         bound = beta * abs(ritz[-1])
@@ -237,9 +247,13 @@ def lanczos_lowest(
             breakdown = True
             break
         if it + 1 < cap:
-            tri[it, it + 1] = tri[it + 1, it] = beta
-            v = w / beta
+            tri[it, it + 1] = tri[it + 1, it] = b = beta
+            if (it + 1) % _BLOCK_ROWS == 0:
+                blocks.append(np.empty((min(_BLOCK_ROWS, cap - it - 1), v.size)))
+            v_prev, v = v, np.divide(w, beta, out=blocks[-1][(it + 1) % _BLOCK_ROWS])
+            om_prev, om = om, nxt
 
+    rows = [q[: it + 1 - _BLOCK_ROWS * k] for k, q in enumerate(blocks)]
     vec = deflate(sum(ritz[_BLOCK_ROWS * k : _BLOCK_ROWS * (k + 1)] @ q for k, q in enumerate(rows)))
     vn = np.linalg.norm(vec)
     if vn > 0.0:

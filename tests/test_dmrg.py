@@ -213,6 +213,50 @@ def test_lanczos_flags_near_degenerate_stagnation():
     assert not control.near_degenerate
 
 
+def test_lanczos_keeps_ghost_eigenvalues_out():
+    # a well-separated lowest level converges early, and plain three-term
+    # Lanczos then copies it into the Ritz values (a ghost); the tol-tied
+    # reorthogonalization must keep the pair accurate and not degenerate
+    n = 400
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))[0]
+    m = q @ np.diag(np.r_[-5.0, np.linspace(0.0, 1.0, n - 2), 50.0]) @ q.T
+    res = lanczos_lowest(lambda v: m @ v, np.ones(n), max_iter=120, tol=1e-30)
+    want = q[:, 0] * np.sign(res.vector @ q[:, 0])
+    assert res.residual <= 1e-12
+    assert np.linalg.norm(res.vector - want) <= 1e-12
+    assert not res.near_degenerate
+
+
+def _symmetric(n: int, seed: int) -> tuple[np.ndarray, np.random.Generator]:
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    return (m + m.T) / 2.0, rng
+
+
+@pytest.mark.parametrize("case", ["diagonal", "random", "deflated"])
+def test_lanczos_calls_the_matvec_once_per_iteration_plus_the_residual(case):
+    m, rng = _symmetric(80, 5)
+    orth = (rng.standard_normal(80),) if case == "deflated" else ()
+    if case == "diagonal":
+        m = np.diag(np.arange(80.0))
+    calls = []
+    res = lanczos_lowest(lambda v: calls.append(1) or m @ v, rng.standard_normal(80), orth_against=orth)
+    assert res.iterations > 1
+    assert len(calls) == res.iterations + 1
+
+
+def test_lanczos_long_deflated_run_stays_in_the_complement():
+    # the excitation solver's path: many iterations against an overlapping set
+    m, rng = _symmetric(300, 0)
+    g1 = rng.standard_normal(300)
+    g2 = g1 + 0.5 * rng.standard_normal(300)
+    res = lanczos_lowest(lambda v: m @ v, rng.standard_normal(300), tol=1e-12, orth_against=(g1, g2))
+    comp = orthogonal_complement(np.linalg.qr(np.stack([g1, g2], axis=1))[0])
+    assert res.iterations >= 40
+    npt.assert_allclose(res.value, np.linalg.eigvalsh(comp.T @ m @ comp)[0], atol=1e-10)
+    npt.assert_allclose([res.vector @ g1, res.vector @ g2], 0.0, atol=1e-10)
+
+
 def test_local_solve_never_raises_energy():
     # the optimized local energy is bounded by the starting Rayleigh quotient
     psi = random_mps(6, 2, bond_cap=4, seed=12)

@@ -22,13 +22,14 @@ pair is the one-term list ``[(1.0, pair)]``. :func:`apply_projector` and
 
 Applications to arbitrary states never materialize the discarded-space
 projector ``Abar Abar^T``; they use ``1 - A A^T`` on the parent legs. The
-explicit complements are only formed where their column count is needed
-(dense materialization, excitation gauges).
+explicit complements are built lazily, on the first read of
+:class:`DiscardedBases`, so only dense materialization pays for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,16 +99,26 @@ class KeptBases:
 
 @dataclass(frozen=True)
 class DiscardedBases:
-    """Orthonormal complements of the kept isometries.
+    """Orthonormal complements of the kept isometries, built on first access.
 
     ``left[l-1]`` (Abar_l) has legs ("v{l-1}", "p{l}", "v{l}") whose last
     extent is the discarded dimension D_{l-1} d - D_l; ``right[l-1]``
     (Bbar_l) mirrors this on its first leg. Zero-dimensional complements
-    are legitimate empty tensors.
+    are legitimate empty tensors. Each side costs one complete QR per site,
+    paid only by callers that read it.
     """
 
-    left: tuple[Tensor, ...]
-    right: tuple[Tensor, ...]
+    kept: KeptBases
+
+    @cached_property
+    def left(self) -> tuple[Tensor, ...]:
+        comps = [orthogonal_complement(t.data.reshape(-1, t.shape[2])) for t in self.kept.left]
+        return site_tensors([c.reshape(*t.shape[:2], -1) for c, t in zip(comps, self.kept.left)])
+
+    @cached_property
+    def right(self) -> tuple[Tensor, ...]:
+        comps = [orthogonal_complement(t.data.reshape(t.shape[0], -1).T).T for t in self.kept.right]
+        return site_tensors([c.reshape(-1, *t.shape[1:]) for c, t in zip(comps, self.kept.right)])
 
     @property
     def left_dims(self) -> tuple[int, ...]:
@@ -119,17 +130,10 @@ class DiscardedBases:
 
 
 def build_bases(psi: Mps) -> tuple[KeptBases, DiscardedBases]:
-    """Extract kept isometries, bond matrices, and discarded complements."""
+    """Extract kept isometries and bond matrices; the discarded complements
+    are formed when first read."""
     a_set, b_set, bonds, norm = canonical_sets(psi)
     reference = Mps(site_tensors([b_set[0] * bonds[0][0, 0]] + b_set[1:]), form="site", center=1)
-
-    abar = []
-    bbar = []
-    for a, b in zip(a_set, b_set):
-        dl, d, dr = a.shape
-        abar.append(orthogonal_complement(a.reshape(dl * d, dr)).reshape(dl, d, -1))
-        dl, d, dr = b.shape
-        bbar.append(orthogonal_complement(b.reshape(dl, d * dr).T).T.reshape(-1, d, dr))
     kept = KeptBases(
         reference=reference,
         left=site_tensors(a_set),
@@ -137,7 +141,7 @@ def build_bases(psi: Mps) -> tuple[KeptBases, DiscardedBases]:
         bond=tuple(bonds),
         norm=norm,
     )
-    return kept, DiscardedBases(left=site_tensors(abar), right=site_tensors(bbar))
+    return kept, DiscardedBases(kept)
 
 
 # ---------- sector-pair term lists ----------

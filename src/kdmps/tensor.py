@@ -21,8 +21,8 @@ written once here:
   (:func:`ket_step`, :func:`mpo_step`, :func:`close`, :func:`close_right`
   on MPO sites as :func:`mpo_matrix`). The bra-ket transfers, the MPO
   window between two environments (:func:`apply_window`: the DMRG matvec,
-  the variance window, the energy at a bond), the environment steps and the
-  excitation pass of :mod:`kdmps.excitation` all run on it.
+  the energy at a bond), the environment steps, the variance windows and
+  the excitation pass of :mod:`kdmps.excitation` all run on it.
 
 :class:`Tensor` is the immutable ``(data, legs)`` record that states,
 operators and bases hand across the public API; leg names label the axes
@@ -327,13 +327,15 @@ def apply_window(
     """Apply an MPO window between two environments, leaving bra legs open.
 
     ``left``/``right`` are (bra, MPO, ket) environments flanking the window;
-    each of ``kets`` is (left, physical..., right) and spans as many sites
-    as it has physical legs (none for a bond matrix). ``ws`` holds one MPO
-    site or :func:`mpo_matrix` per physical leg. Returns (left bra bond,
-    output physical legs..., right bra bond).
+    ``left`` may carry open output legs after its bra bond (grown by
+    :func:`ket_step` and :func:`mpo_step`; with no ``kets`` the call is
+    :func:`close_right`). Each of ``kets`` is (left, physical..., right) and
+    spans as many sites as it has physical legs (none for a bond matrix).
+    ``ws`` holds one MPO site or :func:`mpo_matrix` per physical leg.
+    Returns (left bra bond, output physical legs..., right bra bond).
     """
     ops = iter(ws)
-    z, j = left, 0
+    z, j = left, left.ndim - 3
     for ket in kets:
         z = ket_step(z, ket)
         for _ in range(ket.ndim - 2):

@@ -4,8 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import kdmps.projectors as kproj
 from kdmps.ed import dense_rank, dense_state
-from kdmps.mps import mps_norm, overlap, product_mps, random_mps
+from kdmps.mpo import haldane_shastry_mpo
+from kdmps.mps import canonical_sets, mps_norm, overlap, product_mps, random_mps
 from kdmps.projectors import (
     _check_pair,
     apply_projector,
@@ -21,6 +23,8 @@ from kdmps.projectors import (
     expand_tangent_mixed,
     subspace_dimension,
 )
+from kdmps.tensor import orthogonal_complement
+from kdmps.variance import nsite_variance
 
 BLOCK_TOL = 1e-10
 DENSE_TOL = 1e-10
@@ -41,6 +45,36 @@ def test_build_bases_maximal_profile_dimensions():
     assert kept.dims == (1, 2, 4, 2, 1)
     assert disc.left_dims == (0, 0, 6, 3)
     assert disc.right_dims == (3, 6, 0, 0)
+
+
+def test_lazy_complements_equal_eager_ones_bit_for_bit():
+    for psi in (random_mps(4, 2, bond_cap=None, seed=1), random_mps(7, 2, bond_cap=3, seed=2), product_mps(3, 2)):
+        _, disc = build_bases(psi)
+        a_set, b_set, _, _ = canonical_sets(psi)
+        for l, (a, b) in enumerate(zip(a_set, b_set)):
+            dl, d, dr = a.shape
+            abar = orthogonal_complement(a.reshape(dl * d, dr)).reshape(dl, d, -1)
+            dl, d, dr = b.shape
+            bbar = orthogonal_complement(b.reshape(dl, d * dr).T).T.reshape(-1, d, dr)
+            assert disc.left[l].data.shape == abar.shape and np.array_equal(disc.left[l].data, abar)
+            assert disc.right[l].data.shape == bbar.shape and np.array_equal(disc.right[l].data, bbar)
+
+
+def test_complements_are_built_only_when_read(monkeypatch):
+    calls = []
+
+    def counting(iso):
+        calls.append(iso.shape)
+        return orthogonal_complement(iso)
+
+    monkeypatch.setattr(kproj, "orthogonal_complement", counting)
+    psi = random_mps(6, 2, bond_cap=3, seed=4)
+    _, disc = build_bases(psi)
+    nsite_variance(psi, haldane_shastry_mpo(6), 3)
+    assert calls == []
+    left = disc.left
+    assert len(calls) == 6 and disc.left is left  # one QR per site, then cached
+    assert len(disc.right) == 6 and len(calls) == 12
 
 
 def test_build_bases_orthogonality_blocks():

@@ -28,7 +28,7 @@ from .projectors import (
     expand_tangent_mixed,
     subspace_dimension,
 )
-from .dmrg import DmrgOptions, apply_effective, build_env, dmrg_ground_state, lanczos_lowest
+from .dmrg import DmrgOptions, build_env, dmrg_ground_state, lanczos_lowest
 from .variance import VarianceReport, nsite_variance
 from .excitation import (
     ExcitationState,
@@ -74,7 +74,6 @@ __all__ = [
     "subspace_dimension",
     "DmrgOptions",
     "build_env",
-    "apply_effective",
     "lanczos_lowest",
     "dmrg_ground_state",
     "VarianceReport",

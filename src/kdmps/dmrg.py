@@ -28,7 +28,6 @@ from .mps import Mps, _left_normalize, _right_normalize, canonicalize, site_tens
 from .mpo import Mpo
 from .projectors import KeptBases, build_bases
 from .tensor import (
-    Tensor,
     TruncationPolicy,
     apply_window,
     env_step_left,
@@ -45,7 +44,6 @@ __all__ = [
     "DmrgOptions",
     "DmrgResult",
     "build_env",
-    "apply_effective",
     "lanczos_lowest",
     "dmrg_ground_state",
     "fixed_point_residuals",
@@ -136,17 +134,6 @@ def effective_ham(env: EnvCache, mode: str, site: int) -> EffectiveHam:
     ws = tuple(t.data for t in env.h.sites[first - 1 : first - 1 + width])
     ops = env.h.ops[first - 1 : first - 1 + width]
     return EffectiveHam(mode, site, env.lefts[first - 1], env.rights[first + width], ws, ops)
-
-
-def apply_effective(heff: EffectiveHam, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
-    """Apply an effective Hamiltonian to a local tensor (shape-checked)."""
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x)
-    if arr.shape != heff.x_shape:
-        raise ValueError(f"local tensor shape {arr.shape}, expected {heff.x_shape}")
-    out = heff.apply(arr)
-    if isinstance(x, Tensor):
-        return Tensor(out, x.legs)
-    return out
 
 
 # ---------- Lanczos ----------
@@ -312,7 +299,7 @@ class _Sweeper:
         self.lefts[0] = np.ones((1, 1, 1))
         self.rights[self.L + 1] = np.ones((1, 1, 1))
         # overlap environments per orthogonality constraint: (ket bond, gs bond)
-        self.ortho = [[t.data for t in g.plain_sites()] for g in opts.orthogonal_to]
+        self.ortho = [[t.data for t in g.sites] for g in opts.orthogonal_to]
         self.olefts = [[np.ones((1, 1))] + [None] * self.L for _ in self.ortho]
         self.orights = [[None] * (self.L + 1) + [np.ones((1, 1))] for _ in self.ortho]
         for l in range(self.L, 1, -1):
@@ -402,6 +389,8 @@ def dmrg_ground_state(psi0: Mps, h: Mpo, mode: str = "2s", opts: DmrgOptions | N
     """
     if mode not in ("1s", "2s"):
         raise ValueError("mode must be '1s' or '2s'")
+    if psi0.L != h.L or psi0.d != h.d:
+        raise ValueError("state and operator shapes disagree")
     opts = opts or DmrgOptions()
     sw = _Sweeper(psi0, h, opts)
     L = sw.L

@@ -73,7 +73,7 @@ def dense_state(psi: Mps) -> DenseState:
     """Contract an MPS into its full amplitude vector."""
     guard_dims(psi.d, psi.L)
     cur = np.ones((1, 1))  # (flattened physical prefix, right virtual)
-    for t in psi.plain_sites():
+    for t in psi.sites:
         cur = np.tensordot(cur, t.data, axes=(1, 0))
         cur = cur.reshape(-1, t.data.shape[2])
     return DenseState(psi.L, psi.d, cur.reshape(-1))

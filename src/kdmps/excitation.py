@@ -7,8 +7,7 @@ branch except the last (the anchor, l = L-n+1) carries a discarded-space
 gauge condition on its first window slot: contracting A_l against T^l_1
 vanishes. The branches are then mutually orthogonal, overlaps reduce to a
 single sum over positions, and sums of states act slot-wise on the window
-chains (interior window bonds add; recompression is a separate, explicit
-step).
+chains (interior window bonds add).
 
 Applying the window-projected Hamiltonian runs on the dense branch windows
 T_l in one pass per reading direction; the backward pass is the forward one
@@ -36,12 +35,11 @@ from pathlib import Path
 import numpy as np
 
 from .dmrg import EnvCache, build_env, lanczos_lowest
-from .mps import FORM_TOL, Mps, _left_normalize, load_mps, phys, site_tensors, virt
+from .mps import FORM_TOL, Mps, load_mps, phys, site_tensors, virt
 from .mpo import Mpo, s2_total_mpo, sz_total_mpo
 from .projectors import KeptBases, _project_out_left, build_bases
 from .tensor import (
     Tensor,
-    TruncationPolicy,
     chain_sum,
     close,
     close_right,
@@ -49,7 +47,6 @@ from .tensor import (
     mpo_step,
     qr,
     read_tensor_blob,
-    svd_split,
     transfer_left,
     write_tensor_blob,
 )
@@ -65,7 +62,6 @@ __all__ = [
     "ex_overlap",
     "ex_axpy",
     "ex_scale",
-    "compress_windows",
     "materialize",
     "ground_state_in_ansatz",
     "build_exc_env",
@@ -75,7 +71,6 @@ __all__ = [
     "load_excitation",
 ]
 
-WINDOW_CUTOFF = 1e-12  # relative singular-value cutoff of compress_windows
 EXCITE_MAX_ITER = 200  # Lanczos iteration budget of solve_lowest_excitation
 
 
@@ -239,8 +234,9 @@ def ex_axpy(x: ExcitationState, a: float, y: ExcitationState) -> ExcitationState
     """The state ``x + a * y``: per branch, the direct sum of the two window
     chains with coefficients (1, a) (:func:`~kdmps.tensor.chain_sum`).
 
-    For n = 1 the windows are added; for n >= 2 interior window bonds add.
-    No recompression happens here (see :func:`compress_windows`).
+    For n = 1 the windows are added; for n >= 2 interior window bonds add
+    and stay added: nothing recompresses them. The solver never grows them,
+    since its Krylov vectors are flat dense windows (:func:`flatten`).
     """
     _check_compatible(x, y)
     chains = tuple(
@@ -248,26 +244,6 @@ def ex_axpy(x: ExcitationState, a: float, y: ExcitationState) -> ExcitationState
         for l in range(1, x.n_branches + 1)
     )
     return ExcitationState(bases=x.bases, n=x.n, windows=chains)
-
-
-def compress_windows(x: ExcitationState) -> ExcitationState:
-    """Recompress interior window bonds (QR pass, then SVD with relative
-    cutoff WINDOW_CUTOFF per bond). Boundary legs are untouched."""
-    if x.n == 1:
-        return x
-    policy = TruncationPolicy(rel_cutoff=WINDOW_CUTOFF, keep_degenerate=False)
-    chains = []
-    for l in range(1, x.n_branches + 1):
-        arrs = x.branch_arrays(l)
-        for i in range(1, x.n):
-            _left_normalize(arrs, i)
-        for i in range(x.n - 1, 0, -1):
-            dl, d, dr = arrs[i].shape
-            u, s, vh, _ = svd_split(arrs[i].reshape(dl, d * dr), policy)
-            arrs[i] = vh.reshape(len(s), d, dr)
-            arrs[i - 1] = np.tensordot(arrs[i - 1], u * s, axes=(2, 0))
-        chains.append(site_tensors(arrs, l))
-    return ExcitationState(bases=x.bases, n=x.n, windows=tuple(chains))
 
 
 def branch_mps(x: ExcitationState, l: int) -> Mps:
@@ -573,12 +549,9 @@ def _sha256(blobs: list[Path]) -> str:
 
 
 def _reference_digest(gs_path: Path) -> str:
-    """sha256 of a reference archive's site blobs (and bond weights, if any)."""
+    """sha256 of a reference archive's site blobs."""
     L = json.loads((gs_path / "manifest.json").read_text())["L"]
-    blobs = [gs_path / f"site_{l}.ten" for l in range(1, L + 1)]
-    if (gs_path / "bond_weights.ten").exists():
-        blobs.append(gs_path / "bond_weights.ten")
-    return _sha256(blobs)
+    return _sha256([gs_path / f"site_{l}.ten" for l in range(1, L + 1)])
 
 
 def _window_blobs(path: Path, L: int, n: int) -> list[Path]:

@@ -15,15 +15,13 @@ the ladder pair, S.S = (S+S- + S-S+)/2 + S^z S^z.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .mps import Mps, _read_sites, phys
-from .tensor import Tensor, chain_sum, env_step_left, mpo_matrix, qr, svd_split, transfer_left, write_tensor_blob
+from .mps import Mps, phys
+from .tensor import Tensor, chain_sum, env_step_left, mpo_matrix, qr, svd_split, transfer_left
 
 __all__ = [
     "Mpo",
@@ -39,8 +37,6 @@ __all__ = [
     "s2_total_mpo",
     "hs_ground_energy",
     "hs_first_excited_energy",
-    "save_mpo",
-    "load_mpo",
 ]
 
 SZ = np.diag([0.5, -0.5])
@@ -94,9 +90,6 @@ class Mpo:
     @property
     def bond_dims(self) -> tuple[int, ...]:
         return tuple([1] + [t.shape[3] for t in self.sites])
-
-    def site(self, l: int) -> Tensor:
-        return self.sites[l - 1]
 
     @cached_property
     def ops(self) -> tuple[np.ndarray, ...]:
@@ -253,7 +246,7 @@ def expectation(psi: Mps, h: Mpo) -> float:
     """<psi|H|psi> by exact transfer contraction (no compression)."""
     if psi.L != h.L or psi.d != h.d:
         raise ValueError("state and operator shapes disagree")
-    ket = [t.data for t in psi.plain_sites()]
+    ket = [t.data for t in psi.sites]
     env = np.ones((1, 1, 1))  # (bra, mpo, ket)
     for l in range(1, psi.L + 1):
         env = env_step_left(env, ket[l - 1], h.ops[l - 1], ket[l - 1])
@@ -279,28 +272,3 @@ def hs_first_excited_energy(L: int) -> float:
     """Exact lowest triplet energy of the ring model, -pi^2 (L - 7/L) / 24."""
     return -np.pi**2 * (L - 7.0 / L) / 24.0
 
-
-def save_mpo(h: Mpo, path) -> None:
-    """Write an MPO archive (same layout as MPS archives, kind="mpo")."""
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "format_version": 1,
-        "kind": "mpo",
-        "L": h.L,
-        "d": h.d,
-        "bond_dims": list(h.bond_dims),
-    }
-    for l in range(1, h.L + 1):
-        write_tensor_blob(path / f"site_{l}.ten", h.site(l))
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
-
-
-def load_mpo(path) -> Mpo:
-    """Read an MPO archive; raises ValueError when a blob's shape disagrees
-    with the manifest."""
-    path = Path(path)
-    manifest = json.loads((path / "manifest.json").read_text())
-    if manifest.get("kind") != "mpo":
-        raise ValueError(f"{path}: not an MPO archive")
-    return Mpo(_read_sites(path, manifest, lambda l: (wleg(l - 1), phys(l), qhys(l), wleg(l))))

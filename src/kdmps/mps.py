@@ -7,17 +7,18 @@ Canonical-form metadata travels with the value:
 
 * ``form="raw"``     -- no gauge guarantees;
 * ``form="site"``    -- sites left of ``center`` are left-normalized
-  (A†A = 1), sites right of it right-normalized (BB† = 1);
-* ``form="bond"``    -- left-normalized up to bond ``center``, diagonal
-  nonnegative Schmidt weights on the bond, right-normalized after it.
+  (A†A = 1), sites right of it right-normalized (BB† = 1).
 
-Canonicalization rescales to unit norm and reports the original norm, since
-the projector formulas downstream assume a normalized reference state.
+The bond matrices between the two isometry families, at every bond at once,
+come from :func:`canonical_sets`. Canonicalization rescales to unit norm and
+reports the original norm, since the projector formulas downstream assume a
+normalized reference state.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +35,6 @@ __all__ = [
     "canonical_defect",
     "overlap",
     "mps_add",
-    "mps_scale",
     "mps_norm",
     "canonical_sets",
     "save_mps",
@@ -67,17 +67,13 @@ class Mps:
     Attributes:
         sites:  L site tensors, legs ("v{l-1}", "p{l}", "v{l}"), with
                 extent-1 dummy bonds at both ends.
-        form:   "raw", "site" (orthogonality center at site ``center``) or
-                "bond" (Schmidt weights ``weights`` live on bond ``center``).
-        center: site index in [1, L] for "site", bond index in [0, L] for
-                "bond"; 0 for "raw".
-        weights: diagonal bond weights for the "bond" form, else None.
+        form:   "raw" or "site" (orthogonality center at site ``center``).
+        center: site index in [1, L] for "site"; 0 for "raw".
     """
 
     sites: tuple[Tensor, ...]
     form: str = "raw"
     center: int = 0
-    weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         L = len(self.sites)
@@ -95,15 +91,10 @@ class Mps:
         for l in range(1, L):
             if self.sites[l - 1].shape[2] != self.sites[l].shape[0]:
                 raise ValueError(f"virtual extents disagree at bond {l}")
-        if self.form not in ("raw", "site", "bond"):
+        if self.form not in ("raw", "site"):
             raise ValueError(f"unknown form {self.form!r}")
         if self.form == "site" and not 1 <= self.center <= L:
             raise ValueError("site-canonical center out of range")
-        if self.form == "bond":
-            if not 0 <= self.center <= L:
-                raise ValueError("bond-canonical bond out of range")
-            if self.weights is None:
-                raise ValueError("bond form requires weights")
 
     @property
     def L(self) -> int:
@@ -123,54 +114,27 @@ class Mps:
         return self.sites[l - 1]
 
     def plain_sites(self) -> list[Tensor]:
-        """Site tensors with any bond weights absorbed (pure chain of M_l)."""
-        out = list(self.sites)
-        if self.form == "bond" and self.weights is not None:
-            b = self.center
-            if b < self.L:
-                out[b] = Tensor(self.weights[:, None, None] * out[b].data, out[b].legs)
-            else:
-                out[b - 1] = Tensor(out[b - 1].data * self.weights, out[b - 1].legs)
-        return out
+        """The site tensors as a list; the benchmark (``perfbench``) reads them
+        through this name."""
+        return list(self.sites)
 
 
 # ---------- construction ----------
 
 
-def max_bond_profile(L: int, d: int, cap: int | Sequence[int] | None) -> list[int]:
-    """Bond extents for bonds 0..L: min(cap, d^l, d^{L-l}).
-
-    ``cap`` may be a single ceiling, a full per-bond profile of length
-    L + 1 (clamped to the exponential ceilings), or None for no cap.
-    """
-    profile: Sequence[int] | None = None
-    if cap is not None and not isinstance(cap, int):
-        profile = list(cap)
-        if len(profile) != L + 1:
-            raise ValueError(f"bond profile needs {L + 1} entries, got {len(profile)}")
-        if min(profile) < 1:
-            raise ValueError("bond extents must be positive")
-    dims = []
-    for l in range(L + 1):
-        exact = d ** min(l, L - l)
-        if profile is not None:
-            dims.append(min(profile[l], exact))
-        else:
-            dims.append(exact if cap is None else min(cap, exact))
-    return dims
-
-
-def random_mps(L: int, d: int, bond_cap: int | Sequence[int] | None = None, seed: int = 0) -> Mps:
+def random_mps(L: int, d: int, bond_cap: int | None = None, seed: int = 0) -> Mps:
     """Seeded random MPS, site-canonical at site 1 with unit norm.
 
-    ``bond_cap`` is a single cap, a full bond-dimension profile (length
-    L + 1, clamped to d^min(l, L-l)), or None; identical seeds give
-    bit-identical tensors.
+    Bond l has extent min(bond_cap, d^min(l, L-l)); ``bond_cap`` is a
+    positive int or None (no cap). Identical seeds give bit-identical
+    tensors.
     """
     if L < 1 or d < 2:
         raise ValueError("need L >= 1 and d >= 2")
+    if bond_cap is not None and not (isinstance(bond_cap, numbers.Integral) and bond_cap >= 1):
+        raise ValueError(f"bond_cap must be a positive int or None, got {bond_cap!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    dims = max_bond_profile(L, d, bond_cap)
+    dims = [d ** min(l, L - l) if bond_cap is None else min(bond_cap, d ** min(l, L - l)) for l in range(L + 1)]
     sites = [rng.standard_normal((dims[l - 1], d, dims[l])) for l in range(1, L + 1)]
     psi, _ = canonicalize(Mps(site_tensors(sites)), 1)
     return psi
@@ -217,53 +181,29 @@ def _right_normalize(sites: list[np.ndarray], l: int) -> np.ndarray:
     return r
 
 
-def canonicalize(psi: Mps, center: int, form: str = "site") -> tuple[Mps, float]:
-    """Bring ``psi`` to site- or bond-canonical form at ``center``.
+def canonicalize(psi: Mps, center: int) -> tuple[Mps, float]:
+    """Bring ``psi`` to site-canonical form at ``center``.
 
     Returns (state, norm): the state is rescaled to unit norm, ``norm`` is
     the original 2-norm. The represented ray is unchanged; gauge moves are
-    exact (QR/SVD without truncation).
+    exact (QR without truncation).
 
     Raises:
         ValueError: center out of range, or the state has zero norm.
     """
     L = psi.L
-    if form == "site":
-        if not 1 <= center <= L:
-            raise ValueError(f"site center {center} outside [1, {L}]")
-        sites = [t.data for t in psi.plain_sites()]
-        for l in range(1, center):
-            _left_normalize(sites, l)
-        for l in range(L, center, -1):
-            _right_normalize(sites, l)
-        norm = float(np.linalg.norm(sites[center - 1]))
-        if norm == 0.0:
-            raise ValueError("cannot canonicalize a zero state")
-        sites[center - 1] = sites[center - 1] * (1.0 / norm)
-        return Mps(site_tensors(sites), form="site", center=center), norm
-
-    if form == "bond":
-        if not 0 <= center <= L:
-            raise ValueError(f"bond index {center} outside [0, {L}]")
-        site_at = max(center, 1)
-        out, norm = canonicalize(psi, site_at, form="site")
-        sites = [t.data for t in out.sites]
-        l = site_at
-        if center == 0:
-            # all sites right-normalized; the 1x1 weight carries the (unit) norm
-            scalar = float(_right_normalize(sites, 1)[0, 0])
-            return Mps(site_tensors(sites), form="bond", center=0, weights=np.array([scalar])), norm
-        dl, d, dr = sites[l - 1].shape
-        u, s, vh, _ = svd_split(sites[l - 1].reshape(dl * d, dr))
-        sites[l - 1] = u.reshape(dl, d, len(s))
-        if l < L:
-            sites[l] = np.tensordot(vh, sites[l], axes=(1, 0))
-        else:
-            # bond L: fold the residual 1x1 rotation (a sign) into the site
-            sites[l - 1] = sites[l - 1] * float(vh[0, 0])
-        return Mps(site_tensors(sites), form="bond", center=center, weights=s), norm
-
-    raise ValueError(f"unknown target form {form!r}")
+    if not 1 <= center <= L:
+        raise ValueError(f"site center {center} outside [1, {L}]")
+    sites = [t.data for t in psi.sites]
+    for l in range(1, center):
+        _left_normalize(sites, l)
+    for l in range(L, center, -1):
+        _right_normalize(sites, l)
+    norm = float(np.linalg.norm(sites[center - 1]))
+    if norm == 0.0:
+        raise ValueError("cannot canonicalize a zero state")
+    sites[center - 1] = sites[center - 1] * (1.0 / norm)
+    return Mps(site_tensors(sites), form="site", center=center), norm
 
 
 # ---------- contractions ----------
@@ -272,19 +212,18 @@ def canonicalize(psi: Mps, center: int, form: str = "site") -> tuple[Mps, float]
 def canonical_defect(psi: Mps) -> float:
     """Largest violation of the gauge conditions the form metadata claims.
 
-    Zero-ish (below FORM_TOL) for healthy site/bond-canonical states; raw
-    states report 0 by definition.
+    Zero-ish (below FORM_TOL) for healthy site-canonical states; raw states
+    report 0 by definition.
     """
     if psi.form == "raw":
         return 0.0
-    left_upto = psi.center - 1 if psi.form == "site" else psi.center
     dev = 0.0
     for l in range(1, psi.L + 1):
         t = psi.sites[l - 1].data
-        if l <= left_upto:
+        if l < psi.center:
             m = t.reshape(-1, t.shape[2])
             dev = max(dev, float(np.max(np.abs(m.T @ m - np.eye(m.shape[1])))))
-        elif psi.form == "bond" or l > psi.center:
+        elif l > psi.center:
             m = t.reshape(t.shape[0], -1)
             dev = max(dev, float(np.max(np.abs(m @ m.T - np.eye(m.shape[0])))))
     return dev
@@ -295,18 +234,13 @@ def overlap(a: Mps, b: Mps) -> float:
     if a.L != b.L or a.d != b.d:
         raise ValueError("overlap requires equal length and physical dimension")
     env = np.ones((1, 1))  # (bra virtual, ket virtual) at the current bond
-    for ta, tb in zip(a.plain_sites(), b.plain_sites()):
+    for ta, tb in zip(a.sites, b.sites):
         env = transfer_left(env, ta.data, tb.data)
     return float(env[0, 0])
 
 
 def mps_norm(psi: Mps) -> float:
     return float(np.sqrt(max(overlap(psi, psi), 0.0)))
-
-
-def mps_scale(psi: Mps, c: float) -> Mps:
-    """Scale the represented state by ``c`` (folded into site 1)."""
-    return Mps(site_tensors(chain_sum([[t.data for t in psi.plain_sites()]], (c,))))
 
 
 def mps_add(a: Mps, b: Mps, ca: float = 1.0, cb: float = 1.0) -> Mps:
@@ -316,7 +250,7 @@ def mps_add(a: Mps, b: Mps, ca: float = 1.0, cb: float = 1.0) -> Mps:
     """
     if a.L != b.L or a.d != b.d:
         raise ValueError("mps_add requires equal length and physical dimension")
-    chains = [[t.data for t in psi.plain_sites()] for psi in (a, b)]
+    chains = [[t.data for t in psi.sites] for psi in (a, b)]
     return Mps(site_tensors(chain_sum(chains, (ca, cb))))
 
 
@@ -334,7 +268,7 @@ def canonical_sets(psi: Mps) -> tuple[list[np.ndarray], list[np.ndarray], list[n
     they are not diagonal in general, but the construction is exact and
     avoids dividing by small Schmidt values.
     """
-    right, norm = canonicalize(psi, 1, form="site")
+    right, norm = canonicalize(psi, 1)
     b_set = [t.data for t in right.sites]
     # right-normalize site 1 as well: its residual is a 1x1 scalar (the norm)
     center = _right_normalize(b_set, 1)
@@ -372,49 +306,35 @@ def save_mps(psi: Mps, path) -> None:
     }
     for l in range(1, psi.L + 1):
         write_tensor_blob(path / f"site_{l}.ten", psi.site(l))
-    if psi.form == "bond" and psi.weights is not None:
-        write_tensor_blob(path / "bond_weights.ten", Tensor(psi.weights, ("s",)))
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
-
-
-def _read_sites(path: Path, manifest: dict, legs) -> tuple[Tensor, ...]:
-    """Read the blobs site_1..site_L of an archive, named ``legs(l)``, and
-    check each shape against the manifest's L, d and bond_dims."""
-    L, d, dims = manifest["L"], manifest["d"], manifest["bond_dims"]
-    if len(dims) != L + 1:
-        raise ValueError(f"{path}: manifest lists {len(dims)} bond_dims for L = {L}")
-    sites = []
-    for l in range(1, L + 1):
-        t = read_tensor_blob(path / f"site_{l}.ten", legs(l))
-        want = (dims[l - 1],) + (d,) * (len(t.legs) - 2) + (dims[l],)
-        if t.shape != want:
-            raise ValueError(f"{path}: site_{l}.ten has shape {t.shape}, but the manifest gives {want}")
-        sites.append(t)
-    return tuple(sites)
 
 
 def load_mps(path) -> Mps:
     """Read an MPS archive written by :func:`save_mps`.
 
-    Raises ValueError when a blob's shape disagrees with the manifest or the
-    state violates the claimed canonical form by more than FORM_TOL.
+    Raises ValueError when the manifest claims a form other than "raw" or
+    "site" (earlier versions also wrote a "bond" form), when a blob's shape
+    disagrees with the manifest, or when the state violates the claimed
+    canonical form by more than FORM_TOL.
     """
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
     if manifest.get("kind") != "mps":
         raise ValueError(f"{path}: not an MPS archive")
-    sites = _read_sites(path, manifest, lambda l: (virt(l - 1), phys(l), virt(l)))
-    form = manifest["form"]["kind"]
-    center = manifest["form"]["index"]
-    weights = None
-    if form == "bond":
-        weights = read_tensor_blob(path / "bond_weights.ten", ("s",)).data
-        dims = manifest["bond_dims"]
-        if weights.shape != (dims[center],):
-            raise ValueError(
-                f"{path}: bond_weights.ten has shape {weights.shape}, but bond {center} has extent {dims[center]}"
-            )
-    psi = Mps(sites, form=form, center=center, weights=weights)
+    form, center = manifest["form"]["kind"], manifest["form"]["index"]
+    if form not in ("raw", "site"):
+        raise ValueError(f"{path}: the manifest claims {form!r} form; only 'raw' and 'site' archives are read")
+    L, d, dims = manifest["L"], manifest["d"], manifest["bond_dims"]
+    if len(dims) != L + 1:
+        raise ValueError(f"{path}: manifest lists {len(dims)} bond_dims for L = {L}")
+    sites = []
+    for l in range(1, L + 1):
+        t = read_tensor_blob(path / f"site_{l}.ten", (virt(l - 1), phys(l), virt(l)))
+        want = (dims[l - 1], d, dims[l])
+        if t.shape != want:
+            raise ValueError(f"{path}: site_{l}.ten has shape {t.shape}, but the manifest gives {want}")
+        sites.append(t)
+    psi = Mps(tuple(sites), form=form, center=center)
     defect = canonical_defect(psi)
     if not defect <= FORM_TOL:
         raise ValueError(f"{path}: the manifest claims {form} form at {center}, but the gauge defect is {defect:.3g}")

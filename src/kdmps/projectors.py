@@ -310,7 +310,7 @@ def apply_sector_pair(bases: KeptBases, pair: Pair, phi: Mps) -> Mps:
 
     A = [t.data for t in bases.left]
     B = [t.data for t in bases.right]
-    K = [t.data for t in phi.plain_sites()]
+    K = [t.data for t in phi.sites]
     arrs: dict[int, np.ndarray] = {}
     pend: dict[int, np.ndarray] = {}  # bond index -> matrix to absorb
 
@@ -357,7 +357,7 @@ def apply_projector(terms: Terms, bases: KeptBases, phi: Mps) -> Mps:
     is the zero projector and returns the zero state."""
     if not terms:
         return _zero_like(phi)
-    branches = [[t.data for t in apply_sector_pair(bases, pair, phi).plain_sites()] for _, pair in terms]
+    branches = [[t.data for t in apply_sector_pair(bases, pair, phi).sites] for _, pair in terms]
     return Mps(site_tensors(chain_sum(branches, [coeff for coeff, _ in terms])))
 
 

@@ -102,16 +102,16 @@ class Tensor:
 class TruncationPolicy:
     """How many singular values survive an SVD split.
 
+    The kept set always extends across a degenerate boundary: values within
+    DEGENERACY_WINDOW (relative) of the last kept one are kept with it.
+
     Attributes:
-        max_rank:        Keep at most this many values (None = unlimited).
-        rel_cutoff:      Drop values below ``rel_cutoff * s[0]``. Must be < 1.
-        keep_degenerate: Extend the kept set across a degenerate boundary
-                         (values within 1e-12 relative of the last kept one).
+        max_rank:   Keep at most this many values (None = unlimited).
+        rel_cutoff: Drop values below ``rel_cutoff * s[0]``. Must be < 1.
     """
 
     max_rank: int | None = None
     rel_cutoff: float = 0.0
-    keep_degenerate: bool = True
 
     def __post_init__(self) -> None:
         if self.max_rank is not None and self.max_rank < 1:
@@ -132,10 +132,9 @@ class TruncationPolicy:
             keep = min(keep, self.max_rank)
         if keep == 0:
             raise ValueError("truncation policy removed every singular value")
-        if self.keep_degenerate:
-            boundary = s[keep - 1]
-            while keep < n and s[keep] >= boundary * (1.0 - DEGENERACY_WINDOW):
-                keep += 1
+        boundary = s[keep - 1]
+        while keep < n and s[keep] >= boundary * (1.0 - DEGENERACY_WINDOW):
+            keep += 1
         return keep
 
 

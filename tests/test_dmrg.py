@@ -8,7 +8,6 @@ import pytest
 
 from kdmps.dmrg import (
     DmrgOptions,
-    apply_effective,
     build_env,
     dmrg_ground_state,
     effective_ham,
@@ -79,9 +78,9 @@ def test_env_recursion_consistency():
 def test_apply_effective_identity_operator():
     psi = random_mps(4, 2, bond_cap=2, seed=5)
     env = build_env(psi, identity_mpo(4))
-    x = env.bases.center_site(2)
-    out = apply_effective(effective_ham(env, "1s", 2), x)
-    npt.assert_allclose(out.data, x.data, atol=1e-12)
+    x = env.bases.center_site(2).data
+    out = effective_ham(env, "1s", 2).apply(x)
+    npt.assert_allclose(out, x, atol=1e-12)
 
 
 def test_apply_effective_matches_dense_restriction():
@@ -110,13 +109,6 @@ def test_apply_effective_symmetry_probes():
         n = int(np.prod(heff.x_shape))
         x, y = rng.standard_normal(n), rng.standard_normal(n)
         npt.assert_allclose(x @ heff.matvec(y), y @ heff.matvec(x), atol=SYM_TOL)
-
-
-def test_apply_effective_shape_check():
-    psi = random_mps(4, 2, bond_cap=2, seed=8)
-    env = build_env(psi, heisenberg_mpo(4))
-    with pytest.raises(ValueError, match="shape"):
-        apply_effective(effective_ham(env, "1s", 2), np.zeros((1, 2, 3)))
 
 
 # ---------- lanczos ----------
@@ -338,6 +330,13 @@ def test_dmrg_non_convergence_flagged():
     )
     assert not r.converged
     assert np.isfinite(r.energy)  # state still returned
+
+
+def test_dmrg_rejects_an_operator_of_another_length():
+    psi0 = random_mps(6, 2, bond_cap=4, seed=1)
+    for L in (4, 8):
+        with pytest.raises(ValueError, match="state and operator shapes disagree"):
+            dmrg_ground_state(psi0, heisenberg_mpo(L))
 
 
 def test_dmrg_orthogonal_sector_matches_first_excited():

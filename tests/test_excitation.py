@@ -16,7 +16,6 @@ from kdmps.excitation import (
     apply_projected_h,
     branch_mps,
     build_exc_env,
-    compress_windows,
     ex_axpy,
     ex_overlap,
     ex_scale,
@@ -212,23 +211,6 @@ def test_ex_axpy_dense_check_and_bond_growth():
     npt.assert_allclose(dense_state(materialize(out)).vec, want, atol=DENSE_TOL)
     # interior window bonds add
     assert out.windows[0][0].shape[2] == x.windows[0][0].shape[2] + y.windows[0][0].shape[2]
-
-
-def test_compress_windows_preserves_state():
-    kept = bases_for(6, 2, 12)
-    x = init_excitation(kept, 3, seed=11)
-    y = init_excitation(kept, 3, seed=12)
-    grown = ex_axpy(x, -0.4, y)
-    packed = compress_windows(grown)
-    npt.assert_allclose(
-        dense_state(materialize(packed)).vec, dense_state(materialize(grown)).vec, atol=1e-10
-    )
-    assert packed.windows[2][0].shape[2] <= grown.windows[2][0].shape[2]
-    # branches that vanish identically compress to zero-width interior bonds
-    ref = ground_state_in_ansatz(kept, 3)
-    packed = compress_windows(compress_windows(ref))
-    npt.assert_allclose(dense_state(materialize(packed)).vec, dense_state(materialize(ref)).vec, atol=1e-12)
-    assert packed.windows[0][0].shape[2] == 0
 
 
 # ---------- the reference inside the window form ----------
@@ -458,7 +440,7 @@ def test_apply_symmetric_and_linear():
         hx, hy = apply_projected_h(x, h), apply_projected_h(y, h)
         npt.assert_allclose(ex_overlap(y, hx), ex_overlap(x, hy), atol=DENSE_TOL)
         z = gauge_fix_T1(ex_axpy(x, 0.7, y))
-        hz = apply_projected_h(compress_windows(z), h)
+        hz = apply_projected_h(z, h)
         want = dense_state(materialize(hx)).vec + 0.7 * dense_state(materialize(hy)).vec
         npt.assert_allclose(dense_state(materialize(hz)).vec, want, atol=DENSE_TOL)
 

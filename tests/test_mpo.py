@@ -13,12 +13,10 @@ from kdmps.mpo import (
     hs_first_excited_energy,
     hs_ground_energy,
     identity_mpo,
-    load_mpo,
     mpo_frobenius,
     mpo_shift,
     mpo_sum_compress,
     s2_total_mpo,
-    save_mpo,
     sz_total_mpo,
 )
 from kdmps.mps import Mps, product_mps, random_mps, site_tensors
@@ -239,27 +237,3 @@ def test_s2_total_matches_kron_oracle():
     want = szt @ szt + 0.5 * (spt @ spt.T + spt.T @ spt)
     npt.assert_allclose(dense_hamiltonian(s2_total_mpo(L)), want, atol=1e-13)
 
-
-# ---------- archives ----------
-
-
-def test_mpo_archive_roundtrip(tmp_path):
-    h = haldane_shastry_mpo(4)
-    save_mpo(h, tmp_path / "op")
-    back = load_mpo(tmp_path / "op")
-    for ta, tb in zip(h.sites, back.sites):
-        npt.assert_array_equal(ta.data, tb.data)
-    import json
-
-    manifest = json.loads((tmp_path / "op" / "manifest.json").read_text())
-    assert manifest["kind"] == "mpo"
-
-
-def test_mpo_archive_rejects_a_swapped_site_blob(tmp_path):
-    save_mpo(heisenberg_mpo(4), tmp_path / "op")
-    a, b = tmp_path / "op" / "site_1.ten", tmp_path / "op" / "site_2.ten"
-    first, second = a.read_bytes(), b.read_bytes()
-    a.write_bytes(second)
-    b.write_bytes(first)
-    with pytest.raises(ValueError, match=r"site_1\.ten has shape \(5, 2, 2, 5\), but the manifest gives \(1, 2, 2, 5\)"):
-        load_mpo(tmp_path / "op")

@@ -13,11 +13,11 @@ from kdmps.mps import (
     load_mps,
     mps_add,
     mps_norm,
-    mps_scale,
     overlap,
     product_mps,
     random_mps,
     save_mps,
+    site_tensors,
     phys,
     virt,
 )
@@ -53,15 +53,11 @@ def test_random_mps_exponential_profile():
     assert psi.bond_dims == (1, 2, 3, 3, 3, 2, 1)
 
 
-def test_random_mps_explicit_profile():
-    psi = random_mps(4, 2, bond_cap=[1, 2, 3, 2, 1], seed=0)
-    assert psi.bond_dims == (1, 2, 3, 2, 1)
-    # requested extents are clamped to the exponential ceilings
-    psi = random_mps(4, 2, bond_cap=[1, 9, 9, 9, 1], seed=0)
-    assert psi.bond_dims == (1, 2, 4, 2, 1)
-    npt.assert_allclose(overlap(psi, psi), 1.0, atol=DENSE_TOL)
-    with pytest.raises(ValueError, match="entries"):
-        random_mps(4, 2, bond_cap=[1, 2, 1], seed=0)
+def test_random_mps_rejects_a_bond_cap_that_is_not_a_positive_int():
+    for cap in (0, -3, 2.5, [1, 2, 3, 2, 1]):
+        with pytest.raises(ValueError, match="bond_cap must be a positive int or None"):
+            random_mps(4, 2, bond_cap=cap, seed=0)
+    assert random_mps(4, 2, bond_cap=np.int64(1), seed=0).bond_dims == (1, 1, 1, 1, 1)
 
 
 def test_random_mps_deterministic():
@@ -118,21 +114,26 @@ def test_gauge_invariance_between_centers():
 
 
 def test_bond_canonical_product_state():
-    psi = product_mps(4, 2)
-    out, norm = canonicalize(psi, 2, form="bond")
-    npt.assert_allclose(out.weights, [1.0], atol=DENSE_TOL)
-    npt.assert_allclose(overlap(out, psi), 1.0, atol=DENSE_TOL)
+    # every bond matrix of canonical_sets is the 1x1 unit Schmidt weight
+    _, _, bonds, norm = canonical_sets(product_mps(4, 2))
+    npt.assert_allclose(norm, 1.0, atol=DENSE_TOL)
+    for c in bonds:
+        npt.assert_allclose(c, [[1.0]], atol=DENSE_TOL)
 
 
 def test_bond_canonical_all_bonds_including_dummies():
+    # the singular values of the bond matrix C_l are the Schmidt weights at
+    # bond l, dummy bonds 0 and L included (there C_l = [[1]])
     psi = random_mps(5, 2, bond_cap=3, seed=9)
+    _, _, bonds, _ = canonical_sets(psi)
+    vec = dense_state(psi).vec
     for bond in range(0, 6):
-        out, _ = canonicalize(psi, bond, form="bond")
-        assert out.form == "bond" and out.center == bond
-        npt.assert_allclose(overlap(out, psi), 1.0, atol=DENSE_TOL)
-        assert np.all(out.weights >= 0.0)
-        npt.assert_allclose(np.linalg.norm(out.weights), 1.0, atol=DENSE_TOL)
-        assert canonical_defect(out) <= GAUGE_TOL
+        c = bonds[bond]
+        assert c.shape == (psi.bond_dims[bond],) * 2
+        want = np.linalg.svd(vec.reshape(2**bond, -1), compute_uv=False)[: len(c)]
+        npt.assert_allclose(np.linalg.svd(c, compute_uv=False), want, atol=DENSE_TOL)
+    npt.assert_allclose(bonds[0], [[1.0]], atol=DENSE_TOL)
+    npt.assert_allclose(bonds[5], [[1.0]], atol=DENSE_TOL)
 
 
 def test_canonical_defect_reports_gauge_violations():
@@ -152,9 +153,6 @@ def test_canonical_representations_agree_densely():
     for l in range(1, 7):
         site_vec = dense_state(canonicalize(psi, l)[0]).vec
         npt.assert_allclose(site_vec, ref, atol=DENSE_TOL)
-    for bond in range(0, 7):
-        bond_vec = dense_state(canonicalize(psi, bond, form="bond")[0]).vec
-        npt.assert_allclose(bond_vec, ref, atol=DENSE_TOL)
 
 
 def test_canonicalize_errors():
@@ -163,9 +161,7 @@ def test_canonicalize_errors():
         canonicalize(psi, 0)
     with pytest.raises(ValueError):
         canonicalize(psi, 4)
-    with pytest.raises(ValueError):
-        canonicalize(psi, 4, form="bond")
-    zero = mps_scale(psi, 0.0)
+    zero = Mps(site_tensors([0.0 * psi.sites[0].data] + [t.data for t in psi.sites[1:]]))
     with pytest.raises(ValueError, match="zero state"):
         canonicalize(zero, 1)
 
@@ -253,15 +249,6 @@ def test_mps_archive_roundtrip(tmp_path):
     npt.assert_allclose(manifest["norm"], 1.0, atol=DENSE_TOL)
 
 
-def test_mps_archive_bond_form_roundtrip(tmp_path):
-    psi, _ = canonicalize(random_mps(4, 2, bond_cap=2, seed=3), 2, form="bond")
-    save_mps(psi, tmp_path / "state")
-    back = load_mps(tmp_path / "state")
-    assert back.form == "bond" and back.center == 2
-    npt.assert_allclose(back.weights, psi.weights, atol=0)
-    npt.assert_allclose(overlap(back, psi), 1.0, atol=DENSE_TOL)
-
-
 def test_mps_archive_rejects_a_swapped_site_blob(tmp_path):
     save_mps(random_mps(6, 2, bond_cap=4, seed=2), tmp_path / "state")
     a, b = tmp_path / "state" / "site_1.ten", tmp_path / "state" / "site_2.ten"
@@ -296,9 +283,20 @@ def test_mps_archive_rejects_a_wrong_form(tmp_path):
         load_mps(tmp_path / "state")
 
 
-def test_mps_archive_rejects_bond_weights_of_the_wrong_length(tmp_path):
-    psi, _ = canonicalize(random_mps(4, 2, bond_cap=2, seed=3), 2, form="bond")
-    save_mps(psi, tmp_path / "state")
-    write_tensor_blob(tmp_path / "state" / "bond_weights.ten", Tensor(np.ones(3), ("s",)))
-    with pytest.raises(ValueError, match=r"bond_weights\.ten has shape \(3,\), but bond 2 has extent 2"):
+def test_mps_archive_rejects_the_bond_form(tmp_path):
+    import json
+
+    # an archive as earlier versions wrote it: left-normalized sites up to
+    # bond 2, the diagonal Schmidt weights of bond 2 in bond_weights.ten,
+    # right-normalized sites after it
+    a_set, b_set, bonds, _ = canonical_sets(random_mps(4, 2, bond_cap=2, seed=3))
+    u, weights, vh = np.linalg.svd(bonds[2])
+    sites = [a_set[0], np.tensordot(a_set[1], u, axes=(2, 0)), np.tensordot(vh, b_set[2], axes=(1, 0)), b_set[3]]
+    save_mps(Mps(site_tensors(sites)), tmp_path / "state")
+    write_tensor_blob(tmp_path / "state" / "bond_weights.ten", Tensor(weights, ("s",)))
+    manifest_path = tmp_path / "state" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["form"] = {"kind": "bond", "index": 2}
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="claims 'bond' form; only 'raw' and 'site' archives are read"):
         load_mps(tmp_path / "state")

@@ -346,7 +346,6 @@ def test_truncation_policy_validation_and_degeneracy():
     # a degenerate pair across the rank boundary is kept together
     s = np.array([1.0, 0.5, 0.5 - 1e-14, 0.1])
     assert TruncationPolicy(max_rank=2).kept_count(s) == 3
-    assert TruncationPolicy(max_rank=2, keep_degenerate=False).kept_count(s) == 2
     # rel_cutoff drops strictly smaller values only
     s = np.array([1.0, 0.5, 1e-8])
     assert TruncationPolicy(rel_cutoff=1e-8).kept_count(s) == 3

@@ -64,6 +64,10 @@ class RunConfig:
         return min(self.L, 6)
 
     def validate(self) -> None:
+        for name in ("L", "d", "D_cap", "seed", "sweeps", "excitation_n", "variance_n_max"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "variance_n_max" and value is None):  # bool is not int here
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.L < 2:

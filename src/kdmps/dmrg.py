@@ -73,10 +73,8 @@ class EnvCache:
         return float(np.vdot(c, apply_window(self.lefts[l], (), (c,), self.rights[l + 1])))
 
 
-def build_env(psi: Mps, h: Mpo, bases: KeptBases | None = None) -> EnvCache:
-    """Build the full environment cache for ``psi`` (normalized) and ``h``."""
-    if bases is None:
-        bases, _ = build_bases(psi)
+def build_env(bases: KeptBases, h: Mpo) -> EnvCache:
+    """Build the full environment cache of the gauge ``bases`` for ``h``."""
     L = bases.L
     if h.L != L or h.d != bases.d:
         raise ValueError("state and operator shapes disagree")
@@ -461,7 +459,7 @@ def fixed_point_residuals(psi: Mps, h: Mpo, l: int | None = None) -> dict[str, f
     by the two-site one (they are its kept-sector projections).
     """
     bases, _ = build_bases(psi)
-    env = build_env(psi, h, bases=bases)
+    env = build_env(bases, h)
     L = bases.L
     if l is None:
         l = L // 2

@@ -468,7 +468,7 @@ def verify_identity_suite(psi: Mps, h: Mpo, tol: float = 1e-10) -> IdentityRepor
     record("dimension_bookkeeping", dev)
 
     # effective Hamiltonians equal the dense restrictions of H
-    env = build_env(bases.reference, h, bases=bases)
+    env = build_env(bases, h)
     dev = 0.0
     from .projectors import _fold_left_chain, _fold_right_chain
 

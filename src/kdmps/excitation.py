@@ -5,9 +5,14 @@ reference's left isometries up to site l-1, a window of n free tensors
 T^l_1..T^l_n on sites l..l+n-1, and the right isometries afterwards. Every
 branch except the last (the anchor, l = L-n+1) carries a discarded-space
 gauge condition on its first window slot: contracting A_l against T^l_1
-vanishes. The branches are then mutually orthogonal, overlaps reduce to a
-single sum over positions, and sums of states act slot-wise on the window
-chains (interior window bonds add).
+vanishes. The branches are then mutually orthogonal, so the state's
+parameters are one flat vector, the dense branch windows T_l concatenated
+(:func:`flatten`), on which the overlap is the Euclidean dot product.
+Every computation here runs on that vector. The window chains are only the
+stored form: :func:`state_from_flat` QR-splits each window into its chain
+and then projects every non-anchor first slot to the discarded space. Every
+state this module computes is built there, so that is where its chains get
+the gauge condition.
 
 Applying the window-projected Hamiltonian runs on the dense branch windows
 T_l in one pass per reading direction; the backward pass is the forward one
@@ -34,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dmrg import EnvCache, build_env, lanczos_lowest
+from .dmrg import build_env, lanczos_lowest
 from .mps import FORM_TOL, Mps, load_mps, phys, site_tensors, virt
 from .mpo import Mpo, s2_total_mpo, sz_total_mpo
 from .projectors import KeptBases, _project_out_left, build_bases
@@ -47,7 +52,6 @@ from .tensor import (
     mpo_step,
     qr,
     read_tensor_blob,
-    transfer_left,
     write_tensor_blob,
 )
 
@@ -61,7 +65,6 @@ __all__ = [
     "gauge_defect",
     "ex_overlap",
     "ex_axpy",
-    "ex_scale",
     "materialize",
     "ground_state_in_ansatz",
     "build_exc_env",
@@ -119,8 +122,6 @@ def _chain_to_window(arrs: list[np.ndarray]) -> np.ndarray:
 
 def _window_to_chain(arr: np.ndarray, n: int) -> list[np.ndarray]:
     """Split a dense window into n tensors by thin QR (exact, deterministic)."""
-    if n == 1:
-        return [arr]
     out: list[np.ndarray] = []
     cur = arr
     for _ in range(n - 1):
@@ -134,13 +135,21 @@ def _window_to_chain(arr: np.ndarray, n: int) -> list[np.ndarray]:
 
 def _window_shapes(bases: KeptBases, n: int) -> list[tuple[int, ...]]:
     """The dense window shape of every branch l = 1..L-n+1."""
+    if not 1 <= n <= bases.L:
+        raise ValueError(f"n must lie in [1, {bases.L}]")
     dims = bases.dims
     return [(dims[l - 1],) + (bases.d,) * n + (dims[l + n - 1],) for l in range(1, bases.L - n + 2)]
 
 
 def _state_from_windows(bases: KeptBases, n: int, dense_windows: list[np.ndarray]) -> ExcitationState:
-    chains = tuple(site_tensors(_window_to_chain(w, n), l) for l, w in enumerate(dense_windows, start=1))
-    return ExcitationState(bases=bases, n=n, windows=chains)
+    """The gauge-fixed state of these dense windows: each is QR-split into
+    its chain, then every non-anchor first slot is projected to the
+    discarded space. Splitting first matters: QR columns beyond a window's
+    rank are arbitrary and can lie in the kept space."""
+    chains = [_window_to_chain(w, n) for w in dense_windows]
+    firsts = _gauge_fix_windows(bases, [chain[0] for chain in chains])
+    windows = tuple(site_tensors([t1] + chain[1:], l) for l, (t1, chain) in enumerate(zip(firsts, chains), start=1))
+    return ExcitationState(bases=bases, n=n, windows=windows)
 
 
 # ---------- construction and algebra ----------
@@ -152,16 +161,12 @@ def init_excitation(bases: KeptBases, n: int, seed: int = 0) -> ExcitationState:
     Window chains are created at full interior bond dimension, so the
     branch windows span the entire image of the corresponding projectors.
     """
-    if not 1 <= n <= bases.L:
-        raise ValueError(f"n must lie in [1, {bases.L}]")
     rng = np.random.Generator(np.random.PCG64(seed))
-    windows = [rng.standard_normal(shape) for shape in _window_shapes(bases, n)]
-    x = _state_from_windows(bases, n, windows)
-    x = gauge_fix_T1(x)
-    nrm = np.sqrt(ex_overlap(x, x))
+    flat = _join_flat(_gauge_fix_windows(bases, [rng.standard_normal(shape) for shape in _window_shapes(bases, n)]))
+    nrm = np.linalg.norm(flat)
     if nrm == 0.0:
         raise ValueError("random state collapsed to zero under the gauge projection")
-    return ex_scale(x, 1.0 / nrm)
+    return state_from_flat(bases, n, flat / nrm)
 
 
 def gauge_fix_T1(x: ExcitationState) -> ExcitationState:
@@ -170,9 +175,7 @@ def gauge_fix_T1(x: ExcitationState) -> ExcitationState:
     Idempotent; branches whose first slot was purely kept-space content
     become zero. The anchor branch passes through unchanged.
     """
-    firsts = _gauge_fix_windows(x.bases, [chain[0].data for chain in x.windows])
-    chains = (site_tensors([t1] + x.branch_arrays(l)[1:], l) for l, t1 in enumerate(firsts, start=1))
-    return ExcitationState(bases=x.bases, n=x.n, windows=tuple(chains))
+    return state_from_flat(x.bases, x.n, flatten(x))
 
 
 def gauge_defect(x: ExcitationState) -> float:
@@ -207,43 +210,21 @@ def _same_gauge(p: KeptBases, q: KeptBases) -> bool:
 
 
 def ex_overlap(x: ExcitationState, y: ExcitationState) -> float:
-    """Inner product <x|y>: one term per branch (never a double sum).
+    """Inner product <x|y>: the dot product of the flat dense windows.
 
     Equals the state overlap when both arguments satisfy the gauge
     condition (then the branches are mutually orthogonal).
     """
     _check_compatible(x, y)
-    total = 0.0
-    for l in range(1, x.n_branches + 1):
-        # the two window chains share their boundary legs
-        xa, ya = x.branch_arrays(l), y.branch_arrays(l)
-        env = np.eye(xa[0].shape[0])
-        for ta, tb in zip(xa, ya):
-            env = transfer_left(env, ta, tb)
-        total += float(np.trace(env))
-    return total
-
-
-def ex_scale(x: ExcitationState, c: float) -> ExcitationState:
-    """Scale the represented state by ``c`` (folded into each first slot)."""
-    chains = tuple(site_tensors(chain_sum([x.branch_arrays(l)], (c,)), l) for l in range(1, x.n_branches + 1))
-    return ExcitationState(bases=x.bases, n=x.n, windows=chains)
+    return float(flatten(x) @ flatten(y))
 
 
 def ex_axpy(x: ExcitationState, a: float, y: ExcitationState) -> ExcitationState:
-    """The state ``x + a * y``: per branch, the direct sum of the two window
-    chains with coefficients (1, a) (:func:`~kdmps.tensor.chain_sum`).
-
-    For n = 1 the windows are added; for n >= 2 interior window bonds add
-    and stay added: nothing recompresses them. The solver never grows them,
-    since its Krylov vectors are flat dense windows (:func:`flatten`).
-    """
+    """The state ``x + a * y``: the flat dense windows are added and split
+    again (:func:`state_from_flat`), so window bonds keep the extents of a
+    fresh split and do not grow."""
     _check_compatible(x, y)
-    chains = tuple(
-        site_tensors(chain_sum([x.branch_arrays(l), y.branch_arrays(l)], (1.0, a)), l)
-        for l in range(1, x.n_branches + 1)
-    )
-    return ExcitationState(bases=x.bases, n=x.n, windows=chains)
+    return state_from_flat(x.bases, x.n, flatten(x) + a * flatten(y))
 
 
 def branch_mps(x: ExcitationState, l: int) -> Mps:
@@ -258,29 +239,22 @@ def materialize(x: ExcitationState) -> Mps:
     return Mps(site_tensors(chain_sum(branches)))
 
 
+def _reference_windows(bases: KeptBases, n: int) -> list[np.ndarray]:
+    """The dense windows of :func:`ground_state_in_ansatz`."""
+    shapes = _window_shapes(bases, n)
+    anchor = len(shapes)
+    chain = [bases.center_site(anchor).data] + [t.data for t in bases.right[anchor : anchor + n - 1]]
+    return [np.zeros(shape) for shape in shapes[:-1]] + [_chain_to_window(chain)]
+
+
 def ground_state_in_ansatz(bases: KeptBases, n: int) -> ExcitationState:
     """The reference state written as the anchor branch of the window form.
 
     The anchor window holds the 1-site center followed by right
     isometries; all other branches vanish (their content would be purely
-    kept, which the gauge projection annihilates). Zero branches use
-    1-wide interior window bonds.
+    kept, which the gauge projection annihilates).
     """
-    L, d = bases.L, bases.d
-    anchor = L - n + 1
-    dims = bases.dims
-    chains = []
-    for l in range(1, anchor + 1):
-        if l == anchor:
-            arrs = [bases.center_site(anchor).data] + [t.data for t in bases.right[anchor : anchor + n - 1]]
-        else:
-            arrs = []
-            for i in range(1, n + 1):
-                dl = dims[l - 1] if i == 1 else 1
-                dr = dims[l + n - 1] if i == n else 1
-                arrs.append(np.zeros((dl, d, dr)))
-        chains.append(site_tensors(arrs, l))
-    return ExcitationState(bases=bases, n=n, windows=tuple(chains))
+    return _state_from_windows(bases, n, _reference_windows(bases, n))
 
 
 # ---------- environments and the projected Hamiltonian ----------
@@ -328,22 +302,12 @@ class ExcEnvCache:
     backward: _Reading
 
 
-def build_exc_env(x: ExcitationState, h: Mpo, base: EnvCache | None = None) -> ExcEnvCache:
-    """The per-operator cache for applying ``h`` to states in the gauge and
-    window size of ``x``; the windows of ``x`` are not read.
-
-    The reference environments are taken from ``base`` (the reference's
-    :class:`EnvCache` for ``h``) when given.
-    """
-    L, n = x.L, x.n
-    if h.L != L or h.d != x.d:
-        raise ValueError("operator shape disagrees with the state")
-    if base is None:
-        base = build_env(x.bases.reference, h, bases=x.bases)
-    if base.h is not h or base.bases is not x.bases:
-        raise ValueError("reference environments belong to another operator or gauge")
-    a = [t.data for t in x.bases.left]
-    b = [t.data for t in x.bases.right]
+def build_exc_env(bases: KeptBases, n: int, h: Mpo) -> ExcEnvCache:
+    """The per-operator cache for applying ``h`` to the n-site excitation
+    states of the gauge ``bases``."""
+    base = build_env(bases, h)
+    a = [t.data for t in bases.left]
+    b = [t.data for t in bases.right]
     forward = _reading(a, b, h.ops, base.lefts, base.rights[1:], n)
     backward = _reading(
         [np.ascontiguousarray(t.T) for t in reversed(b)],  # .T reverses every axis
@@ -353,7 +317,7 @@ def build_exc_env(x: ExcitationState, h: Mpo, base: EnvCache | None = None) -> E
         base.lefts[::-1],
         n,
     )
-    return ExcEnvCache(bases=x.bases, h=h, n=n, forward=forward, backward=backward)
+    return ExcEnvCache(bases=bases, h=h, n=n, forward=forward, backward=backward)
 
 
 def _absorb(r: _Reading, windows: list[np.ndarray], n: int, diagonal: bool):
@@ -398,8 +362,8 @@ def _absorb(r: _Reading, windows: list[np.ndarray], n: int, diagonal: bool):
 
 
 def _gauge_fix_windows(bases: KeptBases, windows: list[np.ndarray]) -> list[np.ndarray]:
-    """Dense windows with every non-anchor first slot projected to the
-    discarded space (:func:`gauge_fix_T1` on dense windows)."""
+    """Dense windows, or the first slots of window chains, with every
+    non-anchor one projected to the discarded space."""
     out = []
     for l, w in enumerate(windows, start=1):
         if l < len(windows):
@@ -429,7 +393,7 @@ def apply_projected_h(x: ExcitationState, h: Mpo, env: ExcEnvCache | None = None
     must belong to the gauge, operator and window size of ``x``.
     """
     if env is None:
-        env = build_exc_env(x, h)
+        env = build_exc_env(x.bases, x.n, h)
     if env.h is not h or env.n != x.n or not _same_gauge(env.bases, x.bases):
         raise ValueError("environment cache belongs to another gauge, operator or window size")
     windows = [_chain_to_window(x.branch_arrays(l)) for l in range(1, x.n_branches + 1)]
@@ -464,6 +428,7 @@ def _join_flat(windows: list[np.ndarray]) -> np.ndarray:
 
 
 def state_from_flat(bases: KeptBases, n: int, vec: np.ndarray) -> ExcitationState:
+    """The gauge-fixed state of a flat vector (see :func:`_state_from_windows`)."""
     return _state_from_windows(bases, n, _split_flat(bases, n, vec))
 
 
@@ -504,11 +469,8 @@ def solve_lowest_excitation(gs: Mps, h: Mpo, n: int, opts: ExcitationOptions | N
     """
     opts = opts or ExcitationOptions()
     bases, _ = build_bases(gs)
-    if not 1 <= n <= bases.L:
-        raise ValueError(f"n must lie in [1, {bases.L}]")
-    reference = ground_state_in_ansatz(bases, n)
-    gs_flat = flatten(reference)
-    env = build_exc_env(reference, h)
+    gs_flat = _join_flat(_reference_windows(bases, n))
+    env = build_exc_env(bases, n, h)
 
     def fixed(vec: np.ndarray) -> list[np.ndarray]:
         return _gauge_fix_windows(bases, _split_flat(bases, n, vec))
@@ -522,7 +484,7 @@ def solve_lowest_excitation(gs: Mps, h: Mpo, n: int, opts: ExcitationOptions | N
     v0 = _join_flat(fixed(rng.standard_normal(gs_flat.shape)))
     res = lanczos_lowest(matvec, v0, max_iter=EXCITE_MAX_ITER, tol=opts.tol, orth_against=(gs_flat,))
 
-    state = gauge_fix_T1(state_from_flat(bases, n, res.vector))
+    state = state_from_flat(bases, n, res.vector)
     flat = flatten(state)
     sz = float(flat @ flatten(apply_projected_h(state, sz_total_mpo(bases.L))))
     s2 = float(flat @ flatten(apply_projected_h(state, s2_total_mpo(bases.L))))

@@ -168,6 +168,15 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert manifest["config"]["model"] == "heisenberg"  # file value survives
 
 
+def test_config_file_non_integer_counts_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    for field, value in (("L", 8.0), ("sweeps", 2.5), ("D_cap", True), ("excitation_n", "1")):
+        cfg.write_text(json.dumps({field: value}))
+        code, _, err = run_cli(capsys, "gs", "--config", str(cfg), "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert f"{field} must be an integer" in err
+
+
 def test_runs_reproducible_from_seed(tmp_path, capsys):
     outputs = []
     for name in ("a", "b"):

@@ -13,12 +13,13 @@ from kdmps.excitation import (
     ExcitationOptions,
     _absorb,
     _chain_to_window,
+    _join_flat,
+    _reference_windows,
     apply_projected_h,
     branch_mps,
     build_exc_env,
     ex_axpy,
     ex_overlap,
-    ex_scale,
     flatten,
     gauge_defect,
     gauge_fix_T1,
@@ -149,7 +150,7 @@ def test_ex_overlap_normalization_and_zero():
     kept = bases_for(6, 2, 7)
     x = init_excitation(kept, 2, seed=4)
     npt.assert_allclose(ex_overlap(x, x), 1.0, atol=1e-12)
-    zero = ex_scale(x, 0.0)
+    zero = state_from_flat(kept, 2, np.zeros_like(flatten(x)))
     npt.assert_allclose(ex_overlap(x, zero), 0.0, atol=0)
 
 
@@ -209,8 +210,11 @@ def test_ex_axpy_dense_check_and_bond_growth():
     out = ex_axpy(x, 0.3, y)
     want = dense_state(materialize(x)).vec + 0.3 * dense_state(materialize(y)).vec
     npt.assert_allclose(dense_state(materialize(out)).vec, want, atol=DENSE_TOL)
-    # interior window bonds add
-    assert out.windows[0][0].shape[2] == x.windows[0][0].shape[2] + y.windows[0][0].shape[2]
+    # sums are split afresh, so chained sums keep the window bonds of a new state
+    profile = [[t.shape for t in chain] for chain in x.windows]
+    for _ in range(10):
+        out = ex_axpy(out, 0.3, y)
+    assert [[t.shape for t in chain] for chain in out.windows] == profile
 
 
 # ---------- the reference inside the window form ----------
@@ -224,6 +228,28 @@ def test_ground_state_in_ansatz_reproduces_reference():
             dense_state(materialize(rep)).vec, dense_state(kept.reference).vec, atol=1e-12
         )
         npt.assert_allclose(ex_overlap(rep, rep), 1.0, atol=1e-12)
+
+
+def test_state_from_flat_gauge_fixes_rank_deficient_windows():
+    # QR columns beyond a window's rank are arbitrary and may hold kept
+    # content, so the gauge must be fixed after the split
+    kept = bases_for(6, 4, 30)
+    h = haldane_shastry_mpo(6)
+    for n in (2, 3):
+        windows = _reference_windows(kept, n)  # the zero branches have rank 0
+        states = [state_from_flat(kept, n, _join_flat(windows)), ground_state_in_ansatz(kept, n)]
+        rng = np.random.default_rng(n)
+        for l, w in enumerate(windows[:-1], start=1):
+            # a rank-1 gauge-fixed window: a discarded vector times any right factor
+            a = kept.left[l - 1].data
+            u = rng.standard_normal(w.shape[:2])
+            u -= np.tensordot(a, np.tensordot(a, u, axes=((0, 1), (0, 1))), axes=(2, 0))
+            windows[l - 1] = np.multiply.outer(u, rng.standard_normal(w.shape[2:]))
+        x = init_excitation(kept, n, seed=n)
+        states += [state_from_flat(kept, n, _join_flat(windows)), x, ex_axpy(x, 0.5, x)]
+        states.append(apply_projected_h(states[2], h))
+        for state in states:
+            assert gauge_defect(state) <= 1e-12 * max(1.0, np.sqrt(ex_overlap(state, state)))
 
 
 def test_membership_of_gauge_fixed_states():
@@ -241,7 +267,7 @@ def test_membership_of_gauge_fixed_states():
 def _passes(x, h, env=None):
     """(out, F) pairs of the forward pass and of the pass over the mirrored
     chain, on the dense windows of ``x``."""
-    env = env or build_exc_env(x, h)
+    env = env or build_exc_env(x.bases, x.n, h)
     windows = [_chain_to_window(x.branch_arrays(l)) for l in range(1, x.n_branches + 1)]
     forward = list(_absorb(env.forward, windows, x.n, diagonal=True))
     mirrored = [np.transpose(w) for w in reversed(windows)]
@@ -270,10 +296,10 @@ def test_exc_env_zero_windows_reduce_to_plain_environments():
 
     kept = bases_for(5, 2, 15)
     h = heisenberg_mpo(5)
-    plain = build_env(kept.reference, h, bases=kept)
+    plain = build_env(kept, h)
     for n in (1, 2):
-        x = ex_scale(init_excitation(kept, n, seed=1), 0.0)
-        env = build_exc_env(x, h)
+        x = state_from_flat(kept, n, np.zeros_like(flatten(init_excitation(kept, n, seed=1))))
+        env = build_exc_env(kept, n, h)
         for k in range(0, 6):
             npt.assert_array_equal(env.forward.lefts[k], plain.lefts[k])
             npt.assert_array_equal(env.forward.rights[k], plain.rights[k + 1])
@@ -328,23 +354,25 @@ def test_exc_env_cached_reference_environments_match_rebuilt():
 
     kept = bases_for(6, 3, 23)
     h = haldane_shastry_mpo(6)
-    base = build_env(kept.reference, h, bases=kept)
+    base = build_env(kept, h)
     for n in (1, 2, 3):
         x = init_excitation(kept, n, seed=n)
-        cached = apply_projected_h(x, h, build_exc_env(x, h, base))
+        env = build_exc_env(kept, n, h)
+        npt.assert_array_equal(env.forward.lefts[3], base.lefts[3])
+        cached = apply_projected_h(x, h, env)
         rebuilt = apply_projected_h(x, h)
         for ca, cb in zip(cached.windows, rebuilt.windows):
             for ta, tb in zip(ca, cb):
                 npt.assert_array_equal(ta.data, tb.data)
-    with pytest.raises(ValueError, match="another operator"):
-        build_exc_env(x, heisenberg_mpo(6), base)
+    with pytest.raises(ValueError, match="another gauge, operator"):
+        apply_projected_h(x, heisenberg_mpo(6), env)
 
 
 def test_exc_env_stale_cache_rejected():
     kept = bases_for(4, 2, 18)
     h = heisenberg_mpo(4)
     x = init_excitation(kept, 1, seed=4)
-    env = build_exc_env(x, h)
+    env = build_exc_env(kept, 1, h)
     other_gauge = init_excitation(bases_for(4, 2, 19), 1, seed=4)
     for y, op in ((other_gauge, h), (x, heisenberg_mpo(4)), (init_excitation(kept, 2, seed=4), h)):
         with pytest.raises(ValueError, match="another gauge, operator or window size"):
@@ -357,8 +385,10 @@ def test_exc_env_cache_serves_every_state_of_its_gauge():
     for n in (1, 2):
         x = init_excitation(kept, n, seed=4)
         y = init_excitation(kept, n, seed=5)
-        reused = apply_projected_h(y, h, env=build_exc_env(x, h))
-        fresh = apply_projected_h(y, h, env=build_exc_env(y, h))
+        env = build_exc_env(kept, n, h)
+        apply_projected_h(x, h, env)
+        reused = apply_projected_h(y, h, env)
+        fresh = apply_projected_h(y, h)
         for ca, cb in zip(reused.windows, fresh.windows):
             for ta, tb in zip(ca, cb):
                 npt.assert_array_equal(ta.data, tb.data)

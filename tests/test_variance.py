@@ -21,7 +21,7 @@ def _values_window_by_window(psi, h, n_max) -> np.ndarray:
     """The per-n pieces with every (n, l) window applied on its own: one
     apply_window from the left environment of site l over all n sites."""
     bases, _ = build_bases(psi)
-    env = build_env(bases.reference, h, bases=bases)
+    env = build_env(bases, h)
     a = [t.data for t in bases.left]
     b = [t.data for t in bases.right]
     values = np.zeros(n_max)

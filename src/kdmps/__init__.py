@@ -40,7 +40,7 @@ from .excitation import (
     init_excitation,
     solve_lowest_excitation,
 )
-from .ed import DenseState, dense_apply, dense_hamiltonian, dense_state, exact_spectrum, verify_identity_suite
+from .ed import dense_apply, dense_hamiltonian, dense_state, exact_spectrum, verify_identity_suite
 
 __all__ = [
     "Tensor",
@@ -86,7 +86,6 @@ __all__ = [
     "build_exc_env",
     "apply_projected_h",
     "solve_lowest_excitation",
-    "DenseState",
     "dense_state",
     "dense_hamiltonian",
     "dense_apply",

@@ -472,7 +472,7 @@ def fixed_point_residuals(psi: Mps, h: Mpo, l: int | None = None) -> dict[str, f
     hb = effective_ham(env, "bond", l)
     out["bond"] = float(np.linalg.norm(hb.apply(c) - e * c))
     for s, key in ((l, "one_site_left"), (l + 1, "one_site_right")):
-        x = bases.center_site(s).data
+        x = bases.center_site(s)
         h1 = effective_ham(env, "1s", s)
         out[key] = float(np.linalg.norm(h1.apply(x) - e * x))
     x2 = np.tensordot(bases.left[l - 1].data, np.tensordot(bases.bond[l], bases.right[l].data, axes=(1, 0)), axes=(2, 0))

@@ -243,7 +243,7 @@ def _reference_windows(bases: KeptBases, n: int) -> list[np.ndarray]:
     """The dense windows of :func:`ground_state_in_ansatz`."""
     shapes = _window_shapes(bases, n)
     anchor = len(shapes)
-    chain = [bases.center_site(anchor).data] + [t.data for t in bases.right[anchor : anchor + n - 1]]
+    chain = [bases.center_site(anchor)] + [t.data for t in bases.right[anchor : anchor + n - 1]]
     return [np.zeros(shape) for shape in shapes[:-1]] + [_chain_to_window(chain)]
 
 
@@ -559,12 +559,11 @@ def load_excitation(path) -> tuple[ExcitationState, dict]:
     """Read an excitation archive (rebuilds the gauge from the referenced
     reference-state archive).
 
-    Formats 2 to 4 resolve a relative reference path against the archive
-    directory; format 1 archives stored it relative to the working
-    directory of the writer, and are read that way. Formats 3 and 4 raise
-    ValueError when the reference's blobs no longer match the stored hash,
-    and format 4 when the window blobs no longer match theirs (an
-    equal-shape swap of windows passes every other check).
+    Only format 4 is read: a relative reference path resolves against the
+    archive directory, and the manifest's two sha256 sums must match the
+    reference's blobs and the window blobs (an equal-shape swap of windows
+    passes every other check). Raises ValueError for any other
+    format_version, and when either hash is missing or does not match.
 
     Also raises ValueError when the manifest's L or d disagree with the
     reference, when n or the window bonds do not fit the chain, when a
@@ -576,10 +575,11 @@ def load_excitation(path) -> tuple[ExcitationState, dict]:
     manifest = json.loads((path / "manifest.json").read_text())
     if manifest.get("kind") != "excitation":
         raise ValueError(f"{path}: not an excitation archive")
-    gs_path = Path(manifest["ground_state"])
-    if manifest["format_version"] >= 2:
-        gs_path = path / gs_path  # an absolute path stays as it is
-    if "ground_state_sha256" in manifest and _reference_digest(gs_path) != manifest["ground_state_sha256"]:
+    version = manifest.get("format_version")
+    if version != 4:
+        raise ValueError(f"{path}: the manifest claims format {version!r}; only format 4 is read")
+    gs_path = path / manifest["ground_state"]  # an absolute path stays as it is
+    if _reference_digest(gs_path) != manifest.get("ground_state_sha256"):
         raise ValueError(f"{path}: the reference archive {gs_path} changed after the excitation was saved")
     bases, _ = build_bases(load_mps(gs_path))
     n, L, d = manifest["n"], manifest["L"], manifest["d"]
@@ -603,6 +603,6 @@ def load_excitation(path) -> tuple[ExcitationState, dict]:
     defect = gauge_defect(x)
     if not defect <= FORM_TOL * max(1.0, np.sqrt(ex_overlap(x, x))):
         raise ValueError(f"{path}: the windows violate the discarded-space gauge condition by {defect:.3g}")
-    if manifest["format_version"] >= 4 and _sha256(_window_blobs(path, L, n)) != manifest.get("windows_sha256"):
+    if _sha256(_window_blobs(path, L, n)) != manifest.get("windows_sha256"):
         raise ValueError(f"{path}: the window blobs changed after the excitation was saved")
     return x, manifest

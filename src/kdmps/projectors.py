@@ -22,8 +22,11 @@ pair is the one-term list ``[(1.0, pair)]``. :func:`apply_projector` and
 
 Applications to arbitrary states never materialize the discarded-space
 projector ``Abar Abar^T``; they use ``1 - A A^T`` on the parent legs. The
-explicit complements are built lazily, on the first read of
+explicit complements are plain arrays built lazily, on the first read of
 :class:`DiscardedBases`, so only dense materialization pays for them.
+:func:`dense_sector_pair` and :func:`dense_projector` build their frames
+with the dense oracle's one chain fold (:func:`kdmps.ed.fold_chain`) and
+check the dense guard before they allocate anything.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ed import guard_dims
+from .ed import fold_chain, guard_dims
 from .mps import Mps, canonical_sets, site_tensors
 from .tensor import Tensor, chain_sum, orthogonal_complement, transfer_left, transfer_right
 
@@ -91,34 +94,33 @@ class KeptBases:
         """Kept bond dimensions D_0..D_L."""
         return tuple([1] + [t.shape[2] for t in self.left])
 
-    def center_site(self, l: int) -> Tensor:
-        """The 1-site center C_l = C_{l-1} B_l (legs like an ordinary site)."""
-        b = self.right[l - 1]
-        return Tensor(np.tensordot(self.bond[l - 1], b.data, axes=(1, 0)), b.legs)
+    def center_site(self, l: int) -> np.ndarray:
+        """The 1-site center C_l = C_{l-1} B_l, shaped (D_{l-1}, d, D_l)."""
+        return np.tensordot(self.bond[l - 1], self.right[l - 1].data, axes=(1, 0))
 
 
 @dataclass(frozen=True)
 class DiscardedBases:
     """Orthonormal complements of the kept isometries, built on first access.
 
-    ``left[l-1]`` (Abar_l) has legs ("v{l-1}", "p{l}", "v{l}") whose last
-    extent is the discarded dimension D_{l-1} d - D_l; ``right[l-1]``
-    (Bbar_l) mirrors this on its first leg. Zero-dimensional complements
-    are legitimate empty tensors. Each side costs one complete QR per site,
-    paid only by callers that read it.
+    ``left[l-1]`` (Abar_l) is a (D_{l-1}, d, Dbar) array whose last extent
+    is the discarded dimension D_{l-1} d - D_l; ``right[l-1]`` (Bbar_l)
+    mirrors this on its first axis. Zero-dimensional complements are
+    legitimate empty arrays. Each side costs one complete QR per site, paid
+    only by callers that read it.
     """
 
     kept: KeptBases
 
     @cached_property
-    def left(self) -> tuple[Tensor, ...]:
+    def left(self) -> tuple[np.ndarray, ...]:
         comps = [orthogonal_complement(t.data.reshape(-1, t.shape[2])) for t in self.kept.left]
-        return site_tensors([c.reshape(*t.shape[:2], -1) for c, t in zip(comps, self.kept.left)])
+        return tuple(c.reshape(*t.shape[:2], -1) for c, t in zip(comps, self.kept.left))
 
     @cached_property
-    def right(self) -> tuple[Tensor, ...]:
+    def right(self) -> tuple[np.ndarray, ...]:
         comps = [orthogonal_complement(t.data.reshape(t.shape[0], -1).T).T for t in self.kept.right]
-        return site_tensors([c.reshape(-1, *t.shape[1:]) for c, t in zip(comps, self.kept.right)])
+        return tuple(c.reshape(-1, *t.shape[1:]) for c, t in zip(comps, self.kept.right))
 
     @property
     def left_dims(self) -> tuple[int, ...]:
@@ -364,31 +366,6 @@ def apply_projector(terms: Terms, bases: KeptBases, phi: Mps) -> Mps:
 # ---------- dense materialization ----------
 
 
-def _fold_left_chain(arrs: list[np.ndarray]) -> np.ndarray:
-    """Dense (d^m x D) matrix of a left chain (lexicographic row order).
-
-    Explicit row bookkeeping so zero-dimensional bond extents fold cleanly.
-    """
-    cur = np.ones((1, 1))
-    rows = 1
-    for a in arrs:
-        cur = np.tensordot(cur, a, axes=(1, 0))
-        rows *= a.shape[1]
-        cur = cur.reshape(rows, a.shape[2])
-    return cur
-
-
-def _fold_right_chain(arrs: list[np.ndarray]) -> np.ndarray:
-    """Dense (d^m x D) matrix of a right chain (lexicographic row order)."""
-    cur = np.ones((1, 1))
-    cols = 1
-    for b in reversed(arrs):
-        cur = np.tensordot(b, cur, axes=(2, 0))
-        cols *= b.shape[1]
-        cur = cur.reshape(b.shape[0], cols)
-    return cur.T
-
-
 def dense_sector_pair(bases: KeptBases, disc: DiscardedBases, pair: Pair) -> np.ndarray:
     """Exact d^L x d^L matrix of one sector-pair projector."""
     x, xbar, l, lbar = pair
@@ -399,21 +376,16 @@ def dense_sector_pair(bases: KeptBases, disc: DiscardedBases, pair: Pair) -> np.
 
     A = [t.data for t in bases.left]
     B = [t.data for t in bases.right]
-    if x == "K":
-        v = _fold_left_chain(A[:l])
-    else:
-        v = _fold_left_chain(A[: l - 1] + [disc.left[l - 1].data])
-    if xbar == "K":
-        w = _fold_right_chain(B[lbar - 1 :])
-    else:
-        w = _fold_right_chain([disc.right[lbar - 1].data] + B[lbar:])
+    v = fold_chain(A[:l] if x == "K" else A[: l - 1] + [disc.left[l - 1]])[0]
+    w = fold_chain(B[lbar - 1 :] if xbar == "K" else [disc.right[lbar - 1]] + B[lbar:])[:, :, 0].T
     mid = d ** (lbar - l - 1)
     return np.kron(np.kron(v @ v.T, np.eye(mid)), w @ w.T)
 
 
 def dense_projector(terms: Terms, bases: KeptBases, disc: DiscardedBases) -> np.ndarray:
-    """Exact dense matrix of a sector-pair term list (d^L <= 4096)."""
+    """Exact dense matrix of a sector-pair term list (within the dense guard)."""
     d, L = bases.d, bases.L
+    guard_dims(d, L)
     out = np.zeros((d**L, d**L))
     for coeff, pair in terms:
         out += coeff * dense_sector_pair(bases, disc, pair)

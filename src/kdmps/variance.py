@@ -29,7 +29,7 @@ import numpy as np
 # by name (dense_hamiltonian too, though nothing here calls it); each window
 # is closed through apply_window so that its wrapper counts the windows
 from .dmrg import build_env
-from .ed import DENSE_GUARD, dense_apply, dense_hamiltonian, dense_state  # noqa: F401
+from .ed import dense_apply, dense_hamiltonian, dense_state, within_guard  # noqa: F401
 from .mps import Mps
 from .mpo import Mpo
 from .projectors import _project_out_left, _project_out_right, build_bases
@@ -73,7 +73,7 @@ def nsite_variance(psi: Mps, h: Mpo, n_max: int) -> VarianceReport:
     values = np.zeros(n_max)  # values[n-1] accumulates in ascending l
     for l in range(1, L + 1):
         z = env.lefts[l - 1]
-        kets = [bases.center_site(l).data] + b[l:]
+        kets = [bases.center_site(l)] + b[l:]
         for n in range(1, min(n_max, L + 1 - l) + 1):
             z = mpo_step(ket_step(z, kets[n - 1]), h.ops[l + n - 2], n - 1)
             out = apply_window(z, (), (), env.rights[l + n])
@@ -85,8 +85,8 @@ def nsite_variance(psi: Mps, h: Mpo, n_max: int) -> VarianceReport:
             del out  # free the window before the next growth step
 
     total_dense = None
-    if psi.d**L <= DENSE_GUARD:
-        vec = dense_state(bases.reference).vec
+    if within_guard(bases.d, L):
+        vec = dense_state(bases.reference)
         resid = dense_apply(h, vec) - energy * vec
         total_dense = float(resid @ resid)
     return VarianceReport(

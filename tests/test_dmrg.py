@@ -14,7 +14,7 @@ from kdmps.dmrg import (
     fixed_point_residuals,
     lanczos_lowest,
 )
-from kdmps.ed import dense_hamiltonian, dense_state, exact_spectrum
+from kdmps.ed import dense_hamiltonian, dense_state, exact_spectrum, fold_chain
 from kdmps.mpo import (
     expectation,
     haldane_shastry_mpo,
@@ -23,7 +23,7 @@ from kdmps.mpo import (
     identity_mpo,
 )
 from kdmps.mps import overlap, random_mps
-from kdmps.projectors import build_bases, _fold_left_chain, _fold_right_chain
+from kdmps.projectors import build_bases
 from kdmps.tensor import TruncationPolicy, env_step_left, env_step_right, orthogonal_complement
 
 SYM_TOL = 1e-10
@@ -51,7 +51,7 @@ def test_env_energy_matches_dense_and_is_bond_independent():
     psi = random_mps(6, 2, bond_cap=3, seed=3)
     h = haldane_shastry_mpo(6)
     env = build_env(build_bases(psi)[0], h)
-    vec = dense_state(env.bases.reference).vec
+    vec = dense_state(env.bases.reference)
     want = float(vec @ dense_hamiltonian(h) @ vec)
     energies = [env.energy_at_bond(bond) for bond in range(0, 7)]
     npt.assert_allclose(energies, want, atol=1e-10)
@@ -78,7 +78,7 @@ def test_env_recursion_consistency():
 def test_apply_effective_identity_operator():
     psi = random_mps(4, 2, bond_cap=2, seed=5)
     env = build_env(build_bases(psi)[0], identity_mpo(4))
-    x = env.bases.center_site(2).data
+    x = env.bases.center_site(2)
     out = effective_ham(env, "1s", 2).apply(x)
     npt.assert_allclose(out, x, atol=1e-12)
 
@@ -93,7 +93,7 @@ def test_apply_effective_matches_dense_restriction():
     b = [t.data for t in kept.right]
     l = 3
     heff = effective_ham(env, "1s", l)
-    frame = np.kron(np.kron(_fold_left_chain(a[: l - 1]), np.eye(2)), _fold_right_chain(b[l:]))
+    frame = np.kron(np.kron(fold_chain(a[: l - 1])[0], np.eye(2)), fold_chain(b[l:])[:, :, 0].T)
     nloc = int(np.prod(heff.x_shape))
     mat = np.column_stack([heff.matvec(col) for col in np.eye(nloc)])
     npt.assert_allclose(mat, frame.T @ hm @ frame, atol=1e-10)

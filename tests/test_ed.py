@@ -7,7 +7,6 @@ import numpy.testing as npt
 import pytest
 
 from kdmps.ed import (
-    DenseState,
     dense_apply,
     dense_hamiltonian,
     dense_rank,
@@ -26,30 +25,29 @@ from kdmps.mpo import (
     sz_total_mpo,
 )
 from kdmps.mps import mps_add, overlap, product_mps, random_mps
+from kdmps.projectors import build_bases, dense_projector, dense_sector_pair, expand_irreducible, subspace_dimension
 
 
 def test_dense_state_product_up_up():
     psi = product_mps(2, 2)
-    npt.assert_allclose(dense_state(psi).vec, [1.0, 0.0, 0.0, 0.0], atol=0)
+    npt.assert_allclose(dense_state(psi), [1.0, 0.0, 0.0, 0.0], atol=0)
 
 
 def test_dense_state_is_linear_over_mps_add():
     a = random_mps(4, 2, bond_cap=2, seed=1)
     b = random_mps(4, 2, bond_cap=3, seed=2)
-    both = dense_state(mps_add(a, b, 1.0, 1.0)).vec
-    npt.assert_allclose(both, dense_state(a).vec + dense_state(b).vec, atol=1e-12)
+    both = dense_state(mps_add(a, b, 1.0, 1.0))
+    npt.assert_allclose(both, dense_state(a) + dense_state(b), atol=1e-12)
 
 
 def test_dense_state_norm_matches_overlap():
     psi = random_mps(6, 2, bond_cap=3, seed=3)
-    npt.assert_allclose(dense_state(psi).norm() ** 2, overlap(psi, psi), atol=1e-12)
+    npt.assert_allclose(np.linalg.norm(dense_state(psi)) ** 2, overlap(psi, psi), atol=1e-12)
 
 
 def test_dense_state_guard():
     with pytest.raises(ValueError, match="guard"):
         dense_state(random_mps(13, 2, bond_cap=2, seed=0))
-    with pytest.raises(ValueError):
-        DenseState(13, 2, np.zeros(2**13))
 
 
 def test_dense_hamiltonian_identity():
@@ -162,9 +160,40 @@ def test_identity_suite_guard():
         verify_identity_suite(random_mps(13, 2, bond_cap=2, seed=0), heisenberg_mpo(13))
 
 
-def test_dimension_table_maximal_l4():
-    from kdmps.projectors import build_bases, dense_projector, expand_irreducible, subspace_dimension
+def test_identity_suite_failing_report():
+    # a negative bar fails every check: the report, its JSON and its text all say so
+    report = verify_identity_suite(random_mps(4, 2, bond_cap=2, seed=7), heisenberg_mpo(4), tol=-1.0)
+    assert not report.all_passed
+    payload = json.loads(report.to_json())
+    assert len(payload) == len(report.checks) > 0
+    for name, entry in payload.items():
+        assert list(entry) == ["max_abs_deviation", "pass"] and entry["pass"] is False
+        assert entry["max_abs_deviation"] == report.checks[name]
+    lines = str(report).splitlines()
+    assert len(lines) == len(payload) and all(line.endswith("FAIL") for line in lines)
 
+
+# every dense entry point at L = 20, where one d^L x d^L matrix would take 8 TiB
+DENSE_ENTRY_POINTS = {
+    "dense_state": lambda psi, h, kept, disc: dense_state(psi),
+    "dense_hamiltonian": lambda psi, h, kept, disc: dense_hamiltonian(h),
+    "dense_apply": lambda psi, h, kept, disc: dense_apply(h, np.zeros(2)),
+    "dense_sector_pair": lambda psi, h, kept, disc: dense_sector_pair(kept, disc, ("K", "K", 1, 3)),
+    "dense_projector_empty": lambda psi, h, kept, disc: dense_projector([], kept, disc),
+    "dense_projector_irreducible": lambda psi, h, kept, disc: dense_projector(expand_irreducible(1, 20), kept, disc),
+    "verify_identity_suite": lambda psi, h, kept, disc: verify_identity_suite(psi, h),
+}
+
+
+@pytest.mark.parametrize("entry", DENSE_ENTRY_POINTS)
+def test_dense_entry_points_guard_before_allocating(entry):
+    psi = random_mps(20, 2, bond_cap=2, seed=0)
+    kept, disc = build_bases(psi)
+    with pytest.raises(ValueError, match="guard"):
+        DENSE_ENTRY_POINTS[entry](psi, heisenberg_mpo(20), kept, disc)
+
+
+def test_dimension_table_maximal_l4():
     psi = random_mps(4, 2, bond_cap=None, seed=5)
     kept, disc = build_bases(psi)
     dims = [subspace_dimension(kept, n) for n in range(5)]

@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from kdmps.dmrg import DmrgOptions, dmrg_ground_state
-from kdmps.ed import dense_hamiltonian, dense_state, exact_spectrum
+from kdmps.ed import dense_hamiltonian, dense_state, exact_spectrum, fold_chain
 from kdmps.excitation import (
     ExcitationOptions,
     _absorb,
@@ -134,12 +134,12 @@ def test_gauge_fixed_branches_orthogonal_to_reference_and_each_other():
     kept = bases_for(5, 2, 6)
     x = init_excitation(kept, 1, seed=3)
     branches = [branch_mps(x, l) for l in range(1, x.n_branches + 1)]
-    vec_ref = dense_state(kept.reference).vec
+    vec_ref = dense_state(kept.reference)
     for i, bi in enumerate(branches[:-1]):  # anchor branch may overlap the reference
-        npt.assert_allclose(dense_state(bi).vec @ vec_ref, 0.0, atol=DENSE_TOL)
+        npt.assert_allclose(dense_state(bi) @ vec_ref, 0.0, atol=DENSE_TOL)
         for bj in branches[i + 1 :]:
             npt.assert_allclose(
-                dense_state(bi).vec @ dense_state(bj).vec, 0.0, atol=DENSE_TOL
+                dense_state(bi) @ dense_state(bj), 0.0, atol=DENSE_TOL
             )
 
 
@@ -159,7 +159,7 @@ def test_ex_overlap_matches_dense_materialization():
     for n in (1, 2, 3):
         x = init_excitation(kept, n, seed=5)
         y = init_excitation(kept, n, seed=6)
-        want = float(dense_state(materialize(x)).vec @ dense_state(materialize(y)).vec)
+        want = float(dense_state(materialize(x)) @ dense_state(materialize(y)))
         npt.assert_allclose(ex_overlap(x, y), want, atol=DENSE_TOL)
 
 
@@ -185,10 +185,10 @@ def test_states_on_different_references_do_not_mix():
     # the same reference rebuilt into a second bases object is accepted
     again = init_excitation(bases_for(6, 4, 1), 2, seed=3)
     assert again.bases is not x.bases
-    want = float(dense_state(materialize(x)).vec @ dense_state(materialize(again)).vec)
+    want = float(dense_state(materialize(x)) @ dense_state(materialize(again)))
     npt.assert_allclose(ex_overlap(x, again), want, atol=DENSE_TOL)
-    summed = dense_state(materialize(ex_axpy(x, 0.5, again))).vec
-    npt.assert_allclose(summed, dense_state(materialize(x)).vec + 0.5 * dense_state(materialize(again)).vec, atol=DENSE_TOL)
+    summed = dense_state(materialize(ex_axpy(x, 0.5, again)))
+    npt.assert_allclose(summed, dense_state(materialize(x)) + 0.5 * dense_state(materialize(again)), atol=DENSE_TOL)
 
 
 def test_ex_axpy_trivial_and_cancellation():
@@ -197,7 +197,7 @@ def test_ex_axpy_trivial_and_cancellation():
     y = init_excitation(kept, 2, seed=8)
     same = ex_axpy(x, 0.0, y)
     npt.assert_allclose(
-        dense_state(materialize(same)).vec, dense_state(materialize(x)).vec, atol=1e-12
+        dense_state(materialize(same)), dense_state(materialize(x)), atol=1e-12
     )
     cancel = ex_axpy(x, -1.0, x)
     npt.assert_allclose(ex_overlap(cancel, cancel), 0.0, atol=1e-12)
@@ -208,8 +208,8 @@ def test_ex_axpy_dense_check_and_bond_growth():
     x = init_excitation(kept, 2, seed=9)
     y = init_excitation(kept, 2, seed=10)
     out = ex_axpy(x, 0.3, y)
-    want = dense_state(materialize(x)).vec + 0.3 * dense_state(materialize(y)).vec
-    npt.assert_allclose(dense_state(materialize(out)).vec, want, atol=DENSE_TOL)
+    want = dense_state(materialize(x)) + 0.3 * dense_state(materialize(y))
+    npt.assert_allclose(dense_state(materialize(out)), want, atol=DENSE_TOL)
     # sums are split afresh, so chained sums keep the window bonds of a new state
     profile = [[t.shape for t in chain] for chain in x.windows]
     for _ in range(10):
@@ -225,7 +225,7 @@ def test_ground_state_in_ansatz_reproduces_reference():
         kept = bases_for(5, 2, 13)
         rep = ground_state_in_ansatz(kept, n)
         npt.assert_allclose(
-            dense_state(materialize(rep)).vec, dense_state(kept.reference).vec, atol=1e-12
+            dense_state(materialize(rep)), dense_state(kept.reference), atol=1e-12
         )
         npt.assert_allclose(ex_overlap(rep, rep), 1.0, atol=1e-12)
 
@@ -258,7 +258,7 @@ def test_membership_of_gauge_fixed_states():
         x = init_excitation(kept, n, seed=13)
         m = materialize(x)
         projected = apply_projector(expand_global(n, kept.L), kept, m)
-        npt.assert_allclose(dense_state(projected).vec, dense_state(m).vec, atol=DENSE_TOL)
+        npt.assert_allclose(dense_state(projected), dense_state(m), atol=DENSE_TOL)
 
 
 # ---------- environments ----------
@@ -403,7 +403,7 @@ def test_apply_identity_operator_returns_state():
         x = init_excitation(kept, n, seed=6)
         out = apply_projected_h(x, identity_mpo(5))
         npt.assert_allclose(
-            dense_state(materialize(out)).vec, dense_state(materialize(x)).vec, atol=1e-12
+            dense_state(materialize(out)), dense_state(materialize(x)), atol=1e-12
         )
 
 
@@ -415,16 +415,14 @@ def test_apply_branch_windows_match_dense_frame_assembly():
     h = heisenberg_mpo(L)
     hm = dense_hamiltonian(h)
     x = init_excitation(kept, n, seed=12)
-    hx = hm @ dense_state(materialize(x)).vec
+    hx = hm @ dense_state(materialize(x))
     out = apply_projected_h(x, h)
-    from kdmps.projectors import _fold_left_chain, _fold_right_chain, _project_out_left
+    from kdmps.projectors import _project_out_left
 
     a = [t.data for t in kept.left]
     b = [t.data for t in kept.right]
     for l in range(1, x.n_branches + 1):
-        frame = np.kron(
-            np.kron(_fold_left_chain(a[: l - 1]), np.eye(2**n)), _fold_right_chain(b[l + n - 1 :])
-        )
+        frame = np.kron(np.kron(fold_chain(a[: l - 1])[0], np.eye(2**n)), fold_chain(b[l + n - 1 :])[:, :, 0].T)
         want = (frame.T @ hx).reshape(kept.dims[l - 1], 2, kept.dims[l])
         if l < x.anchor:
             want = _project_out_left(want, a[l - 1])
@@ -440,8 +438,8 @@ def test_apply_matches_dense_projected_hamiltonian():
         for n in (1, 2, 3):
             p = dense_projector(expand_global(n, L), kept, disc)
             x = init_excitation(kept, n, seed=7)
-            got = dense_state(materialize(apply_projected_h(x, h))).vec
-            want = p @ hm @ dense_state(materialize(x)).vec
+            got = dense_state(materialize(apply_projected_h(x, h)))
+            want = p @ hm @ dense_state(materialize(x))
             npt.assert_allclose(got, want, atol=DENSE_TOL)
 
 
@@ -456,8 +454,8 @@ def test_apply_with_maximal_profile_annihilated_branches():
     x = init_excitation(kept, 1, seed=13)
     assert any(np.allclose(chain[0].data, 0.0) for chain in x.windows[:-1])
     p = dense_projector(expand_global(1, L), kept, disc)
-    got = dense_state(materialize(apply_projected_h(x, h))).vec
-    want = p @ hm @ dense_state(materialize(x)).vec
+    got = dense_state(materialize(apply_projected_h(x, h)))
+    want = p @ hm @ dense_state(materialize(x))
     npt.assert_allclose(got, want, atol=1e-12)
 
 
@@ -471,8 +469,8 @@ def test_apply_symmetric_and_linear():
         npt.assert_allclose(ex_overlap(y, hx), ex_overlap(x, hy), atol=DENSE_TOL)
         z = gauge_fix_T1(ex_axpy(x, 0.7, y))
         hz = apply_projected_h(z, h)
-        want = dense_state(materialize(hx)).vec + 0.7 * dense_state(materialize(hy)).vec
-        npt.assert_allclose(dense_state(materialize(hz)).vec, want, atol=DENSE_TOL)
+        want = dense_state(materialize(hx)) + 0.7 * dense_state(materialize(hy))
+        npt.assert_allclose(dense_state(materialize(hz)), want, atol=DENSE_TOL)
 
 
 def test_flat_roundtrip_preserves_state():
@@ -650,8 +648,8 @@ def test_excitation_archive_roundtrip(tmp_path):
     assert manifest["seed"] == 5 and "E_ex" in manifest and "residual" in manifest
     npt.assert_allclose(ex_overlap(back, back), ex_overlap(res.state, res.state), atol=1e-10)
     npt.assert_allclose(
-        dense_state(materialize(back)).vec,
-        dense_state(materialize(res.state)).vec,
+        dense_state(materialize(back)),
+        dense_state(materialize(res.state)),
         atol=1e-9,
     )
 
@@ -666,18 +664,19 @@ def test_excitation_archive_rejects_a_changed_reference(tmp_path):
     save_mps(random_mps(4, 2, bond_cap=4, seed=9), tmp_path / "gs")  # overwrite the reference
     with pytest.raises(ValueError, match="reference archive .* changed"):
         load_excitation(tmp_path / "exc")
-    # a format-2 archive carries no hash; the windows' gauge condition
-    # still exposes the changed reference, and the original one loads as before
+    # editing the manifest does not switch the hash off: with the original
+    # reference back, a manifest without the hash, or one that claims the
+    # hash-free format 2, is rejected
+    save_mps(gs.psi, tmp_path / "gs")
     manifest_path = tmp_path / "exc" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     del manifest["ground_state_sha256"]
-    manifest["format_version"] = 2
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="gauge condition"):
+    with pytest.raises(ValueError, match="reference archive .* changed"):
         load_excitation(tmp_path / "exc")
-    save_mps(gs.psi, tmp_path / "gs")
-    back, _ = load_excitation(tmp_path / "exc")
-    assert back.n == 1 and back.L == 4
+    manifest_path.write_text(json.dumps({**manifest, "format_version": 2}))
+    with pytest.raises(ValueError, match="format 2; only format 4"):
+        load_excitation(tmp_path / "exc")
 
 
 def test_excitation_archive_reloads_from_another_directory(tmp_path, monkeypatch):
@@ -735,12 +734,17 @@ def test_excitation_archive_rejects_a_window_swap_the_gauge_allows(tmp_path, a, 
     _swap_blobs(exc, a, b)
     with pytest.raises(ValueError, match="window blobs changed"):
         load_excitation(exc)
-    # a format-3 manifest carries no window hash and loads as before
+    # deleting the window hash, or claiming the hash-free format 3, does not
+    # let the swap load
     manifest_path = exc / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     del manifest["windows_sha256"]
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="window blobs changed"):
+        load_excitation(exc)
     manifest_path.write_text(json.dumps({**manifest, "format_version": 3}))
-    load_excitation(exc)
+    with pytest.raises(ValueError, match="format 3; only format 4"):
+        load_excitation(exc)
 
 
 def test_excitation_archive_rejects_a_wrong_manifest(tmp_path):

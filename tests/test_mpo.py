@@ -217,7 +217,7 @@ def test_expectation_zero_operator():
 def test_expectation_matches_dense():
     psi = random_mps(6, 2, bond_cap=3, seed=1)
     h = haldane_shastry_mpo(6)
-    vec = dense_state(psi).vec
+    vec = dense_state(psi)
     npt.assert_allclose(expectation(psi, h), vec @ dense_hamiltonian(h) @ vec, atol=1e-12)
 
 

@@ -100,7 +100,7 @@ def test_canonicalize_preserves_ray_dense_oracle():
     npt.assert_allclose(norm, norm_in, atol=1e-12)
     npt.assert_allclose(overlap(out, raw), norm_in, atol=1e-10)  # <out|in> = |in||out|
     npt.assert_allclose(
-        dense_state(out).vec * norm, dense_state(raw).vec, atol=1e-10
+        dense_state(out) * norm, dense_state(raw), atol=1e-10
     )
 
 
@@ -126,7 +126,7 @@ def test_bond_canonical_all_bonds_including_dummies():
     # bond l, dummy bonds 0 and L included (there C_l = [[1]])
     psi = random_mps(5, 2, bond_cap=3, seed=9)
     _, _, bonds, _ = canonical_sets(psi)
-    vec = dense_state(psi).vec
+    vec = dense_state(psi)
     for bond in range(0, 6):
         c = bonds[bond]
         assert c.shape == (psi.bond_dims[bond],) * 2
@@ -149,9 +149,9 @@ def test_canonical_defect_reports_gauge_violations():
 def test_canonical_representations_agree_densely():
     # all centered forms materialize to the *same* vector, signs included
     psi = random_mps(6, 2, bond_cap=3, seed=12)
-    ref = dense_state(canonicalize(psi, 1)[0]).vec
+    ref = dense_state(canonicalize(psi, 1)[0])
     for l in range(1, 7):
-        site_vec = dense_state(canonicalize(psi, l)[0]).vec
+        site_vec = dense_state(canonicalize(psi, l)[0])
         npt.assert_allclose(site_vec, ref, atol=DENSE_TOL)
 
 
@@ -180,7 +180,7 @@ def test_overlap_normalization_and_orthogonality():
 def test_overlap_matches_dense_inner_product():
     a = random_mps(6, 2, bond_cap=3, seed=1)
     b = random_mps(6, 2, bond_cap=2, seed=2)
-    want = float(dense_state(a).vec @ dense_state(b).vec)
+    want = float(dense_state(a) @ dense_state(b))
     npt.assert_allclose(overlap(a, b), want, atol=DENSE_TOL)
 
 
@@ -197,8 +197,8 @@ def test_mps_add_dense_linear_combination():
     a = random_mps(5, 2, bond_cap=3, seed=5)
     b = random_mps(5, 2, bond_cap=2, seed=6)
     out = mps_add(a, b, 2.0, -1.0)
-    want = 2.0 * dense_state(a).vec - dense_state(b).vec
-    npt.assert_allclose(dense_state(out).vec, want, atol=DENSE_TOL)
+    want = 2.0 * dense_state(a) - dense_state(b)
+    npt.assert_allclose(dense_state(out), want, atol=DENSE_TOL)
     assert out.bond_dims[2] == a.bond_dims[2] + b.bond_dims[2]
 
 
@@ -206,7 +206,7 @@ def test_mps_add_single_site():
     a = product_mps(1, 2, [np.array([1.0, 0.0])])
     b = product_mps(1, 2, [np.array([0.0, 1.0])])
     out = mps_add(a, b, 1.0, 2.0)
-    npt.assert_allclose(dense_state(out).vec, [1.0, 2.0], atol=DENSE_TOL)
+    npt.assert_allclose(dense_state(out), [1.0, 2.0], atol=DENSE_TOL)
 
 
 # ---------- fixed gauge family ----------
@@ -215,7 +215,7 @@ def test_mps_add_single_site():
 def test_canonical_sets_reconstruct_at_every_bond():
     psi = random_mps(6, 2, bond_cap=3, seed=11)
     a_set, b_set, bonds, norm = canonical_sets(psi)
-    ref = dense_state(psi).vec / norm
+    ref = dense_state(psi) / norm
     for l in range(0, 7):
         arrs = a_set[:l] + [bonds[l][:, None, :]] + b_set[l:]
         cur = np.ones((1, 1))

@@ -56,8 +56,8 @@ def test_lazy_complements_equal_eager_ones_bit_for_bit():
             abar = orthogonal_complement(a.reshape(dl * d, dr)).reshape(dl, d, -1)
             dl, d, dr = b.shape
             bbar = orthogonal_complement(b.reshape(dl, d * dr).T).T.reshape(-1, d, dr)
-            assert disc.left[l].data.shape == abar.shape and np.array_equal(disc.left[l].data, abar)
-            assert disc.right[l].data.shape == bbar.shape and np.array_equal(disc.right[l].data, bbar)
+            assert disc.left[l].shape == abar.shape and np.array_equal(disc.left[l], abar)
+            assert disc.right[l].shape == bbar.shape and np.array_equal(disc.right[l], bbar)
 
 
 def test_complements_are_built_only_when_read(monkeypatch):
@@ -82,9 +82,9 @@ def test_build_bases_orthogonality_blocks():
     d = kept.d
     for l in range(1, 7):
         a = kept.left[l - 1].data.reshape(kept.dims[l - 1] * d, kept.dims[l])
-        ab = disc.left[l - 1].data.reshape(kept.dims[l - 1] * d, disc.left_dims[l - 1])
+        ab = disc.left[l - 1].reshape(kept.dims[l - 1] * d, disc.left_dims[l - 1])
         b = kept.right[l - 1].data.reshape(kept.dims[l - 1], d * kept.dims[l])
-        bb = disc.right[l - 1].data.reshape(disc.right_dims[l - 1], d * kept.dims[l])
+        bb = disc.right[l - 1].reshape(disc.right_dims[l - 1], d * kept.dims[l])
         npt.assert_allclose(ab.T @ ab, np.eye(ab.shape[1]), atol=BLOCK_TOL)
         npt.assert_allclose(a.T @ ab, 0.0, atol=BLOCK_TOL)
         npt.assert_allclose(bb @ bb.T, np.eye(bb.shape[0]), atol=BLOCK_TOL)
@@ -96,7 +96,7 @@ def test_build_bases_reference_consistency():
     psi = random_mps(5, 2, bond_cap=3, seed=9)
     kept, _ = build_bases(psi)
     npt.assert_allclose(overlap(kept.reference, psi), 1.0, atol=1e-12)
-    ref = dense_state(kept.reference).vec
+    ref = dense_state(kept.reference)
     for l in range(0, 6):
         arrs = (
             [t.data for t in kept.left[:l]]
@@ -149,7 +149,7 @@ def test_apply_rank_one_projector():
     phi = random_mps(4, 2, bond_cap=3, seed=3)
     out = apply_projector(expand_irreducible(0, 4), kept, phi)
     c = overlap(kept.reference, phi)
-    npt.assert_allclose(dense_state(out).vec, c * dense_state(kept.reference).vec, atol=1e-12)
+    npt.assert_allclose(dense_state(out), c * dense_state(kept.reference), atol=1e-12)
 
 
 def test_irreducible_annihilates_reference():
@@ -163,7 +163,7 @@ def test_apply_matches_dense_action():
     psi = random_mps(5, 2, bond_cap=2, seed=11)
     kept, disc = build_bases(psi)
     phi = random_mps(5, 2, bond_cap=3, seed=12)
-    vphi = dense_state(phi).vec
+    vphi = dense_state(phi)
     projectors = [
         expand_global(1, 5),
         expand_global(2, 5),
@@ -178,7 +178,7 @@ def test_apply_matches_dense_action():
     ]
     for terms in projectors:
         dm = dense_projector(terms, kept, disc)
-        got = dense_state(apply_projector(terms, kept, phi)).vec
+        got = dense_state(apply_projector(terms, kept, phi))
         npt.assert_allclose(got, dm @ vphi, atol=DENSE_TOL, err_msg=str(terms))
 
 
@@ -189,14 +189,14 @@ def test_apply_projector_idempotent():
     for terms in (expand_global(1, 5), expand_irreducible(2, 5)):
         once = apply_projector(terms, kept, phi)
         twice = apply_projector(terms, kept, once)
-        npt.assert_allclose(dense_state(twice).vec, dense_state(once).vec, atol=BLOCK_TOL)
+        npt.assert_allclose(dense_state(twice), dense_state(once), atol=BLOCK_TOL)
 
 
 def test_empty_term_list_is_the_zero_projector():
     phi = random_mps(4, 2, bond_cap=2, seed=2)
     kept, disc = build_bases(phi)
-    vec = dense_state(phi).vec
-    got = dense_state(apply_projector([], kept, phi)).vec
+    vec = dense_state(phi)
+    got = dense_state(apply_projector([], kept, phi))
     npt.assert_array_equal(got, np.zeros_like(vec))
     npt.assert_array_equal(got, dense_projector([], kept, disc) @ vec)
 

@@ -1,6 +1,7 @@
 """Source hygiene: no package module imports a name it neither uses nor
-exports, or exports a name it does not bind, and the (bra, MPO, ket)
-contraction steps live in kdmps.tensor alone."""
+exports, or exports a name it does not bind, the (bra, MPO, ket)
+contraction steps live in kdmps.tensor alone, and only kdmps.ed names the
+dense guard."""
 
 import ast
 from pathlib import Path
@@ -76,6 +77,15 @@ def test_module_imports_only_what_it_uses(module):
 def test_module_exports_only_what_it_binds(module):
     stale = stale_exports((PACKAGE / f"{module}.py").read_text())
     assert not stale, f"kdmps.{module} lists {stale} in __all__ without binding them"
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "ed"])
+def test_only_the_dense_oracle_names_the_guard(module):
+    """The dense guard is stated once, in kdmps.ed; other modules ask
+    ed.within_guard or ed.guard_dims."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    named = {getattr(node, attr, None) for node in ast.walk(tree) for attr in ("id", "attr", "name")}
+    assert "DENSE_GUARD" not in named, f"kdmps.{module} names DENSE_GUARD"
 
 
 def test_excitation_runs_on_the_tensor_kernel():

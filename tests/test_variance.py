@@ -28,7 +28,7 @@ def _values_window_by_window(psi, h, n_max) -> np.ndarray:
     for n in range(1, n_max + 1):
         total = 0.0
         for l in range(1, bases.L + 2 - n):
-            kets = [bases.center_site(l).data] + b[l : l + n - 1]
+            kets = [bases.center_site(l)] + b[l : l + n - 1]
             window = apply_window(env.lefts[l - 1], h.ops[l - 1 : l + n - 1], kets, env.rights[l + n])
             shape = window.shape
             out = _project_out_left(window.reshape(shape[0], shape[1], -1), a[l - 1]).reshape(shape)
@@ -76,7 +76,7 @@ def test_per_n_values_match_dense_projections():
     psi = random_mps(L, 2, bond_cap=2, seed=5)
     kept, disc = build_bases(psi)
     report = nsite_variance(psi, h, L)
-    hv = dense_hamiltonian(h) @ dense_state(kept.reference).vec
+    hv = dense_hamiltonian(h) @ dense_state(kept.reference)
     for n in range(1, L + 1):
         p = dense_projector(expand_irreducible(n, L), kept, disc)
         npt.assert_allclose(report.values[n - 1], float(hv @ p @ hv), atol=DECOMP_TOL)
@@ -141,7 +141,7 @@ def test_single_site_row_matches_explicit_complement_form():
     psi = random_mps(L, 2, bond_cap=2, seed=8)
     kept, disc = build_bases(psi)
     report = nsite_variance(psi, h, 1)
-    hv = dense_hamiltonian(h) @ dense_state(kept.reference).vec
+    hv = dense_hamiltonian(h) @ dense_state(kept.reference)
     total = 0.0
     for l in range(1, L + 1):
         from kdmps.projectors import dense_sector_pair
@@ -198,7 +198,7 @@ def test_total_dense_equals_the_matrix_residual():
     psi = random_mps(L, 2, bond_cap=8, seed=17)
     report = nsite_variance(psi, h, 2)
     kept, _ = build_bases(psi)
-    vec = dense_state(kept.reference).vec
+    vec = dense_state(kept.reference)
     resid = dense_hamiltonian(h) @ vec - report.energy * vec
     want = float(resid @ resid)
     assert abs(report.total_dense - want) <= 1e-12 * want

@@ -12,7 +12,6 @@ from .tensor import Tensor, TruncationPolicy, orthogonal_complement, svd_split
 from .mps import Mps, canonicalize, mps_add, overlap, random_mps
 from .mpo import Mpo, expectation, haldane_shastry_mpo, heisenberg_mpo, mpo_sum_compress
 from .projectors import (
-    DiscardedBases,
     KeptBases,
     apply_projector,
     build_bases,
@@ -58,7 +57,6 @@ __all__ = [
     "mpo_sum_compress",
     "expectation",
     "KeptBases",
-    "DiscardedBases",
     "build_bases",
     "expand_local",
     "expand_local_ortho",

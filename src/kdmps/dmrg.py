@@ -458,7 +458,7 @@ def fixed_point_residuals(psi: Mps, h: Mpo, l: int | None = None) -> dict[str, f
     At a variational fixed point the bond and one-site defects are bounded
     by the two-site one (they are its kept-sector projections).
     """
-    bases, _ = build_bases(psi)
+    bases = build_bases(psi)
     env = build_env(bases, h)
     L = bases.L
     if l is None:

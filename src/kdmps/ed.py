@@ -195,7 +195,7 @@ def verify_identity_suite(psi: Mps, h: Mpo, tol: float = 1e-10) -> IdentityRepor
     L, d = psi.L, psi.d
     dim = d**L
     eye = np.eye(dim)
-    bases, disc = build_bases(psi)
+    bases = build_bases(psi)
     a = [t.data for t in bases.left]
     b = [t.data for t in bases.right]
     dims = bases.dims
@@ -208,7 +208,7 @@ def verify_identity_suite(psi: Mps, h: Mpo, tol: float = 1e-10) -> IdentityRepor
     def pmat(x: str, xbar: str, l: int, lbar: int) -> np.ndarray:
         key = (x, xbar, l, lbar)
         if key not in pair_cache:
-            pair_cache[key] = dense_sector_pair(bases, disc, key)
+            pair_cache[key] = dense_sector_pair(bases, key)
         return pair_cache[key]
 
     def local(n: int, l: int) -> np.ndarray:
@@ -218,9 +218,9 @@ def verify_identity_suite(psi: Mps, h: Mpo, tol: float = 1e-10) -> IdentityRepor
     dev = 0.0
     for l in range(1, L + 1):
         am = a[l - 1].reshape(dims[l - 1] * d, dims[l])
-        abm = disc.left[l - 1].reshape(dims[l - 1] * d, -1)
+        abm = bases.discarded_left[l - 1].reshape(dims[l - 1] * d, -1)
         bm = b[l - 1].reshape(dims[l - 1], d * dims[l])
-        bbm = disc.right[l - 1].reshape(-1, d * dims[l])
+        bbm = bases.discarded_right[l - 1].reshape(-1, d * dims[l])
         dev = max(dev, np.max(np.abs(am.T @ am - np.eye(dims[l]))))
         dev = max(dev, np.max(np.abs(bm @ bm.T - np.eye(dims[l - 1]))))
         if abm.shape[1]:
@@ -348,17 +348,17 @@ def verify_identity_suite(psi: Mps, h: Mpo, tol: float = 1e-10) -> IdentityRepor
     dev = 0.0
     for n in range(1, L):
         for l in range(1, L + 1 - n):
-            lt = dense_projector(expand_local_ortho(n, l, "<", L), bases, disc)
+            lt = dense_projector(expand_local_ortho(n, l, "<", L), bases)
             dev = max(dev, np.max(np.abs(lt - local(n, l) @ (eye - local(n, l + 1)))))
         for l in range(2, L + 2 - n):
-            gt = dense_projector(expand_local_ortho(n, l, ">", L), bases, disc)
+            gt = dense_projector(expand_local_ortho(n, l, ">", L), bases)
             dev = max(dev, np.max(np.abs(gt - local(n, l) @ (eye - local(n, l - 1)))))
     checks["local_ortho_forms"] = float(dev)
 
     dev = 0.0
     for n in range(1, min(3, L)):
-        less = {l: dense_projector(expand_local_ortho(n, l, "<", L), bases, disc) for l in range(1, L + 1 - n)}
-        greater = {l: dense_projector(expand_local_ortho(n, l, ">", L), bases, disc) for l in range(2, L + 2 - n)}
+        less = {l: dense_projector(expand_local_ortho(n, l, "<", L), bases) for l in range(1, L + 1 - n)}
+        greater = {l: dense_projector(expand_local_ortho(n, l, ">", L), bases) for l in range(2, L + 2 - n)}
         for l, m1 in less.items():
             for lp, m2 in less.items():
                 want = m1 if l == lp else 0.0
@@ -384,11 +384,11 @@ def verify_identity_suite(psi: Mps, h: Mpo, tol: float = 1e-10) -> IdentityRepor
         for lbar in range(1, L + 2 - n):
             for lprime in range(lbar, L + 2 - n):
                 lhs, rhs = convert_kd_dk(L, n, lbar, lprime)
-                dev = max(dev, np.max(np.abs(dense_projector(lhs, bases, disc) - dense_projector(rhs, bases, disc))))
+                dev = max(dev, np.max(np.abs(dense_projector(lhs, bases) - dense_projector(rhs, bases))))
     checks["kd_dk_conversion"] = float(dev)
 
     # global projectors: idempotence, absorption of locals, nesting
-    globals_ = [dense_projector(expand_global(n, L), bases, disc) for n in range(0, L + 1)]
+    globals_ = [dense_projector(expand_global(n, L), bases) for n in range(0, L + 1)]
     dev = 0.0
     for n in range(0, L + 1):
         g = globals_[n]
@@ -403,16 +403,16 @@ def verify_identity_suite(psi: Mps, h: Mpo, tol: float = 1e-10) -> IdentityRepor
     dev = 0.0
     for n in range(1, L + 1):
         for anchor in range(1, L + 2 - n):
-            dev = max(dev, np.max(np.abs(dense_projector(expand_global(n, L, anchor), bases, disc) - globals_[n])))
+            dev = max(dev, np.max(np.abs(dense_projector(expand_global(n, L, anchor), bases) - globals_[n])))
     checks["global_anchor_independence"] = float(dev)
 
     dev = 0.0
     for n in range(1, L + 1):
-        dev = max(dev, np.max(np.abs(dense_projector(expand_global_overlapping(n, L), bases, disc) - globals_[n])))
+        dev = max(dev, np.max(np.abs(dense_projector(expand_global_overlapping(n, L), bases) - globals_[n])))
     checks["global_two_forms"] = float(dev)
 
     # irreducible family: partition of unity and mutual orthogonality
-    irr = [dense_projector(expand_irreducible(n, L), bases, disc) for n in range(0, L + 1)]
+    irr = [dense_projector(expand_irreducible(n, L), bases) for n in range(0, L + 1)]
     dev = np.max(np.abs(sum(irr) - eye))
     for n in range(0, L + 1):
         for m in range(0, L + 1):
@@ -423,11 +423,11 @@ def verify_identity_suite(psi: Mps, h: Mpo, tol: float = 1e-10) -> IdentityRepor
     # irreducible family: all equivalent closed forms
     dev = np.max(np.abs(irr[0] - np.outer(vec, vec)))
     dev = max(dev, np.max(np.abs(irr[0] - pmat("K", "K", 0, 1))))
-    dev = max(dev, np.max(np.abs(dense_projector(expand_irreducible_right(L), bases, disc) - irr[1])))
+    dev = max(dev, np.max(np.abs(dense_projector(expand_irreducible_right(L), bases) - irr[1])))
     for anchor in range(1, L + 1):
-        dev = max(dev, np.max(np.abs(dense_projector(expand_tangent_mixed(L, anchor), bases, disc) - irr[1])))
+        dev = max(dev, np.max(np.abs(dense_projector(expand_tangent_mixed(L, anchor), bases) - irr[1])))
     for n in range(1, L + 1):
-        dev = max(dev, np.max(np.abs(dense_projector(expand_irreducible_overlapping(n, L), bases, disc) - irr[n])))
+        dev = max(dev, np.max(np.abs(dense_projector(expand_irreducible_overlapping(n, L), bases) - irr[n])))
         dev = max(dev, np.max(np.abs(globals_[n] - globals_[n - 1] - irr[n])))
     checks["irreducible_forms"] = float(dev)
 

@@ -465,10 +465,11 @@ def solve_lowest_excitation(gs: Mps, h: Mpo, n: int, opts: ExcitationOptions | N
     every iteration (the window form contains it). The matvec stays on the
     flat vector of dense windows, with one operator cache per solve; only
     the returned state is split into window chains. Reports <S^z> and
-    <S^2> of the returned vector (see :class:`ExcitationResult`).
+    <S^2> of the returned vector, taken on its gauge-fixed dense windows
+    (see :class:`ExcitationResult`).
     """
     opts = opts or ExcitationOptions()
-    bases, _ = build_bases(gs)
+    bases = build_bases(gs)
     gs_flat = _join_flat(_reference_windows(bases, n))
     env = build_exc_env(bases, n, h)
 
@@ -484,18 +485,20 @@ def solve_lowest_excitation(gs: Mps, h: Mpo, n: int, opts: ExcitationOptions | N
     v0 = _join_flat(fixed(rng.standard_normal(gs_flat.shape)))
     res = lanczos_lowest(matvec, v0, max_iter=EXCITE_MAX_ITER, tol=opts.tol, orth_against=(gs_flat,))
 
-    state = state_from_flat(bases, n, res.vector)
-    flat = flatten(state)
-    sz = float(flat @ flatten(apply_projected_h(state, sz_total_mpo(bases.L))))
-    s2 = float(flat @ flatten(apply_projected_h(state, s2_total_mpo(bases.L))))
+    windows = fixed(res.vector)
+    flat = _join_flat(windows)
+
+    def expect(op: Mpo) -> float:
+        return float(flat @ _join_flat(_apply_windows(build_exc_env(bases, n, op), windows)))
+
     return ExcitationResult(
         energy=res.value,
-        state=state,
+        state=state_from_flat(bases, n, res.vector),
         residual=res.residual,
         converged=res.converged,
         iterations=res.iterations,
-        sz_total=sz,
-        s2_total=s2,
+        sz_total=expect(sz_total_mpo(bases.L)),
+        s2_total=expect(s2_total_mpo(bases.L)),
     )
 
 
@@ -578,10 +581,13 @@ def load_excitation(path) -> tuple[ExcitationState, dict]:
     version = manifest.get("format_version")
     if version != 4:
         raise ValueError(f"{path}: the manifest claims format {version!r}; only format 4 is read")
+    for key in ("ground_state_sha256", "windows_sha256"):
+        if key not in manifest:
+            raise ValueError(f"{path}: the manifest lacks {key}")
     gs_path = path / manifest["ground_state"]  # an absolute path stays as it is
-    if _reference_digest(gs_path) != manifest.get("ground_state_sha256"):
+    if _reference_digest(gs_path) != manifest["ground_state_sha256"]:
         raise ValueError(f"{path}: the reference archive {gs_path} changed after the excitation was saved")
-    bases, _ = build_bases(load_mps(gs_path))
+    bases = build_bases(load_mps(gs_path))
     n, L, d = manifest["n"], manifest["L"], manifest["d"]
     if (L, d) != (bases.L, bases.d):
         raise ValueError(f"{path}: manifest gives L = {L}, d = {d}, but the reference has L = {bases.L}, d = {bases.d}")
@@ -603,6 +609,6 @@ def load_excitation(path) -> tuple[ExcitationState, dict]:
     defect = gauge_defect(x)
     if not defect <= FORM_TOL * max(1.0, np.sqrt(ex_overlap(x, x))):
         raise ValueError(f"{path}: the windows violate the discarded-space gauge condition by {defect:.3g}")
-    if _sha256(_window_blobs(path, L, n)) != manifest.get("windows_sha256"):
+    if _sha256(_window_blobs(path, L, n)) != manifest["windows_sha256"]:
         raise ValueError(f"{path}: the window blobs changed after the excitation was saved")
     return x, manifest

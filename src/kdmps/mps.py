@@ -9,10 +9,10 @@ Canonical-form metadata travels with the value:
 * ``form="site"``    -- sites left of ``center`` are left-normalized
   (A†A = 1), sites right of it right-normalized (BB† = 1).
 
-The bond matrices between the two isometry families, at every bond at once,
-come from :func:`canonical_sets`. Canonicalization rescales to unit norm and
-reports the original norm, since the projector formulas downstream assume a
-normalized reference state.
+Canonicalization rescales to unit norm and reports the original norm, since
+the projector formulas downstream assume a normalized reference state. The
+fixed gauge built on it (both isometry families and the bond matrices
+between them, at every bond at once) is :func:`kdmps.projectors.build_bases`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Tensor, chain_sum, qr, read_tensor_blob, svd_split, transfer_left, write_tensor_blob
+from .tensor import Tensor, chain_sum, qr, read_tensor_blob, transfer_left, write_tensor_blob
 
 __all__ = [
     "Mps",
@@ -36,7 +36,6 @@ __all__ = [
     "overlap",
     "mps_add",
     "mps_norm",
-    "canonical_sets",
     "save_mps",
     "load_mps",
 ]
@@ -252,40 +251,6 @@ def mps_add(a: Mps, b: Mps, ca: float = 1.0, cb: float = 1.0) -> Mps:
         raise ValueError("mps_add requires equal length and physical dimension")
     chains = [[t.data for t in psi.sites] for psi in (a, b)]
     return Mps(site_tensors(chain_sum(chains, (ca, cb))))
-
-
-# ---------- fixed A/B/bond-matrix gauge ----------
-
-
-def canonical_sets(psi: Mps) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray], float]:
-    """Left/right isometry sets plus bond matrices, all mutually consistent.
-
-    Returns (A, B, C, norm) where A[l-1] is the left-normalized array at
-    site l, B[l-1] the right-normalized one, and C[l] the bond matrix at bond
-    l (0..L, shape D_l x D_l) such that for *every* bond
-    ``A_1..A_l C_l B_{l+1}..B_L`` rebuilds the normalized state exactly. The
-    bond matrices are the Schmidt weights times a residual right rotation;
-    they are not diagonal in general, but the construction is exact and
-    avoids dividing by small Schmidt values.
-    """
-    right, norm = canonicalize(psi, 1)
-    b_set = [t.data for t in right.sites]
-    # right-normalize site 1 as well: its residual is a 1x1 scalar (the norm)
-    center = _right_normalize(b_set, 1)
-    a_set: list[np.ndarray] = []
-    bonds = [center]
-    for l in range(1, psi.L + 1):
-        work = np.tensordot(center, b_set[l - 1], axes=(1, 0))
-        dl, d, dr = work.shape
-        u, s, vh, _ = svd_split(work.reshape(dl * d, dr))
-        a_set.append(u.reshape(dl, d, len(s)))
-        center = s[:, None] * vh
-        bonds.append(center)
-    # the final bond matrix is 1x1 with value +-1; fix the sign into A_L
-    if bonds[-1][0, 0] < 0.0:
-        a_set[-1] = -a_set[-1]
-        bonds[-1] = -bonds[-1]
-    return a_set, b_set, bonds, norm
 
 
 # ---------- archives ----------

@@ -1,9 +1,11 @@
 """Kept/discarded isometries and the n-site projector algebra.
 
-Given a normalized reference MPS, :func:`build_bases` extracts one fixed
-family of left isometries A_l, right isometries B_l, bond matrices C_l and
-orthogonal complements (Abar_l, Bbar_l) such that for every bond l the
-chain ``A_1..A_l C_l B_{l+1}..B_L`` rebuilds the reference exactly.
+Any MPS has one set of kept and discarded spaces. :func:`build_bases`
+builds them, here and nowhere else, as one :class:`KeptBases`: left
+isometries A_l, right isometries B_l and bond matrices C_l of the
+normalized state, such that for every bond l the chain
+``A_1..A_l C_l B_{l+1}..B_L`` rebuilds it exactly, and their orthogonal
+complements Abar_l, Bbar_l.
 
 A projector is its list of sector-pair terms: ``(coeff, (x, xbar, l,
 lbar))`` stands for coeff times the projector with a kept (K) or
@@ -23,7 +25,8 @@ pair is the one-term list ``[(1.0, pair)]``. :func:`apply_projector` and
 Applications to arbitrary states never materialize the discarded-space
 projector ``Abar Abar^T``; they use ``1 - A A^T`` on the parent legs. The
 explicit complements are plain arrays built lazily, on the first read of
-:class:`DiscardedBases`, so only dense materialization pays for them.
+``KeptBases.discarded_left``/``discarded_right``, so only dense
+materialization pays for them.
 :func:`dense_sector_pair` and :func:`dense_projector` build their frames
 with the dense oracle's one chain fold (:func:`kdmps.ed.fold_chain`) and
 check the dense guard before they allocate anything.
@@ -37,12 +40,11 @@ from functools import cached_property
 import numpy as np
 
 from .ed import fold_chain, guard_dims
-from .mps import Mps, canonical_sets, site_tensors
-from .tensor import Tensor, chain_sum, orthogonal_complement, transfer_left, transfer_right
+from .mps import Mps, _right_normalize, canonicalize, site_tensors
+from .tensor import Tensor, chain_sum, orthogonal_complement, svd_split, transfer_left, transfer_right
 
 __all__ = [
     "KeptBases",
-    "DiscardedBases",
     "build_bases",
     "expand_local",
     "expand_local_ortho",
@@ -64,7 +66,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KeptBases:
-    """Fixed left/right isometry family of a normalized reference state.
+    """The fixed gauge of a normalized reference state: its kept isometries
+    and bond matrices, and their discarded complements.
 
     Attributes:
         reference: the unit-norm reference MPS (site-canonical at 1).
@@ -72,14 +75,16 @@ class KeptBases:
         right:     B_1..B_L, right-normalized, same leg names.
         bond:      bond matrices C_0..C_L (numpy, shape D_l x D_l); for every
                    bond, A_1..A_l C_l B_{l+1}..B_L equals the reference.
-        norm:      2-norm of the state originally passed to build_bases.
+
+    The complements ``discarded_left`` and ``discarded_right`` are built on
+    first read, one complete QR per site, so only callers that read them
+    pay for them.
     """
 
     reference: Mps
     left: tuple[Tensor, ...]
     right: tuple[Tensor, ...]
     bond: tuple[np.ndarray, ...]
-    norm: float
 
     @property
     def L(self) -> int:
@@ -98,52 +103,47 @@ class KeptBases:
         """The 1-site center C_l = C_{l-1} B_l, shaped (D_{l-1}, d, D_l)."""
         return np.tensordot(self.bond[l - 1], self.right[l - 1].data, axes=(1, 0))
 
+    @cached_property
+    def discarded_left(self) -> tuple[np.ndarray, ...]:
+        """Abar_1..Abar_L: ``[l-1]`` is a (D_{l-1}, d, D_{l-1} d - D_l) array
+        orthonormal to A_l (empty where D_{l-1} d = D_l)."""
+        comps = [orthogonal_complement(t.data.reshape(-1, t.shape[2])) for t in self.left]
+        return tuple(c.reshape(*t.shape[:2], -1) for c, t in zip(comps, self.left))
 
-@dataclass(frozen=True)
-class DiscardedBases:
-    """Orthonormal complements of the kept isometries, built on first access.
+    @cached_property
+    def discarded_right(self) -> tuple[np.ndarray, ...]:
+        """Bbar_1..Bbar_L, the mirror of :attr:`discarded_left` on the first axis."""
+        comps = [orthogonal_complement(t.data.reshape(t.shape[0], -1).T).T for t in self.right]
+        return tuple(c.reshape(-1, *t.shape[1:]) for c, t in zip(comps, self.right))
 
-    ``left[l-1]`` (Abar_l) is a (D_{l-1}, d, Dbar) array whose last extent
-    is the discarded dimension D_{l-1} d - D_l; ``right[l-1]`` (Bbar_l)
-    mirrors this on its first axis. Zero-dimensional complements are
-    legitimate empty arrays. Each side costs one complete QR per site, paid
-    only by callers that read it.
+
+def build_bases(psi: Mps) -> KeptBases:
+    """The fixed gauge of ``psi``, normalized.
+
+    B_l come from right-canonicalizing at site 1 (site 1 too: its residual
+    is the 1x1 norm). A left-to-right SVD sweep over C_{l-1} B_l then gives
+    A_l and C_l = s vh, so every bond matrix is the Schmidt weights times a
+    residual right rotation: not diagonal in general, but exact, and no
+    small Schmidt value is divided by. The final 1x1 bond matrix is +-1;
+    its sign goes into A_L.
     """
-
-    kept: KeptBases
-
-    @cached_property
-    def left(self) -> tuple[np.ndarray, ...]:
-        comps = [orthogonal_complement(t.data.reshape(-1, t.shape[2])) for t in self.kept.left]
-        return tuple(c.reshape(*t.shape[:2], -1) for c, t in zip(comps, self.kept.left))
-
-    @cached_property
-    def right(self) -> tuple[np.ndarray, ...]:
-        comps = [orthogonal_complement(t.data.reshape(t.shape[0], -1).T).T for t in self.kept.right]
-        return tuple(c.reshape(-1, *t.shape[1:]) for c, t in zip(comps, self.kept.right))
-
-    @property
-    def left_dims(self) -> tuple[int, ...]:
-        return tuple(t.shape[2] for t in self.left)
-
-    @property
-    def right_dims(self) -> tuple[int, ...]:
-        return tuple(t.shape[0] for t in self.right)
-
-
-def build_bases(psi: Mps) -> tuple[KeptBases, DiscardedBases]:
-    """Extract kept isometries and bond matrices; the discarded complements
-    are formed when first read."""
-    a_set, b_set, bonds, norm = canonical_sets(psi)
+    right, _ = canonicalize(psi, 1)
+    b_set = [t.data for t in right.sites]
+    center = _right_normalize(b_set, 1)
+    a_set: list[np.ndarray] = []
+    bonds = [center]
+    for l in range(1, psi.L + 1):
+        work = np.tensordot(center, b_set[l - 1], axes=(1, 0))
+        dl, d, dr = work.shape
+        u, s, vh, _ = svd_split(work.reshape(dl * d, dr))
+        a_set.append(u.reshape(dl, d, len(s)))
+        center = s[:, None] * vh
+        bonds.append(center)
+    if bonds[-1][0, 0] < 0.0:
+        a_set[-1] = -a_set[-1]
+        bonds[-1] = -bonds[-1]
     reference = Mps(site_tensors([b_set[0] * bonds[0][0, 0]] + b_set[1:]), form="site", center=1)
-    kept = KeptBases(
-        reference=reference,
-        left=site_tensors(a_set),
-        right=site_tensors(b_set),
-        bond=tuple(bonds),
-        norm=norm,
-    )
-    return kept, DiscardedBases(kept)
+    return KeptBases(reference=reference, left=site_tensors(a_set), right=site_tensors(b_set), bond=tuple(bonds))
 
 
 # ---------- sector-pair term lists ----------
@@ -366,7 +366,7 @@ def apply_projector(terms: Terms, bases: KeptBases, phi: Mps) -> Mps:
 # ---------- dense materialization ----------
 
 
-def dense_sector_pair(bases: KeptBases, disc: DiscardedBases, pair: Pair) -> np.ndarray:
+def dense_sector_pair(bases: KeptBases, pair: Pair) -> np.ndarray:
     """Exact d^L x d^L matrix of one sector-pair projector."""
     x, xbar, l, lbar = pair
     L, d = bases.L, bases.d
@@ -376,19 +376,19 @@ def dense_sector_pair(bases: KeptBases, disc: DiscardedBases, pair: Pair) -> np.
 
     A = [t.data for t in bases.left]
     B = [t.data for t in bases.right]
-    v = fold_chain(A[:l] if x == "K" else A[: l - 1] + [disc.left[l - 1]])[0]
-    w = fold_chain(B[lbar - 1 :] if xbar == "K" else [disc.right[lbar - 1]] + B[lbar:])[:, :, 0].T
+    v = fold_chain(A[:l] if x == "K" else A[: l - 1] + [bases.discarded_left[l - 1]])[0]
+    w = fold_chain(B[lbar - 1 :] if xbar == "K" else [bases.discarded_right[lbar - 1]] + B[lbar:])[:, :, 0].T
     mid = d ** (lbar - l - 1)
     return np.kron(np.kron(v @ v.T, np.eye(mid)), w @ w.T)
 
 
-def dense_projector(terms: Terms, bases: KeptBases, disc: DiscardedBases) -> np.ndarray:
+def dense_projector(terms: Terms, bases: KeptBases) -> np.ndarray:
     """Exact dense matrix of a sector-pair term list (within the dense guard)."""
     d, L = bases.d, bases.L
     guard_dims(d, L)
     out = np.zeros((d**L, d**L))
     for coeff, pair in terms:
-        out += coeff * dense_sector_pair(bases, disc, pair)
+        out += coeff * dense_sector_pair(bases, pair)
     return out
 
 

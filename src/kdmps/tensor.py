@@ -316,10 +316,6 @@ def transfer_right(env: np.ndarray, bra: np.ndarray, ket: np.ndarray) -> np.ndar
     return transfer_left(env, bra.T, ket.T)
 
 
-def _op(w: np.ndarray) -> np.ndarray:
-    return w if w.ndim == 2 else mpo_matrix(w)
-
-
 def apply_window(
     left: np.ndarray, ws: Sequence[np.ndarray], kets: Sequence[np.ndarray], right: np.ndarray
 ) -> np.ndarray:
@@ -330,7 +326,7 @@ def apply_window(
     :func:`ket_step` and :func:`mpo_step`; with no ``kets`` the call is
     :func:`close_right`). Each of ``kets`` is (left, physical..., right) and
     spans as many sites as it has physical legs (none for a bond matrix).
-    ``ws`` holds one MPO site or :func:`mpo_matrix` per physical leg.
+    ``ws`` holds one MPO matrix (:func:`mpo_matrix`) per physical leg.
     Returns (left bra bond, output physical legs..., right bra bond).
     """
     ops = iter(ws)
@@ -338,22 +334,22 @@ def apply_window(
     for ket in kets:
         z = ket_step(z, ket)
         for _ in range(ket.ndim - 2):
-            z = mpo_step(z, _op(next(ops)), j)
+            z = mpo_step(z, next(ops), j)
             j += 1
     return close_right(z, right)
 
 
-def env_step_left(env: np.ndarray, bra: np.ndarray, w: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """Grow a left (bra, MPO, ket) environment by one site. ``w`` is the
-    MPO site or its :func:`mpo_matrix`."""
-    return close(bra, mpo_step(ket_step(env, ket), _op(w), 0))
+def env_step_left(env: np.ndarray, bra: np.ndarray, op: np.ndarray, ket: np.ndarray) -> np.ndarray:
+    """Grow a left (bra, MPO, ket) environment by one site. ``op`` is the
+    site's MPO matrix (:func:`mpo_matrix`, cached as :attr:`kdmps.mpo.Mpo.ops`)."""
+    return close(bra, mpo_step(ket_step(env, ket), op, 0))
 
 
-def env_step_right(env: np.ndarray, bra: np.ndarray, w: np.ndarray, ket: np.ndarray) -> np.ndarray:
+def env_step_right(env: np.ndarray, bra: np.ndarray, op: np.ndarray, ket: np.ndarray) -> np.ndarray:
     """Grow a right (bra, MPO, ket) environment by one site: the left step
-    on mirrored arrays. ``w`` is the MPO site or its mirrored matrix
+    on mirrored arrays. ``op`` is the site's mirrored MPO matrix
     (:attr:`kdmps.mpo.Mpo.mirrored_ops`)."""
-    return env_step_left(env, bra.T, mpo_matrix(w.transpose(3, 1, 2, 0)) if w.ndim == 4 else w, ket.T)
+    return env_step_left(env, bra.T, op, ket.T)
 
 
 # ---------- binary blob format ----------

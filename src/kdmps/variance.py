@@ -63,7 +63,7 @@ def nsite_variance(psi: Mps, h: Mpo, n_max: int) -> VarianceReport:
     """
     if not 1 <= n_max <= psi.L:
         raise ValueError(f"n_max must lie in [1, {psi.L}]")
-    bases, _ = build_bases(psi)
+    bases = build_bases(psi)
     env = build_env(bases, h)
     L = bases.L
     a = [t.data for t in bases.left]

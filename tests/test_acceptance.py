@@ -84,8 +84,8 @@ def test_criterion_02_irreducible_completeness():
     orthogonal, densely, to 1e-10, for L up to 6."""
     worst = 0.0
     for L, D, seed in ((4, None, 7), (5, 2, 8), (6, 3, 9)):
-        kept, disc = build_bases(random_mps(L, 2, bond_cap=D, seed=seed))
-        mats = [dense_projector(expand_irreducible(n, L), kept, disc) for n in range(L + 1)]
+        kept = build_bases(random_mps(L, 2, bond_cap=D, seed=seed))
+        mats = [dense_projector(expand_irreducible(n, L), kept) for n in range(L + 1)]
         dev = float(np.max(np.abs(sum(mats) - np.eye(2**L))))
         for n in range(L + 1):
             for m in range(L + 1):
@@ -99,17 +99,17 @@ def test_criterion_02_irreducible_completeness():
 def test_criterion_03_dimension_bookkeeping():
     """Closed-form subspace dimensions match dense projector ranks exactly,
     and total d^L, for the maximal and capped L=4 profiles."""
-    kept, disc = build_bases(random_mps(4, 2, bond_cap=None, seed=11))
+    kept = build_bases(random_mps(4, 2, bond_cap=None, seed=11))
     dims = [subspace_dimension(kept, n) for n in range(5)]
     assert dims == [1, 15, 0, 0, 0]
-    ranks = [dense_rank(dense_projector(expand_irreducible(n, 4), kept, disc)) for n in range(5)]
+    ranks = [dense_rank(dense_projector(expand_irreducible(n, 4), kept)) for n in range(5)]
     assert ranks == dims and sum(dims) == 16
 
-    kept, disc = build_bases(random_mps(4, 2, bond_cap=2, seed=12))
+    kept = build_bases(random_mps(4, 2, bond_cap=2, seed=12))
     assert kept.dims == (1, 2, 2, 2, 1)
     dims = [subspace_dimension(kept, n) for n in range(5)]
     assert dims == [1, 11, 4, 0, 0]
-    ranks = [dense_rank(dense_projector(expand_irreducible(n, 4), kept, disc)) for n in range(5)]
+    ranks = [dense_rank(dense_projector(expand_irreducible(n, 4), kept)) for n in range(5)]
     assert ranks == dims and sum(dims) == 16
     report(3, "dimension tables (1,15,0,0,0) and (1,11,4,0,0) match ranks exactly")
 
@@ -211,12 +211,12 @@ def test_criterion_08_excitation_solver_correctness():
         assert abs(res.energy - want) <= 1e-6, f"L={L}: {res.energy} vs {want}"
 
     L = 5
-    kept, disc = build_bases(random_mps(L, 2, bond_cap=2, seed=21))
+    kept = build_bases(random_mps(L, 2, bond_cap=2, seed=21))
     h = haldane_shastry_mpo(L)
     hm = dense_hamiltonian(h)
     worst = 0.0
     for n in (1, 2):
-        proj = dense_projector(expand_global(n, L), kept, disc)
+        proj = dense_projector(expand_global(n, L), kept)
         php = proj @ hm @ proj
         probe = init_excitation(kept, n, seed=0)
         total = flatten(probe).shape[0]
@@ -286,7 +286,7 @@ def test_criterion_10_overlap_and_addition_algebra():
     on chains up to L=6 for windows of 1 to 3 sites."""
     worst = 0.0
     for L in (4, 5, 6):
-        kept, _ = build_bases(random_mps(L, 2, bond_cap=2, seed=40 + L))
+        kept = build_bases(random_mps(L, 2, bond_cap=2, seed=40 + L))
         for n in (1, 2, 3):
             x = init_excitation(kept, n, seed=1)
             y = init_excitation(kept, n, seed=2)

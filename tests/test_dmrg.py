@@ -24,7 +24,7 @@ from kdmps.mpo import (
 )
 from kdmps.mps import overlap, random_mps
 from kdmps.projectors import build_bases
-from kdmps.tensor import TruncationPolicy, env_step_left, env_step_right, orthogonal_complement
+from kdmps.tensor import TruncationPolicy, env_step_left, env_step_right, mpo_matrix, orthogonal_complement
 
 SYM_TOL = 1e-10
 
@@ -35,14 +35,14 @@ SYM_TOL = 1e-10
 def test_env_singlet_energy():
     h = heisenberg_mpo(2)
     r = dmrg_ground_state(random_mps(2, 2, seed=1), h, "2s", DmrgOptions(n_sweeps=2))
-    env = build_env(build_bases(r.psi)[0], h)
+    env = build_env(build_bases(r.psi), h)
     for bond in range(0, 3):
         npt.assert_allclose(env.energy_at_bond(bond), -0.75, atol=1e-10)
 
 
 def test_env_zero_operator():
     psi = random_mps(4, 2, bond_cap=2, seed=2)
-    env = build_env(build_bases(psi)[0], heisenberg_mpo(4, 0.0))
+    env = build_env(build_bases(psi), heisenberg_mpo(4, 0.0))
     for bond in range(0, 5):
         npt.assert_allclose(env.energy_at_bond(bond), 0.0, atol=1e-13)
 
@@ -50,7 +50,7 @@ def test_env_zero_operator():
 def test_env_energy_matches_dense_and_is_bond_independent():
     psi = random_mps(6, 2, bond_cap=3, seed=3)
     h = haldane_shastry_mpo(6)
-    env = build_env(build_bases(psi)[0], h)
+    env = build_env(build_bases(psi), h)
     vec = dense_state(env.bases.reference)
     want = float(vec @ dense_hamiltonian(h) @ vec)
     energies = [env.energy_at_bond(bond) for bond in range(0, 7)]
@@ -61,14 +61,15 @@ def test_env_energy_matches_dense_and_is_bond_independent():
 def test_env_recursion_consistency():
     psi = random_mps(5, 2, bond_cap=3, seed=4)
     h = heisenberg_mpo(5)
-    env = build_env(build_bases(psi)[0], h)
+    env = build_env(build_bases(psi), h)
     a = [t.data for t in env.bases.left]
     b = [t.data for t in env.bases.right]
     w = [t.data for t in h.sites]
     for l in range(1, 6):
-        rebuilt = env_step_left(env.lefts[l - 1], a[l - 1], w[l - 1], a[l - 1])
+        rebuilt = env_step_left(env.lefts[l - 1], a[l - 1], mpo_matrix(w[l - 1]), a[l - 1])
         npt.assert_allclose(rebuilt, env.lefts[l], atol=1e-12)
-        rebuilt = env_step_right(env.rights[l + 1], b[l - 1], w[l - 1], b[l - 1])
+        mirrored = mpo_matrix(w[l - 1].transpose(3, 1, 2, 0))
+        rebuilt = env_step_right(env.rights[l + 1], b[l - 1], mirrored, b[l - 1])
         npt.assert_allclose(rebuilt, env.rights[l], atol=1e-12)
 
 
@@ -77,7 +78,7 @@ def test_env_recursion_consistency():
 
 def test_apply_effective_identity_operator():
     psi = random_mps(4, 2, bond_cap=2, seed=5)
-    env = build_env(build_bases(psi)[0], identity_mpo(4))
+    env = build_env(build_bases(psi), identity_mpo(4))
     x = env.bases.center_site(2)
     out = effective_ham(env, "1s", 2).apply(x)
     npt.assert_allclose(out, x, atol=1e-12)
@@ -86,7 +87,7 @@ def test_apply_effective_identity_operator():
 def test_apply_effective_matches_dense_restriction():
     psi = random_mps(6, 2, bond_cap=3, seed=6)
     h = haldane_shastry_mpo(6)
-    kept, _ = build_bases(psi)
+    kept = build_bases(psi)
     env = build_env(kept, h)
     hm = dense_hamiltonian(h)
     a = [t.data for t in kept.left]
@@ -102,7 +103,7 @@ def test_apply_effective_matches_dense_restriction():
 def test_apply_effective_symmetry_probes():
     psi = random_mps(5, 2, bond_cap=2, seed=7)
     h = heisenberg_mpo(5)
-    env = build_env(build_bases(psi)[0], h)
+    env = build_env(build_bases(psi), h)
     rng = np.random.default_rng(0)
     for mode, site in (("bond", 2), ("1s", 3), ("2s", 2)):
         heff = effective_ham(env, mode, site)
@@ -253,7 +254,7 @@ def test_local_solve_never_raises_energy():
     # the optimized local energy is bounded by the starting Rayleigh quotient
     psi = random_mps(6, 2, bond_cap=4, seed=12)
     h = haldane_shastry_mpo(6)
-    env = build_env(build_bases(psi)[0], h)
+    env = build_env(build_bases(psi), h)
     for mode, site in (("1s", 3), ("2s", 2)):
         heff = effective_ham(env, mode, site)
         x0 = np.random.default_rng(1).standard_normal(int(np.prod(heff.x_shape)))
@@ -379,4 +380,4 @@ def test_fixed_point_residuals_on_unconverged_state_still_ordered():
     assert res["bond"] <= bound
     assert res["one_site_left"] <= bound
     assert res["one_site_right"] <= bound
-    npt.assert_allclose(res["energy"], expectation(build_bases(psi)[0].reference, h), atol=1e-10)
+    npt.assert_allclose(res["energy"], expectation(build_bases(psi).reference, h), atol=1e-10)

@@ -175,28 +175,28 @@ def test_identity_suite_failing_report():
 
 # every dense entry point at L = 20, where one d^L x d^L matrix would take 8 TiB
 DENSE_ENTRY_POINTS = {
-    "dense_state": lambda psi, h, kept, disc: dense_state(psi),
-    "dense_hamiltonian": lambda psi, h, kept, disc: dense_hamiltonian(h),
-    "dense_apply": lambda psi, h, kept, disc: dense_apply(h, np.zeros(2)),
-    "dense_sector_pair": lambda psi, h, kept, disc: dense_sector_pair(kept, disc, ("K", "K", 1, 3)),
-    "dense_projector_empty": lambda psi, h, kept, disc: dense_projector([], kept, disc),
-    "dense_projector_irreducible": lambda psi, h, kept, disc: dense_projector(expand_irreducible(1, 20), kept, disc),
-    "verify_identity_suite": lambda psi, h, kept, disc: verify_identity_suite(psi, h),
+    "dense_state": lambda psi, h, kept: dense_state(psi),
+    "dense_hamiltonian": lambda psi, h, kept: dense_hamiltonian(h),
+    "dense_apply": lambda psi, h, kept: dense_apply(h, np.zeros(2)),
+    "dense_sector_pair": lambda psi, h, kept: dense_sector_pair(kept, ("K", "K", 1, 3)),
+    "dense_projector_empty": lambda psi, h, kept: dense_projector([], kept),
+    "dense_projector_irreducible": lambda psi, h, kept: dense_projector(expand_irreducible(1, 20), kept),
+    "verify_identity_suite": lambda psi, h, kept: verify_identity_suite(psi, h),
 }
 
 
 @pytest.mark.parametrize("entry", DENSE_ENTRY_POINTS)
 def test_dense_entry_points_guard_before_allocating(entry):
     psi = random_mps(20, 2, bond_cap=2, seed=0)
-    kept, disc = build_bases(psi)
+    kept = build_bases(psi)
     with pytest.raises(ValueError, match="guard"):
-        DENSE_ENTRY_POINTS[entry](psi, heisenberg_mpo(20), kept, disc)
+        DENSE_ENTRY_POINTS[entry](psi, heisenberg_mpo(20), kept)
 
 
 def test_dimension_table_maximal_l4():
     psi = random_mps(4, 2, bond_cap=None, seed=5)
-    kept, disc = build_bases(psi)
+    kept = build_bases(psi)
     dims = [subspace_dimension(kept, n) for n in range(5)]
     assert dims == [1, 15, 0, 0, 0]
-    ranks = [dense_rank(dense_projector(expand_irreducible(n, 4), kept, disc)) for n in range(5)]
+    ranks = [dense_rank(dense_projector(expand_irreducible(n, 4), kept)) for n in range(5)]
     assert ranks == dims

@@ -39,20 +39,20 @@ from kdmps.mpo import (
 )
 from kdmps.mps import load_mps, overlap, product_mps, random_mps, save_mps
 from kdmps.projectors import apply_projector, build_bases, dense_projector, expand_global
-from kdmps.tensor import Tensor, TruncationPolicy, env_step_left, env_step_right
+from kdmps.tensor import Tensor, TruncationPolicy, env_step_left, env_step_right, mpo_matrix
 
 DENSE_TOL = 1e-10
 
 
 def bases_for(L, cap, seed):
-    return build_bases(random_mps(L, 2, bond_cap=cap, seed=seed))[0]
+    return build_bases(random_mps(L, 2, bond_cap=cap, seed=seed))
 
 
 # ---------- construction ----------
 
 
 def test_init_smallest_case_product_reference():
-    kept, _ = build_bases(product_mps(2, 2, [np.array([1.0, 0.0]), np.array([0.0, 1.0])]))
+    kept = build_bases(product_mps(2, 2, [np.array([1.0, 0.0]), np.array([0.0, 1.0])]))
     x = init_excitation(kept, 1, seed=0)
     assert x.n_branches == 2 and x.anchor == 2
     assert x.windows[0][0].shape == (1, 2, 1)
@@ -284,10 +284,10 @@ def _branch_env(kept, h, x, branch, sites, right=False):
     env = np.ones((1, 1, 1))
     if right:
         for s in range(L, sites - 1, -1):
-            env = env_step_right(env, kept.right[s - 1].data, w[s - 1], ket[s - 1])
+            env = env_step_right(env, kept.right[s - 1].data, mpo_matrix(w[s - 1].transpose(3, 1, 2, 0)), ket[s - 1])
     else:
         for s in range(1, sites + 1):
-            env = env_step_left(env, kept.left[s - 1].data, w[s - 1], ket[s - 1])
+            env = env_step_left(env, kept.left[s - 1].data, mpo_matrix(w[s - 1]), ket[s - 1])
     return env
 
 
@@ -411,7 +411,7 @@ def test_apply_branch_windows_match_dense_frame_assembly():
     # each output window is the bra-frame component of H|x>, discarded-
     # projected on its first slot away from the anchor
     L, n = 5, 1
-    kept, _ = build_bases(random_mps(L, 2, bond_cap=2, seed=23))
+    kept = build_bases(random_mps(L, 2, bond_cap=2, seed=23))
     h = heisenberg_mpo(L)
     hm = dense_hamiltonian(h)
     x = init_excitation(kept, n, seed=12)
@@ -432,11 +432,11 @@ def test_apply_branch_windows_match_dense_frame_assembly():
 
 def test_apply_matches_dense_projected_hamiltonian():
     L = 5
-    kept, disc = build_bases(random_mps(L, 2, bond_cap=2, seed=20))
+    kept = build_bases(random_mps(L, 2, bond_cap=2, seed=20))
     for h in (heisenberg_mpo(L), haldane_shastry_mpo(L)):
         hm = dense_hamiltonian(h)
         for n in (1, 2, 3):
-            p = dense_projector(expand_global(n, L), kept, disc)
+            p = dense_projector(expand_global(n, L), kept)
             x = init_excitation(kept, n, seed=7)
             got = dense_state(materialize(apply_projected_h(x, h)))
             want = p @ hm @ dense_state(materialize(x))
@@ -448,12 +448,12 @@ def test_apply_with_maximal_profile_annihilated_branches():
     # all; the gauge zeroes them and the projected operator must still agree
     # with the dense restriction
     L = 4
-    kept, disc = build_bases(random_mps(L, 2, bond_cap=None, seed=24))
+    kept = build_bases(random_mps(L, 2, bond_cap=None, seed=24))
     h = haldane_shastry_mpo(L)
     hm = dense_hamiltonian(h)
     x = init_excitation(kept, 1, seed=13)
     assert any(np.allclose(chain[0].data, 0.0) for chain in x.windows[:-1])
-    p = dense_projector(expand_global(1, L), kept, disc)
+    p = dense_projector(expand_global(1, L), kept)
     got = dense_state(materialize(apply_projected_h(x, h)))
     want = p @ hm @ dense_state(materialize(x))
     npt.assert_allclose(got, want, atol=1e-12)
@@ -522,7 +522,7 @@ def test_solve_result_orthogonal_to_reference():
     opts = DmrgOptions(n_sweeps=8, policy=TruncationPolicy(max_rank=8, rel_cutoff=1e-14))
     gs = dmrg_ground_state(random_mps(6, 2, bond_cap=4, seed=3), h, "2s", opts)
     res = solve_lowest_excitation(gs.psi, h, 1)
-    kept, _ = build_bases(gs.psi)
+    kept = build_bases(gs.psi)
     ov = overlap(kept.reference, materialize(res.state))
     npt.assert_allclose(ov, 0.0, atol=1e-9)
 
@@ -559,7 +559,7 @@ def test_solver_matvec_symmetric_on_the_whole_flat_space(monkeypatch, model, L, 
     # Lanczos needs <x, A y> = <y, A x> also off the gauge-fixed subspace
     gs = random_mps(L, 2, bond_cap=cap, seed=4)
     h = model(L)
-    kept, _ = build_bases(gs)
+    kept = build_bases(gs)
     rng = np.random.default_rng(7)
     for n in (1, 2, 3):
         matvec = _solver_matvec(monkeypatch, gs, h, n)
@@ -598,7 +598,7 @@ def test_apply_peak_memory_stays_below_bound():
     # per bond; the peak was 5.2 MiB when this bound was set
     import tracemalloc
 
-    kept, _ = build_bases(random_mps(12, 2, 32, seed=0))
+    kept = build_bases(random_mps(12, 2, 32, seed=0))
     h = haldane_shastry_mpo(12)
     x = init_excitation(kept, 2, seed=0)
     tracemalloc.start()
@@ -615,7 +615,7 @@ def test_apply_cost_grows_at_most_linearly_in_local_dimension():
     h = heisenberg_mpo(L)
     opts = DmrgOptions(n_sweeps=5, policy=TruncationPolicy(max_rank=8, rel_cutoff=1e-13))
     gs = dmrg_ground_state(random_mps(L, 2, bond_cap=8, seed=1), h, "2s", opts)
-    bases, _ = build_bases(gs.psi)
+    bases = build_bases(gs.psi)
     medians = []
     for n in (1, 2, 3):
         x = init_excitation(bases, n, seed=0)
@@ -672,7 +672,7 @@ def test_excitation_archive_rejects_a_changed_reference(tmp_path):
     manifest = json.loads(manifest_path.read_text())
     del manifest["ground_state_sha256"]
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="reference archive .* changed"):
+    with pytest.raises(ValueError, match="the manifest lacks ground_state_sha256"):
         load_excitation(tmp_path / "exc")
     manifest_path.write_text(json.dumps({**manifest, "format_version": 2}))
     with pytest.raises(ValueError, match="format 2; only format 4"):
@@ -700,7 +700,7 @@ def _saved_excitation(tmp_path, n=1):
     """A gauge-fixed n-site excitation over a random L=10, D=8 reference,
     both saved, and checked to load before any test corrupts it."""
     save_mps(random_mps(10, 2, bond_cap=8, seed=3), tmp_path / "gs")
-    bases, _ = build_bases(load_mps(tmp_path / "gs"))
+    bases = build_bases(load_mps(tmp_path / "gs"))
     x = init_excitation(bases, n, seed=4)
     save_excitation(x, tmp_path / "exc", gs_path=str(tmp_path / "gs"))
     load_excitation(tmp_path / "exc")
@@ -740,7 +740,7 @@ def test_excitation_archive_rejects_a_window_swap_the_gauge_allows(tmp_path, a, 
     manifest = json.loads(manifest_path.read_text())
     del manifest["windows_sha256"]
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="window blobs changed"):
+    with pytest.raises(ValueError, match="the manifest lacks windows_sha256"):
         load_excitation(exc)
     manifest_path.write_text(json.dumps({**manifest, "format_version": 3}))
     with pytest.raises(ValueError, match="format 3; only format 4"):

@@ -8,7 +8,6 @@ from kdmps.ed import dense_state
 from kdmps.mps import (
     Mps,
     canonical_defect,
-    canonical_sets,
     canonicalize,
     load_mps,
     mps_add,
@@ -21,6 +20,7 @@ from kdmps.mps import (
     phys,
     virt,
 )
+from kdmps.projectors import build_bases
 from kdmps.tensor import Tensor, write_tensor_blob
 
 GAUGE_TOL = 1e-10
@@ -114,10 +114,8 @@ def test_gauge_invariance_between_centers():
 
 
 def test_bond_canonical_product_state():
-    # every bond matrix of canonical_sets is the 1x1 unit Schmidt weight
-    _, _, bonds, norm = canonical_sets(product_mps(4, 2))
-    npt.assert_allclose(norm, 1.0, atol=DENSE_TOL)
-    for c in bonds:
+    # every bond matrix of the fixed gauge is the 1x1 unit Schmidt weight
+    for c in build_bases(product_mps(4, 2)).bond:
         npt.assert_allclose(c, [[1.0]], atol=DENSE_TOL)
 
 
@@ -125,7 +123,7 @@ def test_bond_canonical_all_bonds_including_dummies():
     # the singular values of the bond matrix C_l are the Schmidt weights at
     # bond l, dummy bonds 0 and L included (there C_l = [[1]])
     psi = random_mps(5, 2, bond_cap=3, seed=9)
-    _, _, bonds, _ = canonical_sets(psi)
+    bonds = build_bases(psi).bond
     vec = dense_state(psi)
     for bond in range(0, 6):
         c = bonds[bond]
@@ -212,10 +210,13 @@ def test_mps_add_single_site():
 # ---------- fixed gauge family ----------
 
 
-def test_canonical_sets_reconstruct_at_every_bond():
+def test_build_bases_reconstruct_at_every_bond():
+    # the state is scaled by 3; the gauge rebuilds it normalized
     psi = random_mps(6, 2, bond_cap=3, seed=11)
-    a_set, b_set, bonds, norm = canonical_sets(psi)
-    ref = dense_state(psi) / norm
+    scaled = Mps(site_tensors([3.0 * psi.sites[0].data] + [t.data for t in psi.sites[1:]]))
+    bases = build_bases(scaled)
+    a_set, b_set, bonds = [t.data for t in bases.left], [t.data for t in bases.right], bases.bond
+    ref = dense_state(psi)
     for l in range(0, 7):
         arrs = a_set[:l] + [bonds[l][:, None, :]] + b_set[l:]
         cur = np.ones((1, 1))
@@ -289,7 +290,8 @@ def test_mps_archive_rejects_the_bond_form(tmp_path):
     # an archive as earlier versions wrote it: left-normalized sites up to
     # bond 2, the diagonal Schmidt weights of bond 2 in bond_weights.ten,
     # right-normalized sites after it
-    a_set, b_set, bonds, _ = canonical_sets(random_mps(4, 2, bond_cap=2, seed=3))
+    bases = build_bases(random_mps(4, 2, bond_cap=2, seed=3))
+    a_set, b_set, bonds = [t.data for t in bases.left], [t.data for t in bases.right], bases.bond
     u, weights, vh = np.linalg.svd(bonds[2])
     sites = [a_set[0], np.tensordot(a_set[1], u, axes=(2, 0)), np.tensordot(vh, b_set[2], axes=(1, 0)), b_set[3]]
     save_mps(Mps(site_tensors(sites)), tmp_path / "state")

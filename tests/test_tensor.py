@@ -180,6 +180,11 @@ def window_inputs(seed, n_sites, w=3, d=2):
     return rng, left, ws, right
 
 
+def mats(ws):
+    """The kernel matrices of MPO sites, as :attr:`kdmps.mpo.Mpo.ops` holds them."""
+    return [mpo_matrix(w) for w in ws]
+
+
 def test_apply_window_bond_matrix_matches_einsum():
     rng, left, _, right = window_inputs(10, 0)
     c = rng.standard_normal((5, 7))
@@ -191,7 +196,7 @@ def test_apply_window_dense_two_site_ket_matches_einsum():
     rng, left, ws, right = window_inputs(11, 2)
     x = rng.standard_normal((5, 2, 2, 7))
     want = np.einsum("bwk,wpqv,vstu,kqtr,cur->bpsc", left, ws[0], ws[1], x, right)
-    npt.assert_allclose(apply_window(left, ws, (x,), right), want, atol=TOL)
+    npt.assert_allclose(apply_window(left, mats(ws), (x,), right), want, atol=TOL)
 
 
 def test_apply_window_split_ket_matches_dense_one():
@@ -199,9 +204,9 @@ def test_apply_window_split_ket_matches_dense_one():
     k1 = rng.standard_normal((5, 2, 3))
     k2 = rng.standard_normal((3, 2, 7))
     want = np.einsum("bwk,wpqv,vstu,kqm,mtr,cur->bpsc", left, ws[0], ws[1], k1, k2, right)
-    got = apply_window(left, ws, (k1, k2), right)
+    got = apply_window(left, mats(ws), (k1, k2), right)
     npt.assert_allclose(got, want, atol=TOL)
-    npt.assert_allclose(got, apply_window(left, ws, (np.tensordot(k1, k2, axes=(2, 0)),), right), atol=TOL)
+    npt.assert_allclose(got, apply_window(left, mats(ws), (np.tensordot(k1, k2, axes=(2, 0)),), right), atol=TOL)
 
 
 def test_apply_window_two_site_ket_then_one_site_ket_matches_einsum():
@@ -209,28 +214,21 @@ def test_apply_window_two_site_ket_then_one_site_ket_matches_einsum():
     x = rng.standard_normal((5, 2, 2, 3))
     k3 = rng.standard_normal((3, 2, 7))
     want = np.einsum("bwk,wpqv,vstu,uyzx,kqtm,mzr,cxr->bpsyc", left, *ws, x, k3, right)
-    npt.assert_allclose(apply_window(left, ws, (x, k3), right), want, atol=TOL)
+    npt.assert_allclose(apply_window(left, mats(ws), (x, k3), right), want, atol=TOL)
 
 
 def test_apply_window_three_one_site_kets_matches_einsum():
     rng, left, ws, right = window_inputs(15, 3)
     k1, k2, k3 = (rng.standard_normal(shape) for shape in ((5, 2, 3), (3, 2, 4), (4, 2, 7)))
     want = np.einsum("bwk,wpqv,vstu,uyzx,kqm,mtn,nzr,cxr->bpsyc", left, *ws, k1, k2, k3, right)
-    npt.assert_allclose(apply_window(left, ws, (k1, k2, k3), right), want, atol=TOL)
+    npt.assert_allclose(apply_window(left, mats(ws), (k1, k2, k3), right), want, atol=TOL)
 
 
 def test_apply_window_three_site_ket_matches_einsum():
     rng, left, ws, right = window_inputs(16, 3)
     x = rng.standard_normal((5, 2, 2, 2, 7))
     want = np.einsum("bwk,wpqv,vstu,uyzx,kqtzr,cxr->bpsyc", left, *ws, x, right)
-    npt.assert_allclose(apply_window(left, ws, (x,), right), want, atol=TOL)
-
-
-def test_apply_window_takes_mpo_matrices_for_sites():
-    rng, left, ws, right = window_inputs(17, 2)
-    x = rng.standard_normal((5, 2, 2, 7))
-    want = apply_window(left, ws, (x,), right)
-    npt.assert_array_equal(apply_window(left, [mpo_matrix(w) for w in ws], (x,), right), want)
+    npt.assert_allclose(apply_window(left, mats(ws), (x,), right), want, atol=TOL)
 
 
 def test_env_step_right_on_transposed_views_matches_einsum():
@@ -242,9 +240,7 @@ def test_env_step_right_on_transposed_views_matches_einsum():
     right = rng.standard_normal((7, 3, 6)).transpose(2, 1, 0)
     assert not any(a.flags.c_contiguous for a in (bra, ket, w, right))
     want = np.einsum("cvr,bpc,wpqv,kqr->bwk", right, bra, w, ket)
-    npt.assert_allclose(env_step_right(right, bra, w, ket), want, atol=TOL)
-    mirrored = mpo_matrix(w.transpose(3, 1, 2, 0))
-    npt.assert_allclose(env_step_right(right, bra, mirrored, ket), want, atol=TOL)
+    npt.assert_allclose(env_step_right(right, bra, mpo_matrix(w.transpose(3, 1, 2, 0)), ket), want, atol=TOL)
 
 
 @pytest.mark.parametrize("build", [lambda: heisenberg_mpo(5), lambda: haldane_shastry_mpo(6)])
@@ -266,10 +262,10 @@ def test_env_steps_match_einsum():
     ket = rng.standard_normal((5, 2, 7))
     left = rng.standard_normal((4, 3, 5))
     want = np.einsum("bwk,bpc,wpqv,kqr->cvr", left, bra, w, ket)
-    npt.assert_allclose(env_step_left(left, bra, w, ket), want, atol=TOL)
+    npt.assert_allclose(env_step_left(left, bra, mpo_matrix(w), ket), want, atol=TOL)
     right = rng.standard_normal((6, 3, 7))
     want = np.einsum("cvr,bpc,wpqv,kqr->bwk", right, bra, w, ket)
-    npt.assert_allclose(env_step_right(right, bra, w, ket), want, atol=TOL)
+    npt.assert_allclose(env_step_right(right, bra, mpo_matrix(w.transpose(3, 1, 2, 0)), ket), want, atol=TOL)
 
 
 def test_tensor_rejects_duplicate_legs():

@@ -20,7 +20,7 @@ DECOMP_TOL = 1e-10
 def _values_window_by_window(psi, h, n_max) -> np.ndarray:
     """The per-n pieces with every (n, l) window applied on its own: one
     apply_window from the left environment of site l over all n sites."""
-    bases, _ = build_bases(psi)
+    bases = build_bases(psi)
     env = build_env(bases, h)
     a = [t.data for t in bases.left]
     b = [t.data for t in bases.right]
@@ -74,11 +74,11 @@ def test_per_n_values_match_dense_projections():
     L = 6
     h = haldane_shastry_mpo(L)
     psi = random_mps(L, 2, bond_cap=2, seed=5)
-    kept, disc = build_bases(psi)
+    kept = build_bases(psi)
     report = nsite_variance(psi, h, L)
     hv = dense_hamiltonian(h) @ dense_state(kept.reference)
     for n in range(1, L + 1):
-        p = dense_projector(expand_irreducible(n, L), kept, disc)
+        p = dense_projector(expand_irreducible(n, L), kept)
         npt.assert_allclose(report.values[n - 1], float(hv @ p @ hv), atol=DECOMP_TOL)
 
 
@@ -139,14 +139,14 @@ def test_single_site_row_matches_explicit_complement_form():
     L = 5
     h = heisenberg_mpo(L)
     psi = random_mps(L, 2, bond_cap=2, seed=8)
-    kept, disc = build_bases(psi)
+    kept = build_bases(psi)
     report = nsite_variance(psi, h, 1)
     hv = dense_hamiltonian(h) @ dense_state(kept.reference)
     total = 0.0
     for l in range(1, L + 1):
         from kdmps.projectors import dense_sector_pair
 
-        total += float(hv @ dense_sector_pair(kept, disc, ("D", "K", l, l + 1)) @ hv)
+        total += float(hv @ dense_sector_pair(kept, ("D", "K", l, l + 1)) @ hv)
     npt.assert_allclose(report.values[0], total, atol=1e-12)
 
 
@@ -197,7 +197,7 @@ def test_total_dense_equals_the_matrix_residual():
     h = haldane_shastry_mpo(L)
     psi = random_mps(L, 2, bond_cap=8, seed=17)
     report = nsite_variance(psi, h, 2)
-    kept, _ = build_bases(psi)
+    kept = build_bases(psi)
     vec = dense_state(kept.reference)
     resid = dense_hamiltonian(h) @ vec - report.energy * vec
     want = float(resid @ resid)

@@ -17,15 +17,22 @@ the gauge condition.
 Applying the window-projected Hamiltonian runs on the dense branch windows
 T_l in one pass per reading direction; the backward pass is the forward one
 on the mirrored chain. For each output window the pass sums what reaches it
-from the left: the environment F with every earlier branch absorbed whole
-times the reference's B-window, the reference environment times T_l
-(forward only), and the branches l-1..l-n+1 absorbed part-way times the
-rest of the B-window. It applies the window's n MPO sites to that sum once;
-the result, closed by the reference environment on the right, is the
-output, and closed by the bra's A-window it is the next F. The operator
-cache (:class:`ExcEnvCache`) therefore depends only on the gauge, the
-operator and n, and the eigensolver's matvec never leaves the dense
-windows; chains are formed only for the returned state.
+from the left: the environment F with every earlier branch absorbed whole,
+and the branches l-1..l-n+1 absorbed part-way, each continued by the
+reference's B on the window sites it has not reached. That sum takes the
+MPO steps of the window's first n-1 sites once. On the last site every term
+carries B, so one matmul against the cached open reference site there (B,
+MPO site and right environment, bra leg open) closes the sum into the
+output window, and closing its n-1 bras gives the next F. In the forward
+reading branch l also reaches its own window: its chain of n MPO steps with
+open bras, closed by the reference environment on the right, is the
+diagonal term, and the chain's closes after 1..n-1 steps are the part-way
+environments of the next windows. The backward reading closes its chains
+after every step. For n = 1 the next F must hold the window's own branch,
+so F and that branch share the site's one MPO step. The operator cache
+(:class:`ExcEnvCache`) therefore depends only on the gauge, the operator
+and n, and the eigensolver's matvec never leaves the dense windows; chains
+are formed only for the returned state.
 """
 
 from __future__ import annotations
@@ -267,8 +274,12 @@ class _Reading:
     Sites are numbered along the reading. ``bra[s-1]`` and ``ket[s-1]`` are
     the left and right isometries of site s, ``ops[s-1]`` its MPO matrix
     (:attr:`kdmps.mpo.Mpo.ops` or ``mirrored_ops``); ``lefts[k]`` covers
-    sites 1..k and ``rights[k]`` sites k+1..L (bond k, k = 0..L);
-    ``bra_windows[l-1]`` is bra l..l+n-1 contracted into one array.
+    sites 1..k and ``rights[k]`` sites k+1..L (bond k, k = 0..L).
+    ``opens[s-1]`` is site s's open reference site: its ket, MPO site and
+    right environment ``rights[s]`` contracted with the bra's physical leg
+    and right bond left open, as a (d D, w, D) right environment whose bra
+    leg is that (physical, bond) pair. ``bra_windows[k-1][l-1]`` is bra
+    l..l+k-1 contracted into one array (k = 1..n-1).
     """
 
     bra: tuple[np.ndarray, ...]
@@ -276,12 +287,20 @@ class _Reading:
     ops: tuple[np.ndarray, ...]
     lefts: tuple[np.ndarray, ...]
     rights: tuple[np.ndarray, ...]
-    bra_windows: tuple[np.ndarray, ...]
+    opens: tuple[np.ndarray, ...]
+    bra_windows: tuple[tuple[np.ndarray, ...], ...]
 
 
-def _reading(bra, ket, ops, lefts, rights, n: int) -> _Reading:
-    wins = tuple(_chain_to_window(bra[l : l + n]) for l in range(len(bra) - n + 1))
-    return _Reading(tuple(bra), tuple(ket), tuple(ops), tuple(lefts), tuple(rights), wins)
+def _reading(bra, ket, ops, mirrored_ops, lefts, rights, n: int) -> _Reading:
+    """The reading of these arrays, with bra windows of up to n - 1 sites.
+    ``mirrored_ops`` are the MPO matrices of the opposite reading; the open
+    reference sites grow leftwards from the right environments with them."""
+    opens = []
+    for s in range(1, len(ket) + 1):
+        o = mpo_step(ket_step(rights[s], ket[s - 1].T), mirrored_ops[s - 1], 0)  # (bra bond, p, w, ket bond)
+        opens.append(np.ascontiguousarray(o.transpose(1, 0, 2, 3)).reshape(-1, *o.shape[2:]))
+    wins = tuple(tuple(_chain_to_window(bra[l : l + k]) for l in range(len(bra) - k + 1)) for k in range(1, n))
+    return _Reading(tuple(bra), tuple(ket), tuple(ops), tuple(lefts), tuple(rights), tuple(opens), wins)
 
 
 @dataclass(frozen=True)
@@ -290,9 +309,14 @@ class ExcEnvCache:
 
     Depends only on the gauge ``bases``, the operator ``h`` and the window
     size ``n``: ``forward`` holds the reference's isometries, MPO sites,
-    environments (reference in bra and ket) and A-windows in site order,
-    ``backward`` the same for the chain read backwards (B-windows as its bra
-    windows). It is built once per solve.
+    environments (reference in bra and ket), open reference sites and
+    A-windows of 1..n-1 sites in site order, ``backward`` the same for the
+    chain read backwards (B-windows as its bra windows). An open reference
+    site is the reference ket, the MPO site and the far environment of one
+    site with the bra leg left open: B_s W_s R in the forward reading,
+    A_s W_s L in the backward one. Next to the environments they add one
+    (D, d, w, D) array per site and reading. The cache is built once per
+    solve.
     """
 
     bases: KeptBases
@@ -308,11 +332,12 @@ def build_exc_env(bases: KeptBases, n: int, h: Mpo) -> ExcEnvCache:
     base = build_env(bases, h)
     a = [t.data for t in bases.left]
     b = [t.data for t in bases.right]
-    forward = _reading(a, b, h.ops, base.lefts, base.rights[1:], n)
+    forward = _reading(a, b, h.ops, h.mirrored_ops, base.lefts, base.rights[1:], n)
     backward = _reading(
         [np.ascontiguousarray(t.T) for t in reversed(b)],  # .T reverses every axis
         [np.ascontiguousarray(t.T) for t in reversed(a)],
         h.mirrored_ops[::-1],
+        h.ops[::-1],
         base.rights[:0:-1],
         base.lefts[::-1],
         n,
@@ -324,15 +349,22 @@ def _absorb(r: _Reading, windows: list[np.ndarray], n: int, diagonal: bool):
     """One pass over the branch windows along a reading direction.
 
     Yields, for each output window l in turn, the window collecting every
-    input branch left of it (and branch l itself when ``diagonal``), and F at
-    bond l+n-1: the environment with all branches up to l absorbed whole.
-    The input to the window's n MPO sites is the sum of F at bond l-1 times
-    the ket window, the reference environment times T_l (when
-    ``diagonal``), and the branches l-1..l-n+1 absorbed part-way times the
-    rest of the ket window. The partial environments come from a chain per
-    branch, which without ``diagonal`` runs one slot further and adds the
-    branch's own share to F. Only the last n environments of each kind are
-    kept alive.
+    input branch left of it (and branch l itself when ``diagonal``), and the
+    F it closed: at bond l + n - 2 (bond l when n = 1), the environment of
+    every branch that ends at or before that bond.
+
+    On the window's first n - 1 sites, F at bond l - 1 and the branches
+    l-1..l-n+1, absorbed part-way, meet the reference's kets; their sum
+    takes the MPO steps of those sites once. Every term of it has the
+    reference's ket on the window's last site too, so one matmul against
+    that site's open reference site closes it into the output window, and
+    closing its n - 1 bras gives the next F. Branch l runs its own chain:
+    with open bras when ``diagonal``, where its n MPO steps, closed by the
+    environment on the right, are the output's diagonal term, and closed
+    after every step otherwise. Its first n - 1 steps, closed, are the
+    part-way environments of the next windows. For n = 1 the next F must
+    hold branch l whole, so F and branch l take the site's MPO step
+    together. Only the last n environments of each kind are kept alive.
     """
     fs: dict[int, np.ndarray] = {}  # F by bond
     partials: dict[int, list[np.ndarray]] = {}  # partials[l][j-1]: branch l, j slots absorbed
@@ -344,21 +376,30 @@ def _absorb(r: _Reading, windows: list[np.ndarray], n: int, diagonal: bool):
             acc = ket_step(acc, r.ket[l + n - 2 - j])
             if l - j in partials:
                 acc += partials[l - j][j - 1]
-        z = ket_step(acc, r.ket[l + n - 2])
+        for j in range(n - 1):
+            acc = mpo_step(acc, r.ops[l - 1 + j], j)
         g = ket_step(r.lefts[l - 1], windows[l - 1])
-        if diagonal:
-            z += g
-        chain = []
-        for s in range(l, l + (n - 1 if diagonal else n)):
-            g = close(r.bra[s - 1], mpo_step(g, r.ops[s - 1], 0))
-            chain.append(g)
-        partials[l] = chain[: n - 1]
-        partials.pop(l - n + 1, None)  # its last use was this window's Horner sum
-        for j in range(n):
-            z = mpo_step(z, r.ops[l - 1 + j], j)
-        f = close(r.bra_windows[l - 1], z)
-        fs[l + n - 1] = f if diagonal else f + chain[-1]
-        yield close_right(z, r.rights[l + n - 1]), fs[l + n - 1]
+        if n == 1:  # F takes in branch l whole: both go through the site's MPO step
+            g += ket_step(acc, r.ket[l - 1])
+            z = mpo_step(g, r.ops[l - 1], 0)
+            y = close_right(z, r.rights[l]) if diagonal else close_right(acc, r.opens[l - 1])
+            f = fs[l] = close(r.bra[l - 1], z)
+        else:
+            y = close_right(acc, r.opens[l + n - 2]).reshape(windows[l - 1].shape)
+            f = fs[l + n - 2] = close(r.bra_windows[n - 2][l - 1], acc)
+            chain = []
+            for j in range(n - 1):
+                if diagonal:
+                    g = mpo_step(g, r.ops[l - 1 + j], j)
+                    chain.append(close(r.bra_windows[j][l - 1], g))
+                else:
+                    g = close(r.bra[l - 1 + j], mpo_step(g, r.ops[l - 1 + j], 0))
+                    chain.append(g)
+            if diagonal:
+                y += close_right(mpo_step(g, r.ops[l + n - 2], n - 1), r.rights[l + n - 1])
+            partials[l] = chain
+            partials.pop(l - n + 1, None)  # its last use was this window's Horner sum
+        yield y.reshape(windows[l - 1].shape), f
 
 
 def _gauge_fix_windows(bases: KeptBases, windows: list[np.ndarray]) -> list[np.ndarray]:
@@ -607,7 +648,7 @@ def load_excitation(path) -> tuple[ExcitationState, dict]:
         chains.append(tuple(chain))
     x = ExcitationState(bases=bases, n=n, windows=tuple(chains))
     defect = gauge_defect(x)
-    if not defect <= FORM_TOL * max(1.0, np.sqrt(ex_overlap(x, x))):
+    if not defect <= FORM_TOL * max(1.0, np.linalg.norm(flatten(x))):
         raise ValueError(f"{path}: the windows violate the discarded-space gauge condition by {defect:.3g}")
     if _sha256(_window_blobs(path, L, n)) != manifest["windows_sha256"]:
         raise ValueError(f"{path}: the window blobs changed after the excitation was saved")

@@ -39,7 +39,7 @@ from kdmps.mpo import (
 )
 from kdmps.mps import load_mps, overlap, product_mps, random_mps, save_mps
 from kdmps.projectors import apply_projector, build_bases, dense_projector, expand_global
-from kdmps.tensor import Tensor, TruncationPolicy, env_step_left, env_step_right, mpo_matrix
+from kdmps.tensor import Tensor, TruncationPolicy, env_step_left, env_step_right, mpo_matrix, mpo_step
 
 DENSE_TOL = 1e-10
 
@@ -333,20 +333,22 @@ def test_exc_env_identity_mpo_gives_partial_overlap_transfer():
 
 
 def test_exc_env_recursions_rebuild():
-    # F at bond l + n - 1 sums the branches 1..l absorbed whole, both ways
-    L, n = 5, 2
+    # the F each window closes, at bond l + n - 2 (l for n = 1), sums the
+    # branches ending at or before that bond absorbed whole, both ways
+    L = 5
     kept = bases_for(L, 2, 17)
     h = heisenberg_mpo(L)
-    x = init_excitation(kept, n, seed=3)
-    forward, backward = _passes(x, h)
-    nb = x.n_branches
-    for l in range(1, nb + 1):
-        want = sum(_branch_env(kept, h, x, lp, l + n - 1) for lp in range(1, l + 1))
-        npt.assert_allclose(forward[l - 1][1], want, atol=1e-12)
-        # the mirrored pass at its window l: branches nb + 1 - l .. nb, sites nb + 1 - l .. L
-        first = nb + 1 - l
-        want = sum(_branch_env(kept, h, x, lp, first, right=True) for lp in range(first, nb + 1))
-        npt.assert_allclose(backward[l - 1][1], want, atol=1e-12)
+    for n in (1, 2, 3):
+        x = init_excitation(kept, n, seed=3)
+        forward, backward = _passes(x, h)
+        for l in range(1, x.n_branches + 1):
+            bond = l if n == 1 else l + n - 2
+            want = sum(_branch_env(kept, h, x, lp, bond) for lp in range(1, bond - n + 2))
+            npt.assert_allclose(forward[l - 1][1], want, atol=1e-12)
+            # mirrored bond b is bond L - b: branches first..nb over sites first..L
+            first = L - bond + 1
+            want = sum(_branch_env(kept, h, x, lp, first, right=True) for lp in range(first, x.n_branches + 1))
+            npt.assert_allclose(backward[l - 1][1], want, atol=1e-12)
 
 
 def test_exc_env_cached_reference_environments_match_rebuilt():
@@ -435,7 +437,7 @@ def test_apply_matches_dense_projected_hamiltonian():
     kept = build_bases(random_mps(L, 2, bond_cap=2, seed=20))
     for h in (heisenberg_mpo(L), haldane_shastry_mpo(L)):
         hm = dense_hamiltonian(h)
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             p = dense_projector(expand_global(n, L), kept)
             x = init_excitation(kept, n, seed=7)
             got = dense_state(materialize(apply_projected_h(x, h)))
@@ -462,7 +464,7 @@ def test_apply_with_maximal_profile_annihilated_branches():
 def test_apply_symmetric_and_linear():
     kept = bases_for(6, 2, 21)
     h = haldane_shastry_mpo(6)
-    for n in (1, 2):
+    for n in (1, 2, 3, 4):
         x = init_excitation(kept, n, seed=8)
         y = init_excitation(kept, n, seed=9)
         hx, hy = apply_projected_h(x, h), apply_projected_h(y, h)
@@ -471,6 +473,49 @@ def test_apply_symmetric_and_linear():
         hz = apply_projected_h(z, h)
         want = dense_state(materialize(hx)) + 0.7 * dense_state(materialize(hy))
         npt.assert_allclose(dense_state(materialize(hz)), want, atol=DENSE_TOL)
+
+
+@pytest.mark.parametrize("n, steps", [(1, 24), (2, 55), (3, 90), (4, 117)])
+def test_apply_mpo_step_count(monkeypatch, n, steps):
+    # per window, the summed input takes the MPO steps of the first n - 1
+    # window sites in each reading, the forward diagonal chain n and the
+    # backward chain n - 1; for n = 1 one step per window and reading
+    import kdmps.excitation as kexc
+
+    L = 12
+    kept = bases_for(L, 8, 25)
+    h = haldane_shastry_mpo(L)
+    x = init_excitation(kept, n, seed=1)
+    env = build_exc_env(kept, n, h)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mpo_step(*args)
+
+    monkeypatch.setattr(kexc, "mpo_step", counted)
+    apply_projected_h(x, h, env)
+    assert len(calls) == steps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_apply_symmetric_and_solve_consistent_beyond_the_dense_guard(n):
+    # d^L = 16384 > 4096: no dense oracle, so check the identities that
+    # need none, <y|H x> = <x|H y> and the solver's Rayleigh quotient
+    L = 14
+    kept = bases_for(L, 8, 26)
+    h = haldane_shastry_mpo(L)
+    env = build_exc_env(kept, n, h)
+    x = init_excitation(kept, n, seed=10)
+    y = init_excitation(kept, n, seed=11)
+    yhx = ex_overlap(y, apply_projected_h(x, h, env))
+    xhy = ex_overlap(x, apply_projected_h(y, h, env))
+    assert abs(yhx - xhy) <= 1e-12 * max(abs(yhx), abs(xhy))
+    res = solve_lowest_excitation(random_mps(L, 2, bond_cap=8, seed=26), h, n)
+    assert res.converged
+    v = res.state
+    rayleigh = ex_overlap(v, apply_projected_h(v, h)) / ex_overlap(v, v)
+    assert abs(rayleigh - res.energy) <= 1e-12 * abs(res.energy)
 
 
 def test_flat_roundtrip_preserves_state():

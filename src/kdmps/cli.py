@@ -12,7 +12,8 @@ Options may come from a JSON config file (--config) and/or flags; flags
 take precedence over file values, which take precedence over defaults.
 All runs echo their effective configuration into the output manifest, and
 identical seeds reproduce identical outputs. Exit codes: 0 success,
-2 usage/validation/guard error, 3 numerical non-convergence.
+2 usage/validation/guard error or a malformed archive, 3 numerical
+non-convergence.
 
 Floating-point output is printed with 12 significant digits.
 """
@@ -48,7 +49,6 @@ class RunConfig:
 
     model: str = "heisenberg"
     L: int = 8
-    d: int = 2
     D_cap: int = 16
     seed: int = 0
     sweeps: int = 12
@@ -64,7 +64,7 @@ class RunConfig:
         return min(self.L, 6)
 
     def validate(self) -> None:
-        for name in ("L", "d", "D_cap", "seed", "sweeps", "excitation_n", "variance_n_max"):
+        for name in ("L", "D_cap", "seed", "sweeps", "excitation_n", "variance_n_max"):
             value = getattr(self, name)
             if type(value) is not int and not (name == "variance_n_max" and value is None):  # bool is not int here
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -72,8 +72,6 @@ class RunConfig:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.L < 2:
             raise ValueError("length must be at least 2")
-        if self.d != 2:
-            raise ValueError("only spin-1/2 chains (d = 2) are supported")
         if self.D_cap < 1:
             raise ValueError("bond dimension cap must be positive")
         if self.sweeps < 1:
@@ -119,7 +117,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 def cmd_gs(config: RunConfig) -> int:
     h = build_model_mpo(config)
-    psi0 = random_mps(config.L, config.d, bond_cap=config.D_cap, seed=config.seed)
+    psi0 = random_mps(config.L, h.d, bond_cap=config.D_cap, seed=config.seed)
     opts = DmrgOptions(
         n_sweeps=config.sweeps,
         policy=TruncationPolicy(max_rank=config.D_cap, rel_cutoff=1e-13),
@@ -132,7 +130,7 @@ def cmd_gs(config: RunConfig) -> int:
         "config": asdict(config),
         "model": config.model,
         "L": config.L,
-        "d": config.d,
+        "d": h.d,
         "D_cap": config.D_cap,
         "seed": config.seed,
         "sweeps": result.n_sweeps,
@@ -205,9 +203,9 @@ def cmd_excite(config: RunConfig, gs_path: str) -> int:
 
 
 def cmd_check(config: RunConfig) -> int:
-    guard_dims(config.d, config.L)
-    psi = random_mps(config.L, config.d, bond_cap=config.D_cap, seed=config.seed)
+    guard_dims(2, config.L)  # d >= 2 for every chain: refuse a long one before building its MPO
     h = build_model_mpo(config)
+    psi = random_mps(config.L, h.d, bond_cap=config.D_cap, seed=config.seed)
     report = verify_identity_suite(psi, h)
     print(report)
     out = Path(config.output_dir)
@@ -221,7 +219,7 @@ def cmd_check(config: RunConfig) -> int:
 
 
 def cmd_ed(config: RunConfig, k: int) -> int:
-    guard_dims(config.d, config.L)
+    guard_dims(2, config.L)  # d >= 2 for every chain: refuse a long one before building its MPO
     h = build_model_mpo(config)
     vals = exact_spectrum(dense_hamiltonian(h), k)
     for i, v in enumerate(vals):

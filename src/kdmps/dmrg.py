@@ -1,15 +1,16 @@
 """Environments, effective Hamiltonians, Lanczos, and DMRG ground states.
 
-Environment tensors carry axes (bra bond, operator bond, ket bond). A left
-environment at bond l covers sites 1..l (built from left-normalized
-tensors); a right environment indexed l covers sites l..L (built from
-right-normalized ones), so the energy closes at any bond.
+Environment tensors carry axes (bra bond, operator bond, ket bond). Every
+environment list is indexed by bond k = 0..L: ``lefts[k]`` covers sites
+1..k (left-normalized tensors), ``rights[k]`` sites k+1..L
+(right-normalized ones), and the energy closes at bond k between the two.
 
-The sweeper keeps the working state in mixed-canonical form and supports
-one- and two-site updates; two-site updates truncate per a
-:class:`~kdmps.tensor.TruncationPolicy`. Excited-sector searches pass
-previously found states through ``orthogonal_to``: every local eigensolve
-is then deflated against those states pulled into the local frame.
+A DMRG sweep solves the one- or two-site windows at positions 1..L+1-width
+and then back, writes each back (two sites split by a truncated SVD, one
+site moved on by QR) and grows the environment left behind. Excited-sector
+searches pass previously found states through ``orthogonal_to``: every
+local eigensolve is then deflated against those states pulled into the
+local frame.
 
 Every local eigenproblem, here and in :mod:`kdmps.excitation`, goes through
 :func:`lanczos_lowest`. It keeps the Krylov basis as rows of 16-row float64
@@ -57,9 +58,9 @@ __all__ = [
 class EnvCache:
     """All left/right operator environments of a state with respect to an MPO.
 
-    ``lefts[l]`` (l = 0..L) covers sites 1..l; ``rights[l]`` (l = 1..L+1)
-    covers sites l..L and is stored at index l. Both ends are trivial
-    (1,1,1) blocks. ``bases`` records the gauge the cache belongs to.
+    Both lists are indexed by bond k = 0..L: ``lefts[k]`` covers sites 1..k
+    and ``rights[k]`` sites k+1..L, so ``lefts[0]`` and ``rights[L]`` are
+    trivial (1,1,1) blocks. ``bases`` records the gauge the cache belongs to.
     """
 
     bases: KeptBases
@@ -70,7 +71,7 @@ class EnvCache:
     def energy_at_bond(self, l: int) -> float:
         """Close <H> at bond l: the result is l-independent."""
         c = self.bases.bond[l]
-        return float(np.vdot(c, apply_window(self.lefts[l], (), (c,), self.rights[l + 1])))
+        return float(np.vdot(c, apply_window(self.lefts[l], (), (c,), self.rights[l])))
 
 
 def build_env(bases: KeptBases, h: Mpo) -> EnvCache:
@@ -83,10 +84,10 @@ def build_env(bases: KeptBases, h: Mpo) -> EnvCache:
     lefts: list[np.ndarray] = [np.ones((1, 1, 1))]
     for l in range(1, L + 1):
         lefts.append(env_step_left(lefts[l - 1], a[l - 1], h.ops[l - 1], a[l - 1]))
-    rights: list[np.ndarray] = [np.ones((1, 1, 1))] * (L + 2)
+    rights: list[np.ndarray] = [np.ones((1, 1, 1))]  # bonds L, L-1, ..., 0
     for l in range(L, 0, -1):
-        rights[l] = env_step_right(rights[l + 1], b[l - 1], h.mirrored_ops[l - 1], b[l - 1])
-    return EnvCache(bases=bases, h=h, lefts=tuple(lefts), rights=tuple(rights))
+        rights.append(env_step_right(rights[-1], b[l - 1], h.mirrored_ops[l - 1], b[l - 1]))
+    return EnvCache(bases=bases, h=h, lefts=tuple(lefts), rights=tuple(rights[::-1]))
 
 
 # ---------- effective Hamiltonians ----------
@@ -120,9 +121,9 @@ class EffectiveHam:
         return (self.left.shape[2], *(w.shape[2] for w in self.ws), self.right.shape[2])
 
 
-def effective_ham(env: EnvCache, mode: str, site: int) -> EffectiveHam:
-    """The bond/one-site/two-site effective Hamiltonian from a cache."""
-    L = env.bases.L
+def effective_ham(env: EnvCache | _Sweeper, mode: str, site: int) -> EffectiveHam:
+    """The bond/one-site/two-site effective Hamiltonian from a cache or a sweeper."""
+    L = env.h.L
     width = {"bond": 0, "1s": 1, "2s": 2}.get(mode)
     if width is None:
         raise ValueError(f"unknown mode {mode!r}")
@@ -131,7 +132,7 @@ def effective_ham(env: EnvCache, mode: str, site: int) -> EffectiveHam:
         raise ValueError(f"{mode} window at {site} out of range")
     ws = tuple(t.data for t in env.h.sites[first - 1 : first - 1 + width])
     ops = env.h.ops[first - 1 : first - 1 + width]
-    return EffectiveHam(mode, site, env.lefts[first - 1], env.rights[first + width], ws, ops)
+    return EffectiveHam(mode, site, env.lefts[first - 1], env.rights[first + width - 1], ws, ops)
 
 
 # ---------- Lanczos ----------
@@ -280,28 +281,22 @@ class DmrgResult:
 
 
 class _Sweeper:
-    """Mutable mixed-canonical working state for DMRG sweeps."""
+    """Mutable mixed-canonical working state for DMRG sweeps (environments by bond, as in :class:`EnvCache`)."""
 
     def __init__(self, psi0: Mps, h: Mpo, opts: DmrgOptions):
         state, _ = canonicalize(psi0, 1)
         self.sites = [t.data for t in state.sites]  # sites[center-1] is the center
         self.center = 1
         self.h = h
-        self.w = [t.data for t in h.sites]
-        self.ops, self.mirrored_ops = h.ops, h.mirrored_ops
-        self.L = h.L
-        self.d = h.d
         self.opts = opts
-        self.lefts: list[np.ndarray | None] = [None] * (self.L + 1)
-        self.rights: list[np.ndarray | None] = [None] * (self.L + 2)
-        self.lefts[0] = np.ones((1, 1, 1))
-        self.rights[self.L + 1] = np.ones((1, 1, 1))
+        self.lefts: list[np.ndarray | None] = [np.ones((1, 1, 1))] + [None] * h.L
+        self.rights: list[np.ndarray | None] = [None] * h.L + [np.ones((1, 1, 1))]
         # overlap environments per orthogonality constraint: (ket bond, gs bond)
         self.ortho = [[t.data for t in g.sites] for g in opts.orthogonal_to]
-        self.olefts = [[np.ones((1, 1))] + [None] * self.L for _ in self.ortho]
-        self.orights = [[None] * (self.L + 1) + [np.ones((1, 1))] for _ in self.ortho]
-        for l in range(self.L, 1, -1):
-            self._update_envs_right(l)
+        self.olefts = [[np.ones((1, 1))] + [None] * h.L for _ in self.ortho]
+        self.orights = [[None] * h.L + [np.ones((1, 1))] for _ in self.ortho]
+        for k in range(h.L - 1, 0, -1):
+            self._grow(k, to_right=False)
 
     def _local_constraints(self, l: int, width: int) -> tuple[np.ndarray, ...]:
         """Constraint states pulled into the local frame at sites l..l+width-1."""
@@ -310,67 +305,53 @@ class _Sweeper:
             cur = self.olefts[i][l - 1]  # (bra bond, gs bond)
             for s in range(l, l + width):
                 cur = np.tensordot(cur, g[s - 1], axes=(-1, 0))  # (b, .., p, g')
-            cur = np.tensordot(cur, self.orights[i][l + width], axes=(-1, 1))
+            cur = np.tensordot(cur, self.orights[i][l + width - 1], axes=(-1, 1))
             v = cur.reshape(-1)
             if np.linalg.norm(v) > 1e-12:
                 out.append(v)
         return tuple(out)
 
-    def _solve_local(self, l: int, width: int) -> tuple[float, np.ndarray, LanczosResult]:
-        left = self.lefts[l - 1]
-        right = self.rights[l + width]
-        ws = tuple(self.w[l - 1 : l + width - 1])
-        heff = EffectiveHam("1s" if width == 1 else "2s", l, left, right, ws, self.ops[l - 1 : l + width - 1])
-        if width == 1:
-            x0 = self.sites[l - 1]
+    def _solve_local(self, l: int, width: int) -> tuple[LanczosResult, np.ndarray]:
+        """The lowest state of the ``width``-site window at l, and its vector in the window's shape."""
+        heff = effective_ham(self, f"{width}s", l)
+        x0 = self.sites[l - 1] if width == 1 else np.tensordot(self.sites[l - 1], self.sites[l], axes=(2, 0))
+        res = lanczos_lowest(heff.matvec, x0.reshape(-1), orth_against=self._local_constraints(l, width))
+        return res, res.vector.reshape(heff.x_shape)
+
+    def _step(self, l: int, x: np.ndarray, to_right: bool) -> float:
+        """Write the solved window ``x`` back at sites l.., move the center on
+        and grow the environment left behind. Two sites are split by the
+        truncated SVD (its discarded weight is returned), one site hands its
+        gauge on by QR, except at the chain's end, where the sweep turns."""
+        dw = 0.0
+        if x.ndim == 4:
+            dl, d, _, dr = x.shape
+            u, s, vh, dw = svd_split(x.reshape(dl * d, d * dr), self.opts.policy)
+            s = s / np.linalg.norm(s)
+            u, vh = (u, s[:, None] * vh) if to_right else (u * s, vh)
+            self.sites[l - 1 : l + 1] = u.reshape(dl, d, len(s)), vh.reshape(len(s), d, dr)
+            self.center = l + 1 if to_right else l
         else:
-            x0 = np.tensordot(self.sites[l - 1], self.sites[l], axes=(2, 0))
-        res = lanczos_lowest(
-            heff.matvec,
-            x0.reshape(-1),
-            orth_against=self._local_constraints(l, width),
-        )
-        return res.value, res.vector.reshape(heff.x_shape), res
-
-    def _update_envs_left(self, l: int) -> None:
-        a = self.sites[l - 1]
-        self.lefts[l] = env_step_left(self.lefts[l - 1], a, self.ops[l - 1], a)
-        for i, g in enumerate(self.ortho):
-            self.olefts[i][l] = transfer_left(self.olefts[i][l - 1], a, g[l - 1])
-
-    def _update_envs_right(self, l: int) -> None:
-        b = self.sites[l - 1]
-        self.rights[l] = env_step_right(self.rights[l + 1], b, self.mirrored_ops[l - 1], b)
-        for i, g in enumerate(self.ortho):
-            self.orights[i][l] = transfer_right(self.orights[i][l + 1], b, g[l - 1])
-
-    def _split_two_site(self, l: int, theta: np.ndarray, to_right: bool) -> float:
-        dl, d, _, dr = theta.shape
-        u, s, vh, dw = svd_split(theta.reshape(dl * d, d * dr), self.opts.policy)
-        keep = len(s)
-        s = s / np.linalg.norm(s)
-        if to_right:
-            self.sites[l - 1] = u.reshape(dl, d, keep)
-            self.sites[l] = (s[:, None] * vh).reshape(keep, d, dr)
-            self.center = l + 1
-        else:
-            self.sites[l - 1] = (u * s).reshape(dl, d, keep)
-            self.sites[l] = vh.reshape(keep, d, dr)
-            self.center = l
+            self.sites[l - 1] = x
+            if l == (self.h.L if to_right else 1):
+                return dw
+            (_left_normalize if to_right else _right_normalize)(self.sites, l)
+            self.center = l + 1 if to_right else l - 1
+        self._grow(self.center - 1 if to_right else self.center, to_right)
         return dw
 
-    def move_center_to(self, target: int) -> None:
-        """Gauge moves without optimization (QR), used to reposition."""
-        while self.center < target:
-            l = self.center
-            _left_normalize(self.sites, l)
-            self._update_envs_left(l)
-            self.center = l + 1
-        while self.center > target:
-            l = self.center
-            _right_normalize(self.sites, l)
-            self._update_envs_right(l)
-            self.center = l - 1
+    def _grow(self, k: int, to_right: bool) -> None:
+        """Grow ``lefts[k]`` by site k (``to_right``) or ``rights[k]`` by site k+1."""
+        if to_right:
+            a = self.sites[k - 1]
+            self.lefts[k] = env_step_left(self.lefts[k - 1], a, self.h.ops[k - 1], a)
+            for i, g in enumerate(self.ortho):
+                self.olefts[i][k] = transfer_left(self.olefts[i][k - 1], a, g[k - 1])
+        else:
+            b = self.sites[k]
+            self.rights[k] = env_step_right(self.rights[k + 1], b, self.h.mirrored_ops[k], b)
+            for i, g in enumerate(self.ortho):
+                self.orights[i][k] = transfer_right(self.orights[i][k + 1], b, g[k])
 
     def to_mps(self) -> Mps:
         return Mps(site_tensors(self.sites), form="site", center=self.center)
@@ -381,72 +362,46 @@ def dmrg_ground_state(psi0: Mps, h: Mpo, mode: str = "2s", opts: DmrgOptions | N
 
     ``mode`` "2s" optimizes two-site windows and truncates per the options'
     policy (bond dimensions can grow); "1s" optimizes single sites at fixed
-    bond dimensions. Convergence is declared when the energy change between
-    consecutive full sweeps drops below ``opts.conv_tol``; the state is
-    returned either way, with the flag recording which case occurred.
+    bond dimensions; a sweep makes 2 (L + 1 - width) local solves.
+    Convergence is declared when the energy change between consecutive full
+    sweeps drops below ``opts.conv_tol``; the state is returned either way,
+    with the flag recording which case occurred.
     """
     if mode not in ("1s", "2s"):
         raise ValueError("mode must be '1s' or '2s'")
     if psi0.L != h.L or psi0.d != h.d:
         raise ValueError("state and operator shapes disagree")
     opts = opts or DmrgOptions()
-    sw = _Sweeper(psi0, h, opts)
-    L = sw.L
-    if mode == "2s" and L < 2:
+    if opts.n_sweeps < 1:
+        raise ValueError("need at least one sweep")
+    width = 1 if mode == "1s" else 2
+    if width > h.L:
         raise ValueError("two-site mode needs L >= 2")
+    sw = _Sweeper(psi0, h, opts)
+    positions = range(1, h.L + 2 - width)
+    schedule = [(l, True) for l in positions] + [(l, False) for l in reversed(positions)]
 
     sweep_energies: list[float] = []
     local_energies: list[float] = []
     max_dw = 0.0
-    energy = np.inf
-    converged = False
-    last_res: LanczosResult | None = None
-    sweeps_done = 0
-
-    for sweep in range(1, opts.n_sweeps + 1):
-        prev = energy
-        if mode == "2s":
-            for l in range(1, L):
-                e, theta, last_res = sw._solve_local(l, 2)
-                local_energies.append(e)
-                max_dw = max(max_dw, sw._split_two_site(l, theta, to_right=True))
-                sw._update_envs_left(l)
-            for l in range(L - 1, 0, -1):
-                e, theta, last_res = sw._solve_local(l, 2)
-                local_energies.append(e)
-                max_dw = max(max_dw, sw._split_two_site(l, theta, to_right=False))
-                sw._update_envs_right(l + 1)
-        else:
-            for l in range(1, L + 1):
-                e, c, last_res = sw._solve_local(l, 1)
-                local_energies.append(e)
-                sw.sites[l - 1] = c
-                if l < L:
-                    sw.move_center_to(l + 1)
-            for l in range(L, 0, -1):
-                e, c, last_res = sw._solve_local(l, 1)
-                local_energies.append(e)
-                sw.sites[l - 1] = c
-                if l > 1:
-                    sw.move_center_to(l - 1)
-        energy = local_energies[-1]
-        sweep_energies.append(energy)
-        sweeps_done = sweep
-        if sweep > 1 and abs(energy - prev) < opts.conv_tol:
-            converged = True
+    for _ in range(opts.n_sweeps):
+        for l, to_right in schedule:
+            res, x = sw._solve_local(l, width)
+            local_energies.append(res.value)
+            max_dw = max(max_dw, sw._step(l, x, to_right))
+        sweep_energies.append(res.value)
+        converged = len(sweep_energies) > 1 and abs(sweep_energies[-1] - sweep_energies[-2]) < opts.conv_tol
+        if converged:
             break
-
-    psi = sw.to_mps()
-    residual = last_res.residual if last_res is not None else np.inf
     return DmrgResult(
-        psi=psi,
-        energy=float(energy),
+        psi=sw.to_mps(),
+        energy=sweep_energies[-1],
         sweep_energies=tuple(sweep_energies),
         local_energies=tuple(local_energies),
         max_discarded=max_dw,
-        residual=float(residual),
+        residual=res.residual,
         converged=converged,
-        n_sweeps=sweeps_done,
+        n_sweeps=len(sweep_energies),
     )
 
 

@@ -273,8 +273,9 @@ class _Reading:
 
     Sites are numbered along the reading. ``bra[s-1]`` and ``ket[s-1]`` are
     the left and right isometries of site s, ``ops[s-1]`` its MPO matrix
-    (:attr:`kdmps.mpo.Mpo.ops` or ``mirrored_ops``); ``lefts[k]`` covers
-    sites 1..k and ``rights[k]`` sites k+1..L (bond k, k = 0..L).
+    (:attr:`kdmps.mpo.Mpo.ops` or ``mirrored_ops``). The environments are
+    indexed by bond k = 0..L, as in :class:`kdmps.dmrg.EnvCache`:
+    ``lefts[k]`` covers sites 1..k and ``rights[k]`` sites k+1..L.
     ``opens[s-1]`` is site s's open reference site: its ket, MPO site and
     right environment ``rights[s]`` contracted with the bra's physical leg
     and right bond left open, as a (d D, w, D) right environment whose bra
@@ -332,13 +333,13 @@ def build_exc_env(bases: KeptBases, n: int, h: Mpo) -> ExcEnvCache:
     base = build_env(bases, h)
     a = [t.data for t in bases.left]
     b = [t.data for t in bases.right]
-    forward = _reading(a, b, h.ops, h.mirrored_ops, base.lefts, base.rights[1:], n)
+    forward = _reading(a, b, h.ops, h.mirrored_ops, base.lefts, base.rights, n)
     backward = _reading(
         [np.ascontiguousarray(t.T) for t in reversed(b)],  # .T reverses every axis
         [np.ascontiguousarray(t.T) for t in reversed(a)],
         h.mirrored_ops[::-1],
         h.ops[::-1],
-        base.rights[:0:-1],
+        base.rights[::-1],
         base.lefts[::-1],
         n,
     )
@@ -607,13 +608,15 @@ def load_excitation(path) -> tuple[ExcitationState, dict]:
     archive directory, and the manifest's two sha256 sums must match the
     reference's blobs and the window blobs (an equal-shape swap of windows
     passes every other check). Raises ValueError for any other
-    format_version, and when either hash is missing or does not match.
+    format_version, when the manifest lacks a key, and when either hash
+    does not match.
 
     Also raises ValueError when the manifest's L or d disagree with the
     reference, when n or the window bonds do not fit the chain, when a
-    blob's shape disagrees with the reference bonds and the manifest's
-    window_bonds, or when the windows violate the discarded-space gauge
-    condition by more than FORM_TOL (relative to the state's norm).
+    blob is truncated or its shape disagrees with the reference bonds and
+    the manifest's window_bonds, or when the windows violate the
+    discarded-space gauge condition by more than FORM_TOL (relative to the
+    state's norm).
     """
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
@@ -622,7 +625,7 @@ def load_excitation(path) -> tuple[ExcitationState, dict]:
     version = manifest.get("format_version")
     if version != 4:
         raise ValueError(f"{path}: the manifest claims format {version!r}; only format 4 is read")
-    for key in ("ground_state_sha256", "windows_sha256"):
+    for key in ("ground_state", "ground_state_sha256", "n", "L", "d", "window_bonds", "windows_sha256"):
         if key not in manifest:
             raise ValueError(f"{path}: the manifest lacks {key}")
     gs_path = path / manifest["ground_state"]  # an absolute path stays as it is

@@ -277,19 +277,22 @@ def save_mps(psi: Mps, path) -> None:
 def load_mps(path) -> Mps:
     """Read an MPS archive written by :func:`save_mps`.
 
-    Raises ValueError when the manifest claims a form other than "raw" or
-    "site" (earlier versions also wrote a "bond" form), when a blob's shape
-    disagrees with the manifest, or when the state violates the claimed
-    canonical form by more than FORM_TOL.
+    Raises ValueError when the manifest lacks a key, when it claims a form
+    other than "raw" or "site" (earlier versions also wrote a "bond" form),
+    when a blob is truncated or its shape disagrees with the manifest, or
+    when the state violates the claimed canonical form by more than FORM_TOL.
     """
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
     if manifest.get("kind") != "mps":
         raise ValueError(f"{path}: not an MPS archive")
-    form, center = manifest["form"]["kind"], manifest["form"]["index"]
+    try:
+        form, center = manifest["form"]["kind"], manifest["form"]["index"]
+        L, d, dims = manifest["L"], manifest["d"], manifest["bond_dims"]
+    except KeyError as exc:
+        raise ValueError(f"{path}: the manifest lacks {exc.args[0]}") from None
     if form not in ("raw", "site"):
         raise ValueError(f"{path}: the manifest claims {form!r} form; only 'raw' and 'site' archives are read")
-    L, d, dims = manifest["L"], manifest["d"], manifest["bond_dims"]
     if len(dims) != L + 1:
         raise ValueError(f"{path}: manifest lists {len(dims)} bond_dims for L = {L}")
     sites = []

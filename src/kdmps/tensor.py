@@ -368,13 +368,16 @@ def write_tensor_blob(path, t: Tensor) -> None:
 
 
 def read_tensor_blob(path, legs: Sequence[str]) -> Tensor:
-    """Read a tensor blob and attach the given leg names."""
+    """Read a tensor blob and attach the given leg names (ValueError on a bad magic or a cut blob)."""
     with open(path, "rb") as fh:
         magic = fh.read(len(TENSOR_MAGIC))
         if magic != TENSOR_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        (rank,) = struct.unpack("<I", fh.read(4))
-        shape = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        data = np.frombuffer(fh.read(8 * count), dtype="<f8", count=count)
+        try:
+            (rank,) = struct.unpack("<I", fh.read(4))
+            shape = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
+            count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+            data = np.frombuffer(fh.read(8 * count), dtype="<f8", count=count)
+        except (struct.error, ValueError):
+            raise ValueError(f"{path}: the blob is truncated") from None
     return Tensor(data.reshape(shape), legs)

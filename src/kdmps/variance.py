@@ -76,7 +76,7 @@ def nsite_variance(psi: Mps, h: Mpo, n_max: int) -> VarianceReport:
         kets = [bases.center_site(l)] + b[l:]
         for n in range(1, min(n_max, L + 1 - l) + 1):
             z = mpo_step(ket_step(z, kets[n - 1]), h.ops[l + n - 2], n - 1)
-            out = apply_window(z, (), (), env.rights[l + n])
+            out = apply_window(z, (), (), env.rights[l + n - 1])
             shape = out.shape  # (D_{l-1}, d, ..., d, D_{l+n-1})
             out = _project_out_left(out.reshape(shape[0], shape[1], -1), a[l - 1]).reshape(shape)
             if n >= 2:

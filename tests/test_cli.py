@@ -20,8 +20,8 @@ def test_gs_two_site_heisenberg(tmp_path, capsys):
     assert code == 0
     assert "energy = -0.75" in out
     manifest = json.loads((out_dir / "run_manifest.json").read_text())
-    assert manifest["model"] == "heisenberg" and manifest["L"] == 2
-    assert manifest["config"]["seed"] == 1
+    assert manifest["model"] == "heisenberg" and manifest["L"] == 2 and manifest["d"] == 2
+    assert manifest["config"]["seed"] == 1 and "d" not in manifest["config"]
     assert abs(manifest["final_energy"] + 0.75) < 1e-10
     assert (out_dir / "gs_mps" / "manifest.json").exists()
 
@@ -175,6 +175,36 @@ def test_config_file_non_integer_counts_exit_2(tmp_path, capsys):
         code, _, err = run_cli(capsys, "gs", "--config", str(cfg), "--out", str(tmp_path / "run"))
         assert code == 2
         assert f"{field} must be an integer" in err
+
+
+def test_config_file_that_sets_the_local_dimension_exits_2(tmp_path, capsys):
+    # the local dimension comes from the model's operator; it is no setting
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"d": 2}))
+    code, _, err = run_cli(capsys, "gs", "--config", str(cfg), "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert "unexpected keyword argument 'd'" in err
+
+
+def test_malformed_archives_exit_2(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    model = ("--model", "heisenberg", "--length", "4", "--bond-dim", "2", "--out", str(out_dir))
+    assert run_cli(capsys, "gs", *model)[0] == 0
+    archive = out_dir / "gs_mps"
+    manifest_path = archive / "manifest.json"
+    good = manifest_path.read_text()
+    manifest = json.loads(good)
+    del manifest["bond_dims"]
+    manifest_path.write_text(json.dumps(manifest))
+    code, _, err = run_cli(capsys, "variance", *model, "--mps", str(archive))
+    assert code == 2
+    assert "the manifest lacks bond_dims" in err
+    manifest_path.write_text(good)
+    blob = archive / "site_2.ten"
+    blob.write_bytes(blob.read_bytes()[:10])
+    code, _, err = run_cli(capsys, "excite", *model, "--gs", str(archive))
+    assert code == 2
+    assert "site_2.ten: the blob is truncated" in err
 
 
 def test_runs_reproducible_from_seed(tmp_path, capsys):

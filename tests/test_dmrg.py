@@ -22,7 +22,7 @@ from kdmps.mpo import (
     hs_ground_energy,
     identity_mpo,
 )
-from kdmps.mps import overlap, random_mps
+from kdmps.mps import FORM_TOL, canonical_defect, overlap, random_mps
 from kdmps.projectors import build_bases
 from kdmps.tensor import TruncationPolicy, env_step_left, env_step_right, mpo_matrix, orthogonal_complement
 
@@ -69,8 +69,8 @@ def test_env_recursion_consistency():
         rebuilt = env_step_left(env.lefts[l - 1], a[l - 1], mpo_matrix(w[l - 1]), a[l - 1])
         npt.assert_allclose(rebuilt, env.lefts[l], atol=1e-12)
         mirrored = mpo_matrix(w[l - 1].transpose(3, 1, 2, 0))
-        rebuilt = env_step_right(env.rights[l + 1], b[l - 1], mirrored, b[l - 1])
-        npt.assert_allclose(rebuilt, env.rights[l], atol=1e-12)
+        rebuilt = env_step_right(env.rights[l], b[l - 1], mirrored, b[l - 1])
+        npt.assert_allclose(rebuilt, env.rights[l - 1], atol=1e-12)
 
 
 # ---------- effective Hamiltonians ----------
@@ -319,6 +319,32 @@ def test_dmrg_gauge_checks_after_sweeps():
     for l in range(psi.center + 1, psi.L + 1):
         m = psi.site(l).data.reshape(psi.site(l).data.shape[0], -1)
         npt.assert_allclose(m @ m.T, np.eye(m.shape[0]), atol=1e-10)
+
+
+@pytest.mark.parametrize("mode, width", [("1s", 1), ("2s", 2)])
+def test_dmrg_schedule_solves_every_window_there_and_back(mode, width):
+    # conv_tol 0 never declares convergence, so every sweep runs
+    L, n_sweeps = 6, 3
+    opts = DmrgOptions(n_sweeps=n_sweeps, conv_tol=0.0)
+    r = dmrg_ground_state(random_mps(L, 2, bond_cap=4, seed=3), heisenberg_mpo(L), mode, opts)
+    per_sweep = 2 * (L + 1 - width)
+    assert r.n_sweeps == n_sweeps and not r.converged
+    assert len(r.local_energies) == per_sweep * n_sweeps
+    assert r.sweep_energies == r.local_energies[per_sweep - 1 :: per_sweep]
+
+
+@pytest.mark.parametrize("mode", ["1s", "2s"])
+def test_dmrg_run_ends_site_canonical_at_site_one(mode):
+    r = dmrg_ground_state(random_mps(6, 2, bond_cap=4, seed=9), heisenberg_mpo(6), mode, DmrgOptions(n_sweeps=3))
+    assert r.psi.form == "site" and r.psi.center == 1
+    assert canonical_defect(r.psi) <= FORM_TOL
+
+
+def test_dmrg_rejects_fewer_than_one_sweep():
+    psi0 = random_mps(4, 2, bond_cap=2, seed=1)
+    for mode in ("1s", "2s"):
+        with pytest.raises(ValueError, match="at least one sweep"):
+            dmrg_ground_state(psi0, heisenberg_mpo(4), mode, DmrgOptions(n_sweeps=0))
 
 
 def test_dmrg_non_convergence_flagged():

@@ -302,8 +302,8 @@ def test_exc_env_zero_windows_reduce_to_plain_environments():
         env = build_exc_env(kept, n, h)
         for k in range(0, 6):
             npt.assert_array_equal(env.forward.lefts[k], plain.lefts[k])
-            npt.assert_array_equal(env.forward.rights[k], plain.rights[k + 1])
-            npt.assert_array_equal(env.backward.lefts[k], plain.rights[6 - k])
+            npt.assert_array_equal(env.forward.rights[k], plain.rights[k])
+            npt.assert_array_equal(env.backward.lefts[k], plain.rights[5 - k])
             npt.assert_array_equal(env.backward.rights[k], plain.lefts[5 - k])
         forward, backward = _passes(x, h, env)
         for out, f in forward + backward:
@@ -805,3 +805,18 @@ def test_excitation_archive_rejects_a_wrong_manifest(tmp_path):
         manifest_path.write_text(json.dumps({**good, field: value}))
         with pytest.raises(ValueError, match=message):
             load_excitation(exc)
+
+
+def test_excitation_archive_rejects_a_missing_key_or_a_truncated_blob(tmp_path):
+    exc = _saved_excitation(tmp_path)
+    manifest_path = exc / "manifest.json"
+    good = json.loads(manifest_path.read_text())
+    for key in ("ground_state", "n", "L", "d", "window_bonds"):
+        manifest_path.write_text(json.dumps({k: v for k, v in good.items() if k != key}))
+        with pytest.raises(ValueError, match=f"the manifest lacks {key}"):
+            load_excitation(exc)
+    manifest_path.write_text(json.dumps(good))
+    blob = exc / "t_3_1.ten"
+    blob.write_bytes(blob.read_bytes()[:-8])
+    with pytest.raises(ValueError, match=r"t_3_1\.ten: the blob is truncated"):
+        load_excitation(exc)

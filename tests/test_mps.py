@@ -302,3 +302,26 @@ def test_mps_archive_rejects_the_bond_form(tmp_path):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="claims 'bond' form; only 'raw' and 'site' archives are read"):
         load_mps(tmp_path / "state")
+
+
+def test_mps_archive_rejects_a_manifest_that_lacks_a_key(tmp_path):
+    import json
+
+    save_mps(random_mps(4, 2, bond_cap=2, seed=5), tmp_path / "state")
+    manifest_path = tmp_path / "state" / "manifest.json"
+    good = json.loads(manifest_path.read_text())
+    for key in ("form", "L", "d", "bond_dims"):
+        manifest_path.write_text(json.dumps({k: v for k, v in good.items() if k != key}))
+        with pytest.raises(ValueError, match=f"the manifest lacks {key}"):
+            load_mps(tmp_path / "state")
+    manifest_path.write_text(json.dumps({**good, "form": {"kind": "site"}}))
+    with pytest.raises(ValueError, match="the manifest lacks index"):
+        load_mps(tmp_path / "state")
+
+
+def test_mps_archive_rejects_a_truncated_blob(tmp_path):
+    save_mps(random_mps(4, 2, bond_cap=2, seed=5), tmp_path / "state")
+    blob = tmp_path / "state" / "site_2.ten"
+    blob.write_bytes(blob.read_bytes()[:10])
+    with pytest.raises(ValueError, match=r"site_2\.ten: the blob is truncated"):
+        load_mps(tmp_path / "state")

@@ -431,3 +431,13 @@ def test_tensor_blob_bad_magic(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\0" * 16)
     with pytest.raises(ValueError, match="magic"):
         read_tensor_blob(path, ("a",))
+
+
+def test_tensor_blob_cut_short_raises_value_error(tmp_path):
+    path = tmp_path / "t.ten"
+    write_tensor_blob(path, rand_tensor(np.random.default_rng(2), (2, 3, 4), ("a", "b", "c")))
+    raw = path.read_bytes()
+    for size in (10, 8 + 4 + 8, len(raw) - 8):  # in the rank, in the extents, in the payload
+        path.write_bytes(raw[:size])
+        with pytest.raises(ValueError, match=r"t\.ten: the blob is truncated"):
+            read_tensor_blob(path, ("a", "b", "c"))

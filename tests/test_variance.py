@@ -29,7 +29,7 @@ def _values_window_by_window(psi, h, n_max) -> np.ndarray:
         total = 0.0
         for l in range(1, bases.L + 2 - n):
             kets = [bases.center_site(l)] + b[l : l + n - 1]
-            window = apply_window(env.lefts[l - 1], h.ops[l - 1 : l + n - 1], kets, env.rights[l + n])
+            window = apply_window(env.lefts[l - 1], h.ops[l - 1 : l + n - 1], kets, env.rights[l + n - 1])
             shape = window.shape
             out = _project_out_left(window.reshape(shape[0], shape[1], -1), a[l - 1]).reshape(shape)
             if n >= 2:

@@ -136,7 +136,11 @@ def cmd_gs(config: RunConfig) -> int:
         "sweeps": result.n_sweeps,
         "energies": list(result.sweep_energies),
         "final_energy": result.energy,
-        "residuals": {"lanczos": result.residual, "max_discarded": result.max_discarded},
+        "residuals": {
+            "lanczos": result.residual,
+            "max_discarded": result.max_discarded,
+            "sweep_discarded": list(result.sweep_discarded),
+        },
         "converged": result.converged,
     }
     (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2))

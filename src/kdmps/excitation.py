@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .dmrg import build_env, lanczos_lowest
-from .mps import FORM_TOL, Mps, load_mps, phys, site_tensors, virt
+from .mps import FORM_TOL, Mps, _manifest_field, load_mps, phys, site_tensors, virt
 from .mpo import Mpo, s2_total_mpo, sz_total_mpo
 from .projectors import KeptBases, _project_out_left, build_bases
 from .tensor import (
@@ -608,8 +608,8 @@ def load_excitation(path) -> tuple[ExcitationState, dict]:
     archive directory, and the manifest's two sha256 sums must match the
     reference's blobs and the window blobs (an equal-shape swap of windows
     passes every other check). Raises ValueError for any other
-    format_version, when the manifest lacks a key, and when either hash
-    does not match.
+    format_version, when the manifest lacks a key or holds a value of the
+    wrong type, and when either hash does not match.
 
     Also raises ValueError when the manifest's L or d disagree with the
     reference, when n or the window bonds do not fit the chain, when a
@@ -620,23 +620,23 @@ def load_excitation(path) -> tuple[ExcitationState, dict]:
     """
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
-    if manifest.get("kind") != "excitation":
+    if not isinstance(manifest, dict) or manifest.get("kind") != "excitation":
         raise ValueError(f"{path}: not an excitation archive")
     version = manifest.get("format_version")
     if version != 4:
         raise ValueError(f"{path}: the manifest claims format {version!r}; only format 4 is read")
-    for key in ("ground_state", "ground_state_sha256", "n", "L", "d", "window_bonds", "windows_sha256"):
-        if key not in manifest:
-            raise ValueError(f"{path}: the manifest lacks {key}")
-    gs_path = path / manifest["ground_state"]  # an absolute path stays as it is
-    if _reference_digest(gs_path) != manifest["ground_state_sha256"]:
+    gs_ref, gs_sha, windows_sha = (
+        _manifest_field(path, manifest, k, str) for k in ("ground_state", "ground_state_sha256", "windows_sha256")
+    )
+    n, L, d = (_manifest_field(path, manifest, k, int) for k in ("n", "L", "d"))
+    bonds = _manifest_field(path, manifest, "window_bonds", list)
+    gs_path = path / gs_ref  # an absolute path stays as it is
+    if _reference_digest(gs_path) != gs_sha:
         raise ValueError(f"{path}: the reference archive {gs_path} changed after the excitation was saved")
     bases = build_bases(load_mps(gs_path))
-    n, L, d = manifest["n"], manifest["L"], manifest["d"]
     if (L, d) != (bases.L, bases.d):
         raise ValueError(f"{path}: manifest gives L = {L}, d = {d}, but the reference has L = {bases.L}, d = {bases.d}")
-    bonds = manifest["window_bonds"]
-    if not 1 <= n <= L or len(bonds) != L - n + 1 or any(len(b) != n - 1 for b in bonds):
+    if not 1 <= n <= L or len(bonds) != L - n + 1 or any(not isinstance(b, list) or len(b) != n - 1 for b in bonds):
         raise ValueError(f"{path}: n = {n} does not fit L = {L} and the manifest's window_bonds")
     chains = []
     for l in range(1, L - n + 2):
@@ -653,6 +653,6 @@ def load_excitation(path) -> tuple[ExcitationState, dict]:
     defect = gauge_defect(x)
     if not defect <= FORM_TOL * max(1.0, np.linalg.norm(flatten(x))):
         raise ValueError(f"{path}: the windows violate the discarded-space gauge condition by {defect:.3g}")
-    if _sha256(_window_blobs(path, L, n)) != manifest["windows_sha256"]:
+    if _sha256(_window_blobs(path, L, n)) != windows_sha:
         raise ValueError(f"{path}: the window blobs changed after the excitation was saved")
     return x, manifest

@@ -274,23 +274,37 @@ def save_mps(psi: Mps, path) -> None:
     (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
+def _manifest_field(path: Path, manifest: dict, key: str, kind: type):
+    """The archive manifest's entry ``key`` ("form.kind" reads a nested
+    entry), checked to be a ``kind`` (never a bool); a ValueError names the
+    key when it is missing or of another type."""
+    *outer, last = key.split(".")
+    parent = _manifest_field(path, manifest, ".".join(outer), dict) if outer else manifest
+    if last not in parent:
+        raise ValueError(f"{path}: the manifest lacks {last}" + (f" in {'.'.join(outer)}" if outer else ""))
+    value = parent[last]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{path}: the manifest's {key} should be of type {kind.__name__}, not {value!r}")
+    return value
+
+
 def load_mps(path) -> Mps:
     """Read an MPS archive written by :func:`save_mps`.
 
-    Raises ValueError when the manifest lacks a key, when it claims a form
-    other than "raw" or "site" (earlier versions also wrote a "bond" form),
-    when a blob is truncated or its shape disagrees with the manifest, or
-    when the state violates the claimed canonical form by more than FORM_TOL.
+    Raises ValueError when the manifest lacks a key or holds a value of the
+    wrong type, when it claims a form other than "raw" or "site" (earlier
+    versions also wrote a "bond" form), when a blob is truncated or its
+    shape disagrees with the manifest, or when the state violates the
+    claimed canonical form by more than FORM_TOL.
     """
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
-    if manifest.get("kind") != "mps":
+    if not isinstance(manifest, dict) or manifest.get("kind") != "mps":
         raise ValueError(f"{path}: not an MPS archive")
-    try:
-        form, center = manifest["form"]["kind"], manifest["form"]["index"]
-        L, d, dims = manifest["L"], manifest["d"], manifest["bond_dims"]
-    except KeyError as exc:
-        raise ValueError(f"{path}: the manifest lacks {exc.args[0]}") from None
+    form = _manifest_field(path, manifest, "form.kind", str)
+    center = _manifest_field(path, manifest, "form.index", int)
+    L, d = (_manifest_field(path, manifest, k, int) for k in ("L", "d"))
+    dims = _manifest_field(path, manifest, "bond_dims", list)
     if form not in ("raw", "site"):
         raise ValueError(f"{path}: the manifest claims {form!r} form; only 'raw' and 'site' archives are read")
     if len(dims) != L + 1:

@@ -23,6 +23,9 @@ def test_gs_two_site_heisenberg(tmp_path, capsys):
     assert manifest["model"] == "heisenberg" and manifest["L"] == 2 and manifest["d"] == 2
     assert manifest["config"]["seed"] == 1 and "d" not in manifest["config"]
     assert abs(manifest["final_energy"] + 0.75) < 1e-10
+    residuals = manifest["residuals"]
+    assert len(residuals["sweep_discarded"]) == manifest["sweeps"] == len(manifest["energies"])
+    assert residuals["max_discarded"] == max(residuals["sweep_discarded"])
     assert (out_dir / "gs_mps" / "manifest.json").exists()
 
 
@@ -199,6 +202,11 @@ def test_malformed_archives_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "variance", *model, "--mps", str(archive))
     assert code == 2
     assert "the manifest lacks bond_dims" in err
+    for key, value in (("form", "site"), ("L", "4")):
+        manifest_path.write_text(json.dumps({**json.loads(good), key: value}))
+        code, _, err = run_cli(capsys, "variance", *model, "--mps", str(archive))
+        assert code == 2
+        assert f"the manifest's {key} should be of type" in err
     manifest_path.write_text(good)
     blob = archive / "site_2.ten"
     blob.write_bytes(blob.read_bytes()[:10])

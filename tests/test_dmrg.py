@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import kdmps.dmrg as kdmrg
 from kdmps.dmrg import (
     DmrgOptions,
     build_env,
@@ -137,6 +138,37 @@ def test_lanczos_random_symmetric_matches_dense():
     want = np.linalg.eigvalsh(m)[0]
     npt.assert_allclose(res.value, want, atol=1e-10)
     assert res.residual <= 1e-10 * max(1.0, abs(res.value))
+
+
+def test_lanczos_relative_target_below_the_absolute_one_changes_nothing():
+    rng = np.random.default_rng(1)
+    m = rng.standard_normal((50, 50))
+    m = (m + m.T) / 2.0
+    x0 = rng.standard_normal(50)
+    ref = lanczos_lowest(lambda v: m @ v, x0, max_iter=100, tol=1e-10)
+    for rel_tol in (0.0, 1e-300):
+        res = lanczos_lowest(lambda v: m @ v, x0, max_iter=100, tol=1e-10, rel_tol=rel_tol)
+        assert res.iterations == ref.iterations == 38
+        assert np.array_equal(res.vector, ref.vector) and res.value == ref.value and res.converged
+
+
+def test_lanczos_stops_at_the_relative_target():
+    # a 300 x 300 random symmetric matrix needs 70 iterations to reach tol,
+    # but its start residual drops 100-fold after 25
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((300, 300))
+    m = (m + m.T) / 2.0
+    x0 = rng.standard_normal(300)
+    v = x0 / np.linalg.norm(x0)
+    beta0 = float(np.linalg.norm(m @ v - (v @ m @ v) * v))
+    res = lanczos_lowest(lambda v: m @ v, x0, rel_tol=1e-2)
+    assert res.iterations == 25 and res.converged and not res.breakdown
+    assert 1e-10 * abs(res.value) < res.residual <= 1e-2 * beta0
+    npt.assert_allclose(res.residual, float(np.linalg.norm(m @ res.vector - res.value * res.vector)), rtol=1e-8)
+    # one iteration short, the residual still sits above the target it was given
+    short = lanczos_lowest(lambda v: m @ v, x0, max_iter=24, rel_tol=1e-2)
+    assert short.residual > 1e-2 * beta0 and not short.converged
+    assert lanczos_lowest(lambda v: m @ v, x0).iterations == 70
 
 
 def test_lanczos_deflation_finds_second_state():
@@ -286,6 +318,36 @@ def test_dmrg_hs_l8_matches_formula():
     r = dmrg_ground_state(random_mps(8, 2, bond_cap=8, seed=5), h, "2s", opts)
     npt.assert_allclose(r.energy, hs_ground_energy(8), atol=1e-6)
     npt.assert_allclose(r.energy, -3.5468891, atol=1e-6)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dmrg_heisenberg_l4_d2_reaches_the_exact_state_in_two_sweeps(seed):
+    # a relaxed sweep back would lock onto an excited local eigenvector here
+    # (-1.5362 after 12 sweeps), so only the first half-sweep is relaxed
+    opts = DmrgOptions(policy=TruncationPolicy(max_rank=2, rel_cutoff=1e-13))
+    r = dmrg_ground_state(random_mps(4, 2, bond_cap=2, seed=seed), heisenberg_mpo(4), "2s", opts)
+    npt.assert_allclose(r.energy, -1.6160254037844, atol=1e-12)
+    assert r.converged and r.n_sweeps == 2
+    # the relaxed half-sweep's windows need more than two states; the last sweep's do not
+    assert len(r.sweep_discarded) == 2 and r.sweep_discarded[-1] == 0.0
+    assert r.max_discarded == max(r.sweep_discarded) > 1e-2
+
+
+def test_dmrg_relaxed_first_half_sweep_saves_matvecs_at_the_same_energy(monkeypatch):
+    h = heisenberg_mpo(20)
+    psi0 = random_mps(20, 2, bond_cap=64, seed=0)
+    opts = DmrgOptions(policy=TruncationPolicy(max_rank=64, rel_cutoff=1e-13))
+    calls = []
+    matvec = kdmrg.EffectiveHam.matvec
+    monkeypatch.setattr(kdmrg.EffectiveHam, "matvec", lambda self, x: calls.append(1) or matvec(self, x))
+    relaxed = dmrg_ground_state(psi0, h, "2s", opts)
+    relaxed_calls = len(calls)
+    monkeypatch.setattr(kdmrg, "WARMUP_REL_TOL", 0.0)
+    calls.clear()
+    full = dmrg_ground_state(psi0, h, "2s", opts)
+    assert relaxed.converged and full.converged and relaxed.n_sweeps == full.n_sweeps
+    npt.assert_allclose(relaxed.energy, full.energy, rtol=1e-12, atol=0.0)
+    assert relaxed_calls < len(calls)
 
 
 def test_dmrg_sweep_energies_variational():

@@ -801,6 +801,10 @@ def test_excitation_archive_rejects_a_wrong_manifest(tmp_path):
         ("L", 12, "L = 12, d = 2, but the reference has L = 10"),
         ("d", 3, "d = 3, but the reference has L = 10, d = 2"),
         ("window_bonds", [[]] * 9, "n = 1 does not fit"),
+        ("window_bonds", [0] * 10, "n = 1 does not fit"),
+        ("n", "1", "the manifest's n should be of type int, not '1'"),
+        ("ground_state", 7, "the manifest's ground_state should be of type str, not 7"),
+        ("window_bonds", {}, "the manifest's window_bonds should be of type list"),
     ):
         manifest_path.write_text(json.dumps({**good, field: value}))
         with pytest.raises(ValueError, match=message):

@@ -319,6 +319,20 @@ def test_mps_archive_rejects_a_manifest_that_lacks_a_key(tmp_path):
         load_mps(tmp_path / "state")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("form", "site"), ("form", {"kind": "site", "index": "1"}), ("L", "4"), ("d", True), ("bond_dims", 3)],
+)
+def test_mps_archive_rejects_a_manifest_value_of_the_wrong_type(tmp_path, key, value):
+    import json
+
+    save_mps(random_mps(4, 2, bond_cap=2, seed=5), tmp_path / "state")
+    manifest_path = tmp_path / "state" / "manifest.json"
+    manifest_path.write_text(json.dumps({**json.loads(manifest_path.read_text()), key: value}))
+    with pytest.raises(ValueError, match=f"the manifest's {key}[.a-z]* should be of type"):
+        load_mps(tmp_path / "state")
+
+
 def test_mps_archive_rejects_a_truncated_blob(tmp_path):
     save_mps(random_mps(4, 2, bond_cap=2, seed=5), tmp_path / "state")
     blob = tmp_path / "state" / "site_2.ten"

@@ -195,7 +195,7 @@ def cmd_excite(config: RunConfig, gs_path: str) -> int:
     print(f"residual = {_fmt(result.residual)}")
     print(f"sz_total = {_fmt(result.sz_total)}")
     print(f"s2_total = {_fmt(result.s2_total)}")
-    if config.model == "haldane_shastry":
+    if config.model == "haldane_shastry" and config.L % 2 == 0:  # the closed form needs even L
         exact = hs_first_excited_energy(config.L)
         rel = abs(result.energy - exact) / abs(exact)
         print(f"exact = {_fmt(exact)}")
@@ -230,7 +230,8 @@ def cmd_ed(config: RunConfig, k: int) -> int:
         print(f"E_{i} = {_fmt(v)}")
     if config.model == "haldane_shastry":
         print(f"exact_ground = {_fmt(hs_ground_energy(config.L))}")
-        print(f"exact_first_excited = {_fmt(hs_first_excited_energy(config.L))}")
+        if config.L % 2 == 0:  # the closed form needs even L
+            print(f"exact_first_excited = {_fmt(hs_first_excited_energy(config.L))}")
     return 0
 
 

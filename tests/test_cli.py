@@ -160,6 +160,26 @@ def test_ed_prints_formula_references(tmp_path, capsys):
     assert abs(float(lines["E_1"]) - float(lines["exact_first_excited"])) < 1e-8
 
 
+def test_ed_odd_ring_prints_only_the_ground_formula(tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys, "ed", "--model", "haldane_shastry", "--length", "7", "--k", "2", "--out", str(tmp_path)
+    )
+    assert code == 0
+    lines = dict(line.split(" = ") for line in out.strip().splitlines())
+    assert set(lines) == {"E_0", "E_1", "exact_ground"}  # no closed form above an odd ring's doublet
+    assert abs(float(lines["E_0"]) - float(lines["exact_ground"])) < 1e-10
+    assert abs(float(lines["exact_ground"]) + 2.819887) < 1e-6
+
+
+def test_excite_odd_ring_prints_no_relative_error(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    model = ("--model", "haldane_shastry", "--length", "7", "--bond-dim", "8")
+    run_cli(capsys, "gs", *model, "--out", str(out_dir))
+    code, out, _ = run_cli(capsys, "excite", *model, "--gs", str(out_dir / "gs_mps"), "--out", str(out_dir))
+    assert code == 0
+    assert "E_ex" in out and "exact" not in out and "relative_error" not in out
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"model": "heisenberg", "L": 2, "D_cap": 4, "seed": 3}))

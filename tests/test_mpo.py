@@ -6,6 +6,7 @@ import pytest
 
 from kdmps.ed import dense_hamiltonian, dense_state, exact_spectrum
 from kdmps.mpo import (
+    HS_CUTOFF,
     expectation,
     haldane_shastry_mpo,
     heisenberg_mpo,
@@ -100,6 +101,25 @@ def test_hs_exact_energies_at_l8():
     npt.assert_allclose(vals[1], hs_first_excited_energy(8), atol=1e-9)
 
 
+def sector_spectrum(h: np.ndarray, L: int) -> np.ndarray:
+    """Every eigenvalue of a dense S^z-conserving H, one magnetization block at a time."""
+    downs = np.array([bin(k).count("1") for k in range(2**L)])
+    blocks = [h[np.ix_(downs == m, downs == m)] for m in range(L + 1)]
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+
+
+@pytest.mark.parametrize("L", range(3, 12))
+def test_hs_closed_forms_match_dense(L):
+    vals = sector_spectrum(dense_hamiltonian(haldane_shastry_mpo(L)), L)
+    # -pi^2 (L + 5/L) / 24 at even L, -pi^2 (L - 1/L) / 24 at odd L
+    assert abs(vals[0] - hs_ground_energy(L)) <= 1e-12 * abs(vals[0])
+    if L % 2:
+        with pytest.raises(ValueError, match="even L"):
+            hs_first_excited_energy(L)
+    else:  # a singlet ground state, then the lowest triplet
+        assert abs(vals[1] - hs_first_excited_energy(L)) <= 1e-12 * abs(vals[1])
+
+
 def test_hs_coupling_recovery_per_pair():
     L = 8
     h = dense_hamiltonian(haldane_shastry_mpo(L))
@@ -129,9 +149,9 @@ def test_heisenberg_hermitian_and_sz_symmetric():
     npt.assert_allclose(np.max(np.abs(h @ sz - sz @ h)), 0.0, atol=1e-12)
 
 
-def test_hs_l64_pair_sums_without_oracle():
+@pytest.mark.parametrize("L", [64, 150])
+def test_hs_pair_sums_without_oracle(L):
     """<H> on product and dimer states against closed-form sum J_ij <S_i.S_j>."""
-    L = 64
     h = haldane_shastry_mpo(L)
     couplings = [(i, j, hs_coupling(L, i, j)) for i in range(L) for j in range(i + 1, L)]
     rng = np.random.default_rng(11)
@@ -157,6 +177,70 @@ def test_hs_l64_pair_sums_without_oracle():
     want = sum(c * within.get((i, j), sz[i] * sz[j]) for i, j, c in couplings)
     got = expectation(Mps(site_tensors(chain)), h)
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+# the bonds the former build (a bond-(2 + 3l) finite-state MPO, then one compression pass) gave
+HS_BONDS_12 = (1, 4, 8, 11, 14, 17, 20, 17, 14, 11, 8, 4, 1)
+HS_BONDS_14 = (1, 4, 8, 11, 14, 17, 20, 23, 20, 17, 14, 11, 8, 4, 1)
+HS_MAX_BONDS = {24: 38, 32: 44, 48: 50, 64: 56}
+
+
+def test_hs_bonds_match_the_compressed_build():
+    assert haldane_shastry_mpo(12).bond_dims == HS_BONDS_12
+    assert haldane_shastry_mpo(14).bond_dims == HS_BONDS_14
+    got = {L: max(haldane_shastry_mpo(L).bond_dims) for L in HS_MAX_BONDS}
+    # the block rank cutoff keeps one direction fewer than the compression pass did at L = 64
+    assert got == {24: 38, 32: 44, 48: 50, 64: 53}
+    assert all(got[L] <= HS_MAX_BONDS[L] for L in HS_MAX_BONDS)
+
+
+@pytest.mark.parametrize("L", [8, 12, 24])
+def test_hs_bonds_are_minimal(L):
+    h = haldane_shastry_mpo(L)
+    assert mpo_sum_compress([h], HS_CUTOFF).bond_dims == h.bond_dims
+
+
+def test_hs_long_chain_builds_with_bounded_bonds():
+    h = haldane_shastry_mpo(150)
+    assert max(h.bond_dims) == 65  # the former compression pass gave 65 too
+    assert h.bond_dims == h.bond_dims[::-1]
+
+
+def coupling_dense_oracle(J: np.ndarray, onsite: np.ndarray | None = None) -> np.ndarray:
+    """sum_i onsite + sum_{i<j} J[i, j] S_i . S_j from kron products (1-based sites)."""
+    L = J.shape[0]
+    out = np.zeros((2**L, 2**L))
+    for i in range(1, L + 1):
+        if onsite is not None:
+            out += op_at(onsite, i, L)
+        for j in range(i + 1, L + 1):
+            if J[i - 1, j - 1] != 0.0:
+                out += pair_exchange(L, i, j, J[i - 1, j - 1])
+    return out
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_every_builder_equals_its_pairwise_sum(L):
+    dense = {"sz": dense_hamiltonian(sz_total_mpo(L)), "s2": dense_hamiltonian(s2_total_mpo(L))}
+    want = {
+        "sz": coupling_dense_oracle(np.zeros((L, L)), SZ),
+        "s2": coupling_dense_oracle(np.full((L, L), 2.0), 0.75 * np.eye(2)),
+    }
+    if L >= 2:
+        dense["heis"] = dense_hamiltonian(heisenberg_mpo(L, -0.7))
+        want["heis"] = coupling_dense_oracle(np.diag(np.full(L - 1, -0.7), 1))
+        dense["hs"] = dense_hamiltonian(haldane_shastry_mpo(L))
+        want["hs"] = hs_dense_oracle(L)
+    for name, got in dense.items():
+        assert np.linalg.norm(got - want[name]) <= 1e-12 * np.linalg.norm(want[name]), name
+
+
+def test_builder_bonds_at_the_ends():
+    assert heisenberg_mpo(6).bond_dims == (1, 4, 5, 5, 5, 4, 1)
+    assert heisenberg_mpo(2).bond_dims == (1, 3, 1)
+    assert sz_total_mpo(6).bond_dims == (1, 2, 2, 2, 2, 2, 1)
+    assert s2_total_mpo(6).bond_dims == (1, 5, 5, 5, 5, 5, 1)
+    assert heisenberg_mpo(4, 0.0).bond_dims == (1, 1, 1, 1, 1)
 
 
 # ---------- compression ----------

@@ -2,18 +2,18 @@
 
 Dense MPS/MPO machinery, the kept- and discarded-space projector algebra
 (local, global, and irreducible n-site projectors, each a list of signed
-kept/discarded sector-pair terms built by an ``expand_*`` function), DMRG
-ground-state search, the n-site energy variance diagnostic, and the
-finite-chain n-site excitation eigensolver, all cross-checked against
-brute-force dense linear algebra on small chains.
+kept/discarded sector-pair terms built by an ``expand_*`` function and
+materialized by ``dense_projector``), DMRG ground-state search, the n-site
+energy variance diagnostic, and the finite-chain n-site excitation
+eigensolver on flat vectors of dense branch windows, all cross-checked
+against brute-force dense linear algebra on small chains.
 """
 
 from .tensor import Tensor, TruncationPolicy, orthogonal_complement, svd_split
-from .mps import Mps, canonicalize, mps_add, overlap, random_mps
+from .mps import Mps, canonicalize, overlap, random_mps
 from .mpo import Mpo, expectation, haldane_shastry_mpo, heisenberg_mpo, mpo_sum_compress
 from .projectors import (
     KeptBases,
-    apply_projector,
     build_bases,
     convert_kd_dk,
     dense_projector,
@@ -29,16 +29,7 @@ from .projectors import (
 )
 from .dmrg import DmrgOptions, build_env, dmrg_ground_state, lanczos_lowest
 from .variance import VarianceReport, nsite_variance
-from .excitation import (
-    ExcitationState,
-    apply_projected_h,
-    build_exc_env,
-    ex_axpy,
-    ex_overlap,
-    gauge_fix_T1,
-    init_excitation,
-    solve_lowest_excitation,
-)
+from .excitation import ExcitationState, apply_projected_h, build_exc_env, solve_lowest_excitation
 from .ed import dense_apply, dense_hamiltonian, dense_state, exact_spectrum, verify_identity_suite
 
 __all__ = [
@@ -50,7 +41,6 @@ __all__ = [
     "random_mps",
     "canonicalize",
     "overlap",
-    "mps_add",
     "Mpo",
     "heisenberg_mpo",
     "haldane_shastry_mpo",
@@ -67,7 +57,6 @@ __all__ = [
     "expand_irreducible_overlapping",
     "expand_tangent_mixed",
     "convert_kd_dk",
-    "apply_projector",
     "dense_projector",
     "subspace_dimension",
     "DmrgOptions",
@@ -77,10 +66,6 @@ __all__ = [
     "VarianceReport",
     "nsite_variance",
     "ExcitationState",
-    "init_excitation",
-    "gauge_fix_T1",
-    "ex_overlap",
-    "ex_axpy",
     "build_exc_env",
     "apply_projected_h",
     "solve_lowest_excitation",

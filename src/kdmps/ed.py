@@ -117,8 +117,11 @@ def exact_spectrum(m: np.ndarray, k: int | None = None) -> np.ndarray:
     """The k smallest eigenvalues of a symmetric matrix, ascending.
 
     Raises:
-        ValueError: input is not symmetric (max asymmetry above 1e-10).
+        ValueError: k is below 1, or the input is not symmetric (max
+            asymmetry above 1e-10).
     """
+    if k is not None and k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     m = np.asarray(m)
     asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
     if asym > 1e-10:

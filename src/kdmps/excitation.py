@@ -67,13 +67,8 @@ __all__ = [
     "ExcEnvCache",
     "ExcitationOptions",
     "ExcitationResult",
-    "init_excitation",
-    "gauge_fix_T1",
     "gauge_defect",
-    "ex_overlap",
-    "ex_axpy",
     "materialize",
-    "ground_state_in_ansatz",
     "build_exc_env",
     "apply_projected_h",
     "solve_lowest_excitation",
@@ -159,37 +154,14 @@ def _state_from_windows(bases: KeptBases, n: int, dense_windows: list[np.ndarray
     return ExcitationState(bases=bases, n=n, windows=windows)
 
 
-# ---------- construction and algebra ----------
-
-
-def init_excitation(bases: KeptBases, n: int, seed: int = 0) -> ExcitationState:
-    """Seeded random excitation state: gauge-fixed and normalized.
-
-    Window chains are created at full interior bond dimension, so the
-    branch windows span the entire image of the corresponding projectors.
-    """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    flat = _join_flat(_gauge_fix_windows(bases, [rng.standard_normal(shape) for shape in _window_shapes(bases, n)]))
-    nrm = np.linalg.norm(flat)
-    if nrm == 0.0:
-        raise ValueError("random state collapsed to zero under the gauge projection")
-    return state_from_flat(bases, n, flat / nrm)
-
-
-def gauge_fix_T1(x: ExcitationState) -> ExcitationState:
-    """Project every non-anchor branch's first slot to the discarded space.
-
-    Idempotent; branches whose first slot was purely kept-space content
-    become zero. The anchor branch passes through unchanged.
-    """
-    return state_from_flat(x.bases, x.n, flatten(x))
+# ---------- gauge checks and the represented state ----------
 
 
 def gauge_defect(x: ExcitationState) -> float:
     """Largest kept-space component left in any non-anchor first slot.
 
-    Zero for states satisfying the window gauge condition; gauge_fix_T1
-    drives it to round-off.
+    Zero for states satisfying the window gauge condition; the states
+    :func:`state_from_flat` builds have it at round-off.
     """
     dev = 0.0
     for l in range(1, x.anchor):
@@ -201,67 +173,29 @@ def gauge_defect(x: ExcitationState) -> float:
     return dev
 
 
-def _check_compatible(x: ExcitationState, y: ExcitationState) -> None:
-    """Raise ValueError unless both states have one window size and one
-    reference gauge: the same bases, or left and right isometries equal
-    entry by entry (an archive reloaded twice rebuilds equal ones)."""
-    if x.n != y.n:
-        raise ValueError("states must share the window size")
-    if not _same_gauge(x.bases, y.bases):
-        raise ValueError("states must share a reference gauge")
-
-
 def _same_gauge(p: KeptBases, q: KeptBases) -> bool:
     pairs = zip(p.left + p.right, q.left + q.right)
     return p is q or (p.L == q.L and all(np.array_equal(s.data, t.data) for s, t in pairs))
 
 
-def ex_overlap(x: ExcitationState, y: ExcitationState) -> float:
-    """Inner product <x|y>: the dot product of the flat dense windows.
-
-    Equals the state overlap when both arguments satisfy the gauge
-    condition (then the branches are mutually orthogonal).
-    """
-    _check_compatible(x, y)
-    return float(flatten(x) @ flatten(y))
-
-
-def ex_axpy(x: ExcitationState, a: float, y: ExcitationState) -> ExcitationState:
-    """The state ``x + a * y``: the flat dense windows are added and split
-    again (:func:`state_from_flat`), so window bonds keep the extents of a
-    fresh split and do not grow."""
-    _check_compatible(x, y)
-    return state_from_flat(x.bases, x.n, flatten(x) + a * flatten(y))
-
-
-def branch_mps(x: ExcitationState, l: int) -> Mps:
-    """One branch materialized as an ordinary MPS."""
-    return Mps(x.bases.left[: l - 1] + x.windows[l - 1] + x.bases.right[l + x.n - 1 :])
-
-
 def materialize(x: ExcitationState) -> Mps:
-    """The represented state as a single MPS: the direct sum of the branches
+    """The represented state as a single MPS: the direct sum of the branches,
+    each the left isometries, its window chain and the right isometries
     (bond dimensions add)."""
-    branches = [[t.data for t in branch_mps(x, l).sites] for l in range(1, x.n_branches + 1)]
-    return Mps(site_tensors(chain_sum(branches)))
+    left, right, n = x.bases.left, x.bases.right, x.n
+    branches = (left[: l - 1] + x.windows[l - 1] + right[l + n - 1 :] for l in range(1, x.n_branches + 1))
+    return Mps(site_tensors(chain_sum([[t.data for t in branch] for branch in branches])))
 
 
 def _reference_windows(bases: KeptBases, n: int) -> list[np.ndarray]:
-    """The dense windows of :func:`ground_state_in_ansatz`."""
+    """The reference state in the window form: the anchor window holds the
+    1-site center followed by right isometries, and every other window is
+    zero (its content would be purely kept, which the gauge annihilates).
+    The eigensolver deflates this vector."""
     shapes = _window_shapes(bases, n)
     anchor = len(shapes)
     chain = [bases.center_site(anchor)] + [t.data for t in bases.right[anchor : anchor + n - 1]]
     return [np.zeros(shape) for shape in shapes[:-1]] + [_chain_to_window(chain)]
-
-
-def ground_state_in_ansatz(bases: KeptBases, n: int) -> ExcitationState:
-    """The reference state written as the anchor branch of the window form.
-
-    The anchor window holds the 1-site center followed by right
-    isometries; all other branches vanish (their content would be purely
-    kept, which the gauge projection annihilates).
-    """
-    return _state_from_windows(bases, n, _reference_windows(bases, n))
 
 
 # ---------- environments and the projected Hamiltonian ----------
@@ -574,9 +508,11 @@ def save_excitation(x: ExcitationState, path, gs_path: str, extra: dict | None =
     working directory; an absolute one is stored as given. The manifest
     also holds a sha256 of the reference's blobs, which the windows are
     only meaningful against, and one of the window blobs in (l, i) order.
+
+    Raises ValueError, before anything is written, when ``extra`` names a
+    key the manifest sets itself.
     """
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
     digest = _reference_digest(Path(gs_path))
     if not Path(gs_path).is_absolute():
         gs_path = os.path.relpath(gs_path, path)
@@ -591,8 +527,11 @@ def save_excitation(x: ExcitationState, path, gs_path: str, extra: dict | None =
         "ground_state_sha256": digest,
         "window_bonds": [[t.shape[2] for t in chain[:-1]] for chain in x.windows],
     }
-    if extra:
-        manifest.update(extra)
+    clash = sorted(set(extra or ()) & {*manifest, "windows_sha256"})
+    if clash:
+        raise ValueError(f"extra sets the manifest's own keys {clash}")
+    manifest.update(extra or {})
+    path.mkdir(parents=True, exist_ok=True)
     for l in range(1, x.n_branches + 1):
         for i, t in enumerate(x.windows[l - 1], start=1):
             write_tensor_blob(path / f"t_{l}_{i}.ten", t)

@@ -1,4 +1,4 @@
-"""Finite matrix product states: canonical forms, overlaps, sums, archives.
+"""Finite matrix product states: canonical forms, overlaps, archives.
 
 An :class:`Mps` is an ordered chain of 3-leg tensors with dummy outer bonds
 of extent one. Site ``l`` (1-based) carries legs ``("v{l-1}", "p{l}", "v{l}")``.
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Tensor, chain_sum, qr, read_tensor_blob, transfer_left, write_tensor_blob
+from .tensor import Tensor, qr, read_tensor_blob, transfer_left, write_tensor_blob
 
 __all__ = [
     "Mps",
@@ -34,7 +34,6 @@ __all__ = [
     "canonicalize",
     "canonical_defect",
     "overlap",
-    "mps_add",
     "mps_norm",
     "save_mps",
     "load_mps",
@@ -240,17 +239,6 @@ def overlap(a: Mps, b: Mps) -> float:
 
 def mps_norm(psi: Mps) -> float:
     return float(np.sqrt(max(overlap(psi, psi), 0.0)))
-
-
-def mps_add(a: Mps, b: Mps, ca: float = 1.0, cb: float = 1.0) -> Mps:
-    """Represent ``ca*a + cb*b`` as their direct sum (:func:`~kdmps.tensor.chain_sum`).
-
-    Interior bond extents add; the coefficients are folded into site 1.
-    """
-    if a.L != b.L or a.d != b.d:
-        raise ValueError("mps_add requires equal length and physical dimension")
-    chains = [[t.data for t in psi.sites] for psi in (a, b)]
-    return Mps(site_tensors(chain_sum(chains, (ca, cb))))
 
 
 # ---------- archives ----------

@@ -19,13 +19,14 @@ between, and a K or D sector xbar on the right anchor lbar. Every
 * irreducible n-site projectors (DK row for n=1, DD row for n>=2),
 
 plus the alternative forms the identity suite checks. A single sector
-pair is the one-term list ``[(1.0, pair)]``. :func:`apply_projector` and
-:func:`dense_projector` take any list and reject malformed pairs.
+pair is the one-term list ``[(1.0, pair)]``. :func:`dense_projector`
+takes any list and rejects malformed pairs.
 
-Applications to arbitrary states never materialize the discarded-space
-projector ``Abar Abar^T``; they use ``1 - A A^T`` on the parent legs. The
-explicit complements are plain arrays built lazily, on the first read of
-``KeptBases.discarded_left``/``discarded_right``, so only dense
+Projecting a window to the discarded space (the variance windows, the
+excitation gauge) never materializes ``Abar Abar^T``; it applies
+``1 - A A^T`` or ``1 - B^T B`` on the parent legs.
+The explicit complements are plain arrays built lazily, on the first read
+of ``KeptBases.discarded_left``/``discarded_right``, so only dense
 materialization pays for them.
 :func:`dense_sector_pair` and :func:`dense_projector` build their frames
 with the dense oracle's one chain fold (:func:`kdmps.ed.fold_chain`) and
@@ -41,7 +42,7 @@ import numpy as np
 
 from .ed import fold_chain, guard_dims
 from .mps import Mps, _right_normalize, canonicalize, site_tensors
-from .tensor import Tensor, chain_sum, orthogonal_complement, svd_split, transfer_left, transfer_right
+from .tensor import Tensor, orthogonal_complement, svd_split
 
 __all__ = [
     "KeptBases",
@@ -55,7 +56,6 @@ __all__ = [
     "expand_irreducible_overlapping",
     "expand_tangent_mixed",
     "convert_kd_dk",
-    "apply_projector",
     "dense_projector",
     "subspace_dimension",
 ]
@@ -275,7 +275,7 @@ def convert_kd_dk(L: int, n: int, lbar: int, lprime: int) -> tuple[Terms, Terms]
     return lhs, rhs
 
 
-# ---------- applying sector pairs to states ----------
+# ---------- discarded-space projections ----------
 
 
 def _project_out_left(m: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -290,77 +290,6 @@ def _project_out_right(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     mm = m.reshape(m.shape[0], -1)
     bm = b.reshape(b.shape[0], -1)
     return (mm - (mm @ bm.T) @ bm).reshape(m.shape)
-
-
-def _zero_like(phi: Mps) -> Mps:
-    return Mps(site_tensors([np.zeros((1, phi.d, 1))] * phi.L))
-
-
-def apply_sector_pair(bases: KeptBases, pair: Pair, phi: Mps) -> Mps:
-    """Apply one K/D sector-pair projector to an arbitrary state.
-
-    The result reuses the bases isometries outside the anchors and the
-    state's own tensors on the free sites; discarded sectors act through
-    ``1 - A A^T`` / ``1 - B^T B`` on the anchor site.
-    """
-    x, xbar, l, lbar = pair
-    L, d = bases.L, bases.d
-    if phi.L != L or phi.d != d:
-        raise ValueError("state and bases shapes disagree")
-    if _check_pair(pair, L):
-        return _zero_like(phi)
-
-    A = [t.data for t in bases.left]
-    B = [t.data for t in bases.right]
-    K = [t.data for t in phi.sites]
-    arrs: dict[int, np.ndarray] = {}
-    pend: dict[int, np.ndarray] = {}  # bond index -> matrix to absorb
-
-    # partial overlaps: (bases bond, state bond) of A_1..A_m against the
-    # state on the left, (state bond, bases bond) of the state against
-    # B_m..B_L on the right
-    kept_sites = l if x == "K" else l - 1
-    g = np.ones((1, 1))
-    for j in range(1, kept_sites + 1):
-        arrs[j] = A[j - 1]
-        g = transfer_left(g, A[j - 1], K[j - 1])
-    if x == "K":
-        pend[l] = g
-    else:
-        arrs[l] = _project_out_left(np.tensordot(g, K[l - 1], axes=(1, 0)), A[l - 1])
-
-    first_kept = lbar if xbar == "K" else lbar + 1
-    gr = np.ones((1, 1))
-    for j in range(L, first_kept - 1, -1):
-        arrs[j] = B[j - 1]
-        gr = transfer_right(gr, K[j - 1], B[j - 1])
-    if xbar == "K":
-        prev = pend.get(lbar - 1)  # same bond as the left pending when no free sites remain
-        pend[lbar - 1] = prev @ gr if prev is not None else gr
-    else:
-        arrs[lbar] = _project_out_right(np.tensordot(K[lbar - 1], gr, axes=(2, 0)), B[lbar - 1])
-
-    for j in range(l + 1, lbar):
-        arrs[j] = K[j - 1]
-
-    for bond, mat in pend.items():
-        if bond + 1 in arrs:
-            arrs[bond + 1] = np.tensordot(mat, arrs[bond + 1], axes=(1, 0))
-        else:
-            arrs[bond] = np.tensordot(arrs[bond], mat, axes=(2, 0))
-
-    return Mps(site_tensors([arrs[j] for j in range(1, L + 1)]))
-
-
-def apply_projector(terms: Terms, bases: KeptBases, phi: Mps) -> Mps:
-    """Apply a sector-pair term list to a state: one MPS branch per term,
-    returned as their coefficient-weighted direct sum
-    (:func:`~kdmps.tensor.chain_sum`; bond dimensions add). The empty list
-    is the zero projector and returns the zero state."""
-    if not terms:
-        return _zero_like(phi)
-    branches = [[t.data for t in apply_sector_pair(bases, pair, phi).sites] for _, pair in terms]
-    return Mps(site_tensors(chain_sum(branches, [coeff for coeff, _ in terms])))
 
 
 # ---------- dense materialization ----------

@@ -15,8 +15,9 @@ written once here:
   which fix their sign freedom so gauges are reproducible: QR makes the R
   diagonal nonnegative, SVD vectors and complement columns get their
   largest-magnitude entry positive;
-- the direct sum of chains (:func:`chain_sum`), behind every sum of states,
-  operators, projector branches and excitation windows;
+- the direct sum of chains (:func:`chain_sum`), behind every sum of
+  operators and the excitation branches :func:`kdmps.excitation.materialize`
+  joins into one MPS;
 - one ket-first matmul kernel for every (bra, MPO, ket) network
   (:func:`ket_step`, :func:`mpo_step`, :func:`close`, :func:`close_right`
   on MPO sites as :func:`mpo_matrix`). The bra-ket transfers, the MPO

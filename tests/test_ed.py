@@ -24,8 +24,9 @@ from kdmps.mpo import (
     s2_total_mpo,
     sz_total_mpo,
 )
-from kdmps.mps import mps_add, overlap, product_mps, random_mps
+from kdmps.mps import overlap, product_mps, random_mps
 from kdmps.projectors import build_bases, dense_projector, dense_sector_pair, expand_irreducible, subspace_dimension
+from state_helpers import mps_sum
 
 
 def test_dense_state_product_up_up():
@@ -36,7 +37,7 @@ def test_dense_state_product_up_up():
 def test_dense_state_is_linear_over_mps_add():
     a = random_mps(4, 2, bond_cap=2, seed=1)
     b = random_mps(4, 2, bond_cap=3, seed=2)
-    both = dense_state(mps_add(a, b, 1.0, 1.0))
+    both = dense_state(mps_sum(a, b, 1.0, 1.0))
     npt.assert_allclose(both, dense_state(a) + dense_state(b), atol=1e-12)
 
 
@@ -106,6 +107,13 @@ def test_dense_apply_guard_and_shape():
 
 def test_exact_spectrum_sorts_and_slices():
     npt.assert_allclose(exact_spectrum(np.diag([3.0, 1.0, 2.0]), 2), [1.0, 2.0], atol=0)
+
+
+def test_exact_spectrum_rejects_k_below_one():
+    # a slice with k <= 0 would drop eigenvalues from the top or return none
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            exact_spectrum(np.diag([3.0, 1.0, 2.0]), k)
 
 
 def test_exact_spectrum_rejects_asymmetric():

@@ -16,15 +16,9 @@ from kdmps.excitation import (
     _join_flat,
     _reference_windows,
     apply_projected_h,
-    branch_mps,
     build_exc_env,
-    ex_axpy,
-    ex_overlap,
     flatten,
     gauge_defect,
-    gauge_fix_T1,
-    ground_state_in_ansatz,
-    init_excitation,
     load_excitation,
     materialize,
     save_excitation,
@@ -37,9 +31,10 @@ from kdmps.mpo import (
     hs_first_excited_energy,
     identity_mpo,
 )
-from kdmps.mps import load_mps, overlap, product_mps, random_mps, save_mps
-from kdmps.projectors import apply_projector, build_bases, dense_projector, expand_global
+from kdmps.mps import Mps, load_mps, overlap, product_mps, random_mps, save_mps
+from kdmps.projectors import build_bases, dense_projector, expand_global
 from kdmps.tensor import Tensor, TruncationPolicy, env_step_left, env_step_right, mpo_matrix, mpo_step
+from state_helpers import random_excitation
 
 DENSE_TOL = 1e-10
 
@@ -48,12 +43,12 @@ def bases_for(L, cap, seed):
     return build_bases(random_mps(L, 2, bond_cap=cap, seed=seed))
 
 
-# ---------- construction ----------
+# ---------- random states ----------
 
 
 def test_init_smallest_case_product_reference():
     kept = build_bases(product_mps(2, 2, [np.array([1.0, 0.0]), np.array([0.0, 1.0])]))
-    x = init_excitation(kept, 1, seed=0)
+    x = random_excitation(kept, 1, seed=0)
     assert x.n_branches == 2 and x.anchor == 2
     assert x.windows[0][0].shape == (1, 2, 1)
     assert x.windows[1][0].shape == (1, 2, 1)
@@ -65,7 +60,7 @@ def test_init_smallest_case_product_reference():
 
 def test_init_memory_layout_single_site_windows():
     kept = bases_for(6, 3, 1)
-    x = init_excitation(kept, 1, seed=3)
+    x = random_excitation(kept, 1, seed=3)
     assert x.n_branches == 6  # one window tensor per site
     for l in range(1, 7):
         (t,) = x.windows[l - 1]
@@ -74,20 +69,20 @@ def test_init_memory_layout_single_site_windows():
 
 def test_init_deterministic_and_normalized():
     kept = bases_for(5, 2, 2)
-    a = init_excitation(kept, 2, seed=9)
-    b = init_excitation(kept, 2, seed=9)
+    a = random_excitation(kept, 2, seed=9)
+    b = random_excitation(kept, 2, seed=9)
     for ca, cb in zip(a.windows, b.windows):
         for ta, tb in zip(ca, cb):
             npt.assert_array_equal(ta.data, tb.data)
-    npt.assert_allclose(ex_overlap(a, a), 1.0, atol=1e-12)
+    npt.assert_allclose(flatten(a) @ flatten(a), 1.0, atol=1e-12)
 
 
 def test_init_range_validation():
     kept = bases_for(4, 2, 3)
-    with pytest.raises(ValueError):
-        init_excitation(kept, 0)
-    with pytest.raises(ValueError):
-        init_excitation(kept, 5)
+    with pytest.raises(ValueError, match="n must lie in"):
+        state_from_flat(kept, 0, np.zeros(1))
+    with pytest.raises(ValueError, match="n must lie in"):
+        state_from_flat(kept, 5, np.zeros(1))
 
 
 # ---------- gauge fixing ----------
@@ -95,27 +90,27 @@ def test_init_range_validation():
 
 def test_gauge_fix_idempotent():
     kept = bases_for(5, 2, 4)
-    x = init_excitation(kept, 1, seed=1)
+    x = random_excitation(kept, 1, seed=1)
     assert gauge_defect(x) <= 1e-12
-    y = gauge_fix_T1(x)
+    y = state_from_flat(kept, 1, flatten(x))
     for cx, cy in zip(x.windows, y.windows):
         npt.assert_allclose(cx[0].data, cy[0].data, atol=1e-14)
 
 
 def test_gauge_defect_detects_violations():
     kept = bases_for(5, 2, 4)
-    x = init_excitation(kept, 1, seed=1)
+    x = random_excitation(kept, 1, seed=1)
     windows = list(x.windows)
     # plant pure kept-space content (the isometry itself) in branch 1
     windows[0] = (Tensor(kept.left[0].data, windows[0][0].legs),)
     violated = type(x)(bases=kept, n=1, windows=tuple(windows))
     assert gauge_defect(violated) > 1e-3
-    assert gauge_defect(gauge_fix_T1(violated)) <= 1e-12
+    assert gauge_defect(state_from_flat(kept, 1, flatten(violated))) <= 1e-12
 
 
 def test_gauge_fix_annihilates_kept_content():
     kept = bases_for(5, 2, 5)
-    x = init_excitation(kept, 1, seed=2)
+    x = random_excitation(kept, 1, seed=2)
     # overwrite a non-anchor branch with pure kept-space content A_l * M
     l = 2
     rng = np.random.default_rng(0)
@@ -126,14 +121,14 @@ def test_gauge_fix_annihilates_kept_content():
     chain[0] = Tensor(t, chain[0].legs)
     windows[l - 1] = tuple(chain)
     corrupted = type(x)(bases=x.bases, n=x.n, windows=tuple(windows))
-    fixed = gauge_fix_T1(corrupted)
+    fixed = state_from_flat(kept, 1, flatten(corrupted))
     npt.assert_allclose(fixed.windows[l - 1][0].data, 0.0, atol=1e-12)
 
 
 def test_gauge_fixed_branches_orthogonal_to_reference_and_each_other():
     kept = bases_for(5, 2, 6)
-    x = init_excitation(kept, 1, seed=3)
-    branches = [branch_mps(x, l) for l in range(1, x.n_branches + 1)]
+    x = random_excitation(kept, 1, seed=3)
+    branches = [Mps(kept.left[: l - 1] + x.windows[l - 1] + kept.right[l:]) for l in range(1, x.n_branches + 1)]
     vec_ref = dense_state(kept.reference)
     for i, bi in enumerate(branches[:-1]):  # anchor branch may overlap the reference
         npt.assert_allclose(dense_state(bi) @ vec_ref, 0.0, atol=DENSE_TOL)
@@ -143,77 +138,68 @@ def test_gauge_fixed_branches_orthogonal_to_reference_and_each_other():
             )
 
 
-# ---------- overlap / axpy ----------
+# ---------- flat overlaps and sums ----------
 
 
 def test_ex_overlap_normalization_and_zero():
     kept = bases_for(6, 2, 7)
-    x = init_excitation(kept, 2, seed=4)
-    npt.assert_allclose(ex_overlap(x, x), 1.0, atol=1e-12)
+    x = random_excitation(kept, 2, seed=4)
+    npt.assert_allclose(flatten(x) @ flatten(x), 1.0, atol=1e-12)
     zero = state_from_flat(kept, 2, np.zeros_like(flatten(x)))
-    npt.assert_allclose(ex_overlap(x, zero), 0.0, atol=0)
+    npt.assert_allclose(flatten(x) @ flatten(zero), 0.0, atol=0)
 
 
 def test_ex_overlap_matches_dense_materialization():
     kept = bases_for(6, 2, 8)
     for n in (1, 2, 3):
-        x = init_excitation(kept, n, seed=5)
-        y = init_excitation(kept, n, seed=6)
+        x = random_excitation(kept, n, seed=5)
+        y = random_excitation(kept, n, seed=6)
         want = float(dense_state(materialize(x)) @ dense_state(materialize(y)))
-        npt.assert_allclose(ex_overlap(x, y), want, atol=DENSE_TOL)
-
-
-def test_ex_overlap_mismatch_errors():
-    kept = bases_for(4, 2, 9)
-    x = init_excitation(kept, 1, seed=0)
-    y = init_excitation(kept, 2, seed=0)
-    with pytest.raises(ValueError, match="window size"):
-        ex_overlap(x, y)
-    other = bases_for(5, 2, 9)
-    with pytest.raises(ValueError, match="reference"):
-        ex_overlap(x, init_excitation(other, 1, seed=0))
+        npt.assert_allclose(flatten(x) @ flatten(y), want, atol=DENSE_TOL)
 
 
 def test_states_on_different_references_do_not_mix():
-    # equal bond dimensions, different reference states
-    x = init_excitation(bases_for(6, 4, 1), 2, seed=0)
-    y = init_excitation(bases_for(6, 4, 2), 2, seed=0)
-    with pytest.raises(ValueError, match="reference"):
-        ex_axpy(x, 1.0, y)
-    with pytest.raises(ValueError, match="reference"):
-        ex_overlap(x, y)
+    # equal bond dimensions, different reference states: the operator cache
+    # of one gauge refuses a state of the other
+    h = heisenberg_mpo(6)
+    x = random_excitation(bases_for(6, 4, 1), 2, seed=0)
+    y = random_excitation(bases_for(6, 4, 2), 2, seed=0)
+    env = build_exc_env(x.bases, 2, h)
+    with pytest.raises(ValueError, match="another gauge"):
+        apply_projected_h(y, h, env)
     # the same reference rebuilt into a second bases object is accepted
-    again = init_excitation(bases_for(6, 4, 1), 2, seed=3)
+    again = random_excitation(bases_for(6, 4, 1), 2, seed=3)
     assert again.bases is not x.bases
+    apply_projected_h(again, h, env)
     want = float(dense_state(materialize(x)) @ dense_state(materialize(again)))
-    npt.assert_allclose(ex_overlap(x, again), want, atol=DENSE_TOL)
-    summed = dense_state(materialize(ex_axpy(x, 0.5, again)))
+    npt.assert_allclose(flatten(x) @ flatten(again), want, atol=DENSE_TOL)
+    summed = dense_state(materialize(state_from_flat(x.bases, 2, flatten(x) + 0.5 * flatten(again))))
     npt.assert_allclose(summed, dense_state(materialize(x)) + 0.5 * dense_state(materialize(again)), atol=DENSE_TOL)
 
 
 def test_ex_axpy_trivial_and_cancellation():
     kept = bases_for(5, 2, 10)
-    x = init_excitation(kept, 2, seed=7)
-    y = init_excitation(kept, 2, seed=8)
-    same = ex_axpy(x, 0.0, y)
+    x = random_excitation(kept, 2, seed=7)
+    y = random_excitation(kept, 2, seed=8)
+    same = state_from_flat(kept, 2, flatten(x) + 0.0 * flatten(y))
     npt.assert_allclose(
         dense_state(materialize(same)), dense_state(materialize(x)), atol=1e-12
     )
-    cancel = ex_axpy(x, -1.0, x)
-    npt.assert_allclose(ex_overlap(cancel, cancel), 0.0, atol=1e-12)
+    cancel = state_from_flat(kept, 2, flatten(x) - flatten(x))
+    npt.assert_allclose(flatten(cancel) @ flatten(cancel), 0.0, atol=1e-12)
 
 
 def test_ex_axpy_dense_check_and_bond_growth():
     kept = bases_for(5, 2, 11)
-    x = init_excitation(kept, 2, seed=9)
-    y = init_excitation(kept, 2, seed=10)
-    out = ex_axpy(x, 0.3, y)
+    x = random_excitation(kept, 2, seed=9)
+    y = random_excitation(kept, 2, seed=10)
+    out = state_from_flat(kept, 2, flatten(x) + 0.3 * flatten(y))
     want = dense_state(materialize(x)) + 0.3 * dense_state(materialize(y))
     npt.assert_allclose(dense_state(materialize(out)), want, atol=DENSE_TOL)
     # sums are split afresh, so chained sums keep the window bonds of a new state
     profile = [[t.shape for t in chain] for chain in x.windows]
     for _ in range(10):
-        out = ex_axpy(out, 0.3, y)
+        out = state_from_flat(kept, 2, flatten(out) + 0.3 * flatten(y))
     assert [[t.shape for t in chain] for chain in out.windows] == profile
 
 
@@ -223,11 +209,11 @@ def test_ex_axpy_dense_check_and_bond_growth():
 def test_ground_state_in_ansatz_reproduces_reference():
     for n in (1, 2, 3):
         kept = bases_for(5, 2, 13)
-        rep = ground_state_in_ansatz(kept, n)
+        rep = state_from_flat(kept, n, _join_flat(_reference_windows(kept, n)))
         npt.assert_allclose(
             dense_state(materialize(rep)), dense_state(kept.reference), atol=1e-12
         )
-        npt.assert_allclose(ex_overlap(rep, rep), 1.0, atol=1e-12)
+        npt.assert_allclose(flatten(rep) @ flatten(rep), 1.0, atol=1e-12)
 
 
 def test_state_from_flat_gauge_fixes_rank_deficient_windows():
@@ -237,7 +223,7 @@ def test_state_from_flat_gauge_fixes_rank_deficient_windows():
     h = haldane_shastry_mpo(6)
     for n in (2, 3):
         windows = _reference_windows(kept, n)  # the zero branches have rank 0
-        states = [state_from_flat(kept, n, _join_flat(windows)), ground_state_in_ansatz(kept, n)]
+        states = [state_from_flat(kept, n, _join_flat(windows))]
         rng = np.random.default_rng(n)
         for l, w in enumerate(windows[:-1], start=1):
             # a rank-1 gauge-fixed window: a discarded vector times any right factor
@@ -245,20 +231,20 @@ def test_state_from_flat_gauge_fixes_rank_deficient_windows():
             u = rng.standard_normal(w.shape[:2])
             u -= np.tensordot(a, np.tensordot(a, u, axes=((0, 1), (0, 1))), axes=(2, 0))
             windows[l - 1] = np.multiply.outer(u, rng.standard_normal(w.shape[2:]))
-        x = init_excitation(kept, n, seed=n)
-        states += [state_from_flat(kept, n, _join_flat(windows)), x, ex_axpy(x, 0.5, x)]
-        states.append(apply_projected_h(states[2], h))
+        x = random_excitation(kept, n, seed=n)
+        states += [state_from_flat(kept, n, _join_flat(windows)), x, state_from_flat(kept, n, flatten(x) + 0.5 * flatten(x))]
+        states.append(apply_projected_h(states[1], h))
         for state in states:
-            assert gauge_defect(state) <= 1e-12 * max(1.0, np.sqrt(ex_overlap(state, state)))
+            assert gauge_defect(state) <= 1e-12 * max(1.0, np.sqrt(flatten(state) @ flatten(state)))
 
 
 def test_membership_of_gauge_fixed_states():
     kept = bases_for(5, 2, 14)
     for n in (1, 2):
-        x = init_excitation(kept, n, seed=13)
-        m = materialize(x)
-        projected = apply_projector(expand_global(n, kept.L), kept, m)
-        npt.assert_allclose(dense_state(projected), dense_state(m), atol=DENSE_TOL)
+        x = random_excitation(kept, n, seed=13)
+        v = dense_state(materialize(x))
+        projected = dense_projector(expand_global(n, kept.L), kept) @ v
+        npt.assert_allclose(projected, v, atol=DENSE_TOL)
 
 
 # ---------- environments ----------
@@ -298,7 +284,7 @@ def test_exc_env_zero_windows_reduce_to_plain_environments():
     h = heisenberg_mpo(5)
     plain = build_env(kept, h)
     for n in (1, 2):
-        x = state_from_flat(kept, n, np.zeros_like(flatten(init_excitation(kept, n, seed=1))))
+        x = state_from_flat(kept, n, np.zeros_like(flatten(random_excitation(kept, n, seed=1))))
         env = build_exc_env(kept, n, h)
         for k in range(0, 6):
             npt.assert_array_equal(env.forward.lefts[k], plain.lefts[k])
@@ -314,7 +300,7 @@ def test_exc_env_zero_windows_reduce_to_plain_environments():
 def test_exc_env_identity_mpo_gives_partial_overlap_transfer():
     L = 4
     kept = bases_for(L, 2, 16)
-    x = init_excitation(kept, 1, seed=2)
+    x = random_excitation(kept, 1, seed=2)
     forward, _ = _passes(x, identity_mpo(L))
     a = [t.data for t in kept.left]
     t = [x.windows[l - 1][0].data for l in range(1, L + 1)]
@@ -339,7 +325,7 @@ def test_exc_env_recursions_rebuild():
     kept = bases_for(L, 2, 17)
     h = heisenberg_mpo(L)
     for n in (1, 2, 3):
-        x = init_excitation(kept, n, seed=3)
+        x = random_excitation(kept, n, seed=3)
         forward, backward = _passes(x, h)
         for l in range(1, x.n_branches + 1):
             bond = l if n == 1 else l + n - 2
@@ -358,7 +344,7 @@ def test_exc_env_cached_reference_environments_match_rebuilt():
     h = haldane_shastry_mpo(6)
     base = build_env(kept, h)
     for n in (1, 2, 3):
-        x = init_excitation(kept, n, seed=n)
+        x = random_excitation(kept, n, seed=n)
         env = build_exc_env(kept, n, h)
         npt.assert_array_equal(env.forward.lefts[3], base.lefts[3])
         cached = apply_projected_h(x, h, env)
@@ -373,10 +359,10 @@ def test_exc_env_cached_reference_environments_match_rebuilt():
 def test_exc_env_stale_cache_rejected():
     kept = bases_for(4, 2, 18)
     h = heisenberg_mpo(4)
-    x = init_excitation(kept, 1, seed=4)
+    x = random_excitation(kept, 1, seed=4)
     env = build_exc_env(kept, 1, h)
-    other_gauge = init_excitation(bases_for(4, 2, 19), 1, seed=4)
-    for y, op in ((other_gauge, h), (x, heisenberg_mpo(4)), (init_excitation(kept, 2, seed=4), h)):
+    other_gauge = random_excitation(bases_for(4, 2, 19), 1, seed=4)
+    for y, op in ((other_gauge, h), (x, heisenberg_mpo(4)), (random_excitation(kept, 2, seed=4), h)):
         with pytest.raises(ValueError, match="another gauge, operator or window size"):
             apply_projected_h(y, op, env=env)
 
@@ -385,8 +371,8 @@ def test_exc_env_cache_serves_every_state_of_its_gauge():
     kept = bases_for(6, 2, 18)
     h = haldane_shastry_mpo(6)
     for n in (1, 2):
-        x = init_excitation(kept, n, seed=4)
-        y = init_excitation(kept, n, seed=5)
+        x = random_excitation(kept, n, seed=4)
+        y = random_excitation(kept, n, seed=5)
         env = build_exc_env(kept, n, h)
         apply_projected_h(x, h, env)
         reused = apply_projected_h(y, h, env)
@@ -402,7 +388,7 @@ def test_exc_env_cache_serves_every_state_of_its_gauge():
 def test_apply_identity_operator_returns_state():
     kept = bases_for(5, 2, 19)
     for n in (1, 2):
-        x = init_excitation(kept, n, seed=6)
+        x = random_excitation(kept, n, seed=6)
         out = apply_projected_h(x, identity_mpo(5))
         npt.assert_allclose(
             dense_state(materialize(out)), dense_state(materialize(x)), atol=1e-12
@@ -416,7 +402,7 @@ def test_apply_branch_windows_match_dense_frame_assembly():
     kept = build_bases(random_mps(L, 2, bond_cap=2, seed=23))
     h = heisenberg_mpo(L)
     hm = dense_hamiltonian(h)
-    x = init_excitation(kept, n, seed=12)
+    x = random_excitation(kept, n, seed=12)
     hx = hm @ dense_state(materialize(x))
     out = apply_projected_h(x, h)
     from kdmps.projectors import _project_out_left
@@ -439,7 +425,7 @@ def test_apply_matches_dense_projected_hamiltonian():
         hm = dense_hamiltonian(h)
         for n in (1, 2, 3, 4):
             p = dense_projector(expand_global(n, L), kept)
-            x = init_excitation(kept, n, seed=7)
+            x = random_excitation(kept, n, seed=7)
             got = dense_state(materialize(apply_projected_h(x, h)))
             want = p @ hm @ dense_state(materialize(x))
             npt.assert_allclose(got, want, atol=DENSE_TOL)
@@ -453,7 +439,7 @@ def test_apply_with_maximal_profile_annihilated_branches():
     kept = build_bases(random_mps(L, 2, bond_cap=None, seed=24))
     h = haldane_shastry_mpo(L)
     hm = dense_hamiltonian(h)
-    x = init_excitation(kept, 1, seed=13)
+    x = random_excitation(kept, 1, seed=13)
     assert any(np.allclose(chain[0].data, 0.0) for chain in x.windows[:-1])
     p = dense_projector(expand_global(1, L), kept)
     got = dense_state(materialize(apply_projected_h(x, h)))
@@ -465,11 +451,11 @@ def test_apply_symmetric_and_linear():
     kept = bases_for(6, 2, 21)
     h = haldane_shastry_mpo(6)
     for n in (1, 2, 3, 4):
-        x = init_excitation(kept, n, seed=8)
-        y = init_excitation(kept, n, seed=9)
+        x = random_excitation(kept, n, seed=8)
+        y = random_excitation(kept, n, seed=9)
         hx, hy = apply_projected_h(x, h), apply_projected_h(y, h)
-        npt.assert_allclose(ex_overlap(y, hx), ex_overlap(x, hy), atol=DENSE_TOL)
-        z = gauge_fix_T1(ex_axpy(x, 0.7, y))
+        npt.assert_allclose(flatten(y) @ flatten(hx), flatten(x) @ flatten(hy), atol=DENSE_TOL)
+        z = state_from_flat(kept, n, flatten(x) + 0.7 * flatten(y))
         hz = apply_projected_h(z, h)
         want = dense_state(materialize(hx)) + 0.7 * dense_state(materialize(hy))
         npt.assert_allclose(dense_state(materialize(hz)), want, atol=DENSE_TOL)
@@ -485,7 +471,7 @@ def test_apply_mpo_step_count(monkeypatch, n, steps):
     L = 12
     kept = bases_for(L, 8, 25)
     h = haldane_shastry_mpo(L)
-    x = init_excitation(kept, n, seed=1)
+    x = random_excitation(kept, n, seed=1)
     env = build_exc_env(kept, n, h)
     calls = []
 
@@ -506,24 +492,24 @@ def test_apply_symmetric_and_solve_consistent_beyond_the_dense_guard(n):
     kept = bases_for(L, 8, 26)
     h = haldane_shastry_mpo(L)
     env = build_exc_env(kept, n, h)
-    x = init_excitation(kept, n, seed=10)
-    y = init_excitation(kept, n, seed=11)
-    yhx = ex_overlap(y, apply_projected_h(x, h, env))
-    xhy = ex_overlap(x, apply_projected_h(y, h, env))
+    x = random_excitation(kept, n, seed=10)
+    y = random_excitation(kept, n, seed=11)
+    yhx = flatten(y) @ flatten(apply_projected_h(x, h, env))
+    xhy = flatten(x) @ flatten(apply_projected_h(y, h, env))
     assert abs(yhx - xhy) <= 1e-12 * max(abs(yhx), abs(xhy))
     res = solve_lowest_excitation(random_mps(L, 2, bond_cap=8, seed=26), h, n)
     assert res.converged
     v = res.state
-    rayleigh = ex_overlap(v, apply_projected_h(v, h)) / ex_overlap(v, v)
+    rayleigh = (flatten(v) @ flatten(apply_projected_h(v, h))) / (flatten(v) @ flatten(v))
     assert abs(rayleigh - res.energy) <= 1e-12 * abs(res.energy)
 
 
 def test_flat_roundtrip_preserves_state():
     kept = bases_for(5, 2, 22)
     for n in (1, 2, 3):
-        x = init_excitation(kept, n, seed=10)
+        x = random_excitation(kept, n, seed=10)
         back = state_from_flat(kept, n, flatten(x))
-        npt.assert_allclose(ex_overlap(back, x), 1.0, atol=1e-12)
+        npt.assert_allclose(flatten(back) @ flatten(x), 1.0, atol=1e-12)
         npt.assert_allclose(flatten(back), flatten(x), atol=1e-12)
 
 
@@ -608,7 +594,7 @@ def test_solver_matvec_symmetric_on_the_whole_flat_space(monkeypatch, model, L, 
     rng = np.random.default_rng(7)
     for n in (1, 2, 3):
         matvec = _solver_matvec(monkeypatch, gs, h, n)
-        size = flatten(init_excitation(kept, n)).size
+        size = flatten(random_excitation(kept, n)).size
         x, y = rng.standard_normal(size), rng.standard_normal(size)
         ax, ay = matvec(x), matvec(y)
         bound = 1e-12 * max(1.0, np.linalg.norm(x) * np.linalg.norm(ay))
@@ -645,7 +631,7 @@ def test_apply_peak_memory_stays_below_bound():
 
     kept = build_bases(random_mps(12, 2, 32, seed=0))
     h = haldane_shastry_mpo(12)
-    x = init_excitation(kept, 2, seed=0)
+    x = random_excitation(kept, 2, seed=0)
     tracemalloc.start()
     try:
         apply_projected_h(x, h)
@@ -663,7 +649,7 @@ def test_apply_cost_grows_at_most_linearly_in_local_dimension():
     bases = build_bases(gs.psi)
     medians = []
     for n in (1, 2, 3):
-        x = init_excitation(bases, n, seed=0)
+        x = random_excitation(bases, n, seed=0)
         samples = []
         for _ in range(5):
             t0 = time.perf_counter()
@@ -691,12 +677,25 @@ def test_excitation_archive_roundtrip(tmp_path):
     back, manifest = load_excitation(tmp_path / "exc")
     assert manifest["n"] == 2 and manifest["L"] == 4
     assert manifest["seed"] == 5 and "E_ex" in manifest and "residual" in manifest
-    npt.assert_allclose(ex_overlap(back, back), ex_overlap(res.state, res.state), atol=1e-10)
+    npt.assert_allclose(flatten(back) @ flatten(back), flatten(res.state) @ flatten(res.state), atol=1e-10)
     npt.assert_allclose(
         dense_state(materialize(back)),
         dense_state(materialize(res.state)),
         atol=1e-9,
     )
+
+
+def test_save_excitation_refuses_extra_keys_of_its_own_manifest(tmp_path):
+    save_mps(random_mps(6, 2, bond_cap=4, seed=3), tmp_path / "gs")
+    x = random_excitation(build_bases(load_mps(tmp_path / "gs")), 2, seed=4)
+    save_excitation(x, tmp_path / "exc", gs_path=str(tmp_path / "gs"), extra={"E_ex": 1.0})
+    own = set(json.loads((tmp_path / "exc" / "manifest.json").read_text())) - {"E_ex"}
+    assert "windows_sha256" in own and "kind" in own
+    for key in sorted(own):
+        target = tmp_path / f"exc_{key}"
+        with pytest.raises(ValueError, match=f"own keys \\['{key}'\\]"):
+            save_excitation(x, target, gs_path=str(tmp_path / "gs"), extra={"E_ex": 1.0, key: 2})
+        assert not target.exists()  # refused before anything is written
 
 
 def test_excitation_archive_rejects_a_changed_reference(tmp_path):
@@ -746,7 +745,7 @@ def _saved_excitation(tmp_path, n=1):
     both saved, and checked to load before any test corrupts it."""
     save_mps(random_mps(10, 2, bond_cap=8, seed=3), tmp_path / "gs")
     bases = build_bases(load_mps(tmp_path / "gs"))
-    x = init_excitation(bases, n, seed=4)
+    x = random_excitation(bases, n, seed=4)
     save_excitation(x, tmp_path / "exc", gs_path=str(tmp_path / "gs"))
     load_excitation(tmp_path / "exc")
     return tmp_path / "exc"

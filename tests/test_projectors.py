@@ -7,11 +7,9 @@ import pytest
 import kdmps.projectors as kproj
 from kdmps.ed import dense_rank, dense_state
 from kdmps.mpo import haldane_shastry_mpo
-from kdmps.mps import mps_norm, overlap, product_mps, random_mps
+from kdmps.mps import overlap, product_mps, random_mps
 from kdmps.projectors import (
     _check_pair,
-    apply_projector,
-    apply_sector_pair,
     build_bases,
     convert_kd_dk,
     dense_projector,
@@ -137,13 +135,10 @@ def test_spec_validation():
 
 def test_bad_sector_letters_are_rejected():
     kept = build_bases(random_mps(4, 2, bond_cap=2, seed=2))
-    phi = random_mps(4, 2, bond_cap=2, seed=3)
-    with pytest.raises(ValueError, match="'K' or 'D'"):
-        apply_sector_pair(kept, ("K", "X", 0, 3), phi)
     with pytest.raises(ValueError, match="'K' or 'D'"):
         dense_sector_pair(kept, ("k", "D", 1, 3))
     with pytest.raises(ValueError, match="'K' or 'D'"):
-        apply_projector([(1.0, ("K", "K", 0, 2)), (1.0, ("K", "X", 0, 3))], kept, phi)
+        dense_projector([(1.0, ("K", "K", 0, 2)), (1.0, ("K", "X", 0, 3))], kept)
     with pytest.raises(ValueError, match="'K' or 'D'"):
         dense_projector([(1.0, ("k", "D", 1, 3))], kept)
 
@@ -151,39 +146,17 @@ def test_bad_sector_letters_are_rejected():
 def test_apply_rank_one_projector():
     kept = build_bases(random_mps(4, 2, bond_cap=2, seed=2))
     phi = random_mps(4, 2, bond_cap=3, seed=3)
-    out = apply_projector(expand_irreducible(0, 4), kept, phi)
+    out = dense_projector(expand_irreducible(0, 4), kept) @ dense_state(phi)
     c = overlap(kept.reference, phi)
-    npt.assert_allclose(dense_state(out), c * dense_state(kept.reference), atol=1e-12)
+    npt.assert_allclose(out, c * dense_state(kept.reference), atol=1e-12)
 
 
 def test_irreducible_annihilates_reference():
     kept = build_bases(random_mps(5, 2, bond_cap=2, seed=6))
+    vref = dense_state(kept.reference)
     for n in range(1, 6):
-        out = apply_projector(expand_irreducible(n, 5), kept, kept.reference)
-        assert mps_norm(out) <= 1e-12
-
-
-def test_apply_matches_dense_action():
-    psi = random_mps(5, 2, bond_cap=2, seed=11)
-    kept = build_bases(psi)
-    phi = random_mps(5, 2, bond_cap=3, seed=12)
-    vphi = dense_state(phi)
-    projectors = [
-        expand_global(1, 5),
-        expand_global(2, 5),
-        expand_global(2, 5, anchor=1),
-        expand_irreducible(1, 5),
-        expand_irreducible(3, 5),
-        expand_local(2, 2, 5),
-        expand_local_ortho(1, 2, "<", 5),
-        expand_local_ortho(2, 3, ">", 5),
-        [(1.0, ("D", "D", 2, 4))],
-        [(1.0, ("K", "D", 0, 3))],
-    ]
-    for terms in projectors:
-        dm = dense_projector(terms, kept)
-        got = dense_state(apply_projector(terms, kept, phi))
-        npt.assert_allclose(got, dm @ vphi, atol=DENSE_TOL, err_msg=str(terms))
+        out = dense_projector(expand_irreducible(n, 5), kept) @ vref
+        assert np.linalg.norm(out) <= 1e-12
 
 
 def test_apply_projector_idempotent():
@@ -191,27 +164,23 @@ def test_apply_projector_idempotent():
     kept = build_bases(psi)
     phi = random_mps(5, 2, bond_cap=2, seed=14)
     for terms in (expand_global(1, 5), expand_irreducible(2, 5)):
-        once = apply_projector(terms, kept, phi)
-        twice = apply_projector(terms, kept, once)
-        npt.assert_allclose(dense_state(twice), dense_state(once), atol=BLOCK_TOL)
+        p = dense_projector(terms, kept)
+        once = p @ dense_state(phi)
+        twice = p @ once
+        npt.assert_allclose(twice, once, atol=BLOCK_TOL)
 
 
 def test_empty_term_list_is_the_zero_projector():
     phi = random_mps(4, 2, bond_cap=2, seed=2)
     kept = build_bases(phi)
     vec = dense_state(phi)
-    got = dense_state(apply_projector([], kept, phi))
-    npt.assert_array_equal(got, np.zeros_like(vec))
-    npt.assert_array_equal(got, dense_projector([], kept) @ vec)
+    npt.assert_array_equal(dense_projector([], kept) @ vec, np.zeros_like(vec))
 
 
 def test_apply_boundary_discarded_sector_is_zero():
     kept = build_bases(random_mps(3, 2, bond_cap=2, seed=1))
-    phi = random_mps(3, 2, bond_cap=2, seed=2)
-    out = apply_sector_pair(kept, ("D", "K", 0, 2), phi)
-    assert mps_norm(out) == 0.0
-    out = apply_sector_pair(kept, ("K", "D", 1, 4), phi)
-    assert mps_norm(out) == 0.0
+    assert np.linalg.norm(dense_sector_pair(kept, ("D", "K", 0, 2))) == 0.0
+    assert np.linalg.norm(dense_sector_pair(kept, ("K", "D", 1, 4))) == 0.0
 
 
 # ---------- dense materialization ----------

@@ -1,7 +1,7 @@
 """Source hygiene: no package module imports a name it neither uses nor
-exports, or exports a name it does not bind, the (bra, MPO, ket)
-contraction steps live in kdmps.tensor alone, and only kdmps.ed names the
-dense guard."""
+exports, or exports a name it does not bind, no private helper is left
+without a caller in the package, the (bra, MPO, ket) contraction steps live
+in kdmps.tensor alone, and only kdmps.ed names the dense guard."""
 
 import ast
 from pathlib import Path
@@ -50,6 +50,26 @@ def stale_exports(source: str) -> list[str]:
     return [name for name in exported if name not in bound]
 
 
+def orphaned_private(sources: dict[str, str]) -> list[str]:
+    """``module._name`` of every module-level ``_private`` function or class
+    in ``sources`` (module name -> source) that no other top-level statement
+    of any of them names: as a name, an attribute or an imported name.
+    References from inside the definition itself do not count."""
+    defined, named_by = [], {}
+    for module, source in sources.items():
+        for i, node in enumerate(ast.parse(source).body):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                if not node.name.startswith("__"):
+                    defined.append((module, i, node.name))
+            for sub in ast.walk(node):
+                names = [getattr(sub, "id", None), getattr(sub, "attr", None)]
+                if isinstance(sub, ast.ImportFrom):
+                    names += [alias.name for alias in sub.names]
+                for name in names:
+                    named_by.setdefault(name, set()).add((module, i))
+    return [f"{m}.{name}" for m, i, name in defined if not named_by.get(name, set()) - {(m, i)}]
+
+
 def test_checker_finds_a_planted_unused_import():
     source = "from __future__ import annotations\nimport os.path\nfrom .a import b, c as d\n__all__ = ['d']\nb()\n"
     assert unused_imports(source) == ["os"]
@@ -62,6 +82,22 @@ def test_checker_finds_a_planted_stale_export():
         "__all__ = ['os', 'c', 'X', 'Y', 'Z', 'f', 'K', 'b', 'gone', 'Spec']\n"
     )
     assert stale_exports(source) == ["b", "gone", "Spec"]
+
+
+def test_checker_finds_a_planted_orphaned_helper():
+    sources = {
+        "a": (
+            "def _called():\n    pass\n"
+            "def _recursive():\n    return _recursive()\n"
+            "class _Lonely:\n    def copy(self) -> '_Lonely':\n        return _Lonely()\n"
+            "def _imported():\n    pass\n"
+            "def _by_attribute():\n    pass\n"
+            "def __dunder__():\n    pass\n"
+            "def public(x: int = 0):\n    return _called()\n"
+        ),
+        "b": "import kdmps.a as ka\nfrom .a import _imported\nX = ka._by_attribute\n",
+    }
+    assert orphaned_private(sources) == ["a._recursive", "a._Lonely"]
 
 
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
@@ -77,6 +113,13 @@ def test_module_imports_only_what_it_uses(module):
 def test_module_exports_only_what_it_binds(module):
     stale = stale_exports((PACKAGE / f"{module}.py").read_text())
     assert not stale, f"kdmps.{module} lists {stale} in __all__ without binding them"
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    """A deletion that leaves a private helper behind fails here; a helper
+    only tests or the benchmark call belongs in them, not in kdmps."""
+    orphans = orphaned_private({m: (PACKAGE / f"{m}.py").read_text() for m in MODULES})
+    assert not orphans, f"{orphans} are defined in kdmps but named by no other statement there"
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "ed"])

@@ -30,7 +30,7 @@ from .dmrg import DmrgOptions, dmrg_ground_state
 from .ed import dense_hamiltonian, exact_spectrum, guard_dims, verify_identity_suite
 from .excitation import ExcitationOptions, save_excitation, solve_lowest_excitation
 from .mpo import Mpo, haldane_shastry_mpo, heisenberg_mpo, hs_first_excited_energy, hs_ground_energy
-from .mps import load_mps, random_mps, save_mps
+from .mps import Mps, load_mps, random_mps, save_mps
 from .tensor import TruncationPolicy
 from .variance import nsite_variance, write_variance_csv
 
@@ -151,15 +151,19 @@ def cmd_gs(config: RunConfig) -> int:
     return 0
 
 
-def cmd_variance(config: RunConfig, mps_path: str) -> int:
-    path = Path(mps_path)
+def _load_archive(config: RunConfig, path: Path) -> Mps:
+    """The MPS archive at ``path``; a ValueError when there is none or its
+    length is not the config's."""
     if not (path / "manifest.json").exists():
-        print(f"error: no MPS archive at {path}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no MPS archive at {path}")
     psi = load_mps(path)
     if psi.L != config.L:
-        print(f"error: archive has L={psi.L}, config says L={config.L}", file=sys.stderr)
-        return 2
+        raise ValueError(f"archive has L={psi.L}, config says L={config.L}")
+    return psi
+
+
+def cmd_variance(config: RunConfig, mps_path: str) -> int:
+    psi = _load_archive(config, Path(mps_path))
     h = build_model_mpo(config)
     report = nsite_variance(psi, h, config.effective_variance_n_max)
     out = Path(config.output_dir)
@@ -174,13 +178,7 @@ def cmd_variance(config: RunConfig, mps_path: str) -> int:
 
 def cmd_excite(config: RunConfig, gs_path: str) -> int:
     path = Path(gs_path)
-    if not (path / "manifest.json").exists():
-        print(f"error: no MPS archive at {path}", file=sys.stderr)
-        return 2
-    gs = load_mps(path)
-    if gs.L != config.L:
-        print(f"error: archive has L={gs.L}, config says L={config.L}", file=sys.stderr)
-        return 2
+    gs = _load_archive(config, path)
     h = build_model_mpo(config)
     opts = ExcitationOptions(seed=config.seed, tol=config.conv_tol)
     result = solve_lowest_excitation(gs, h, config.excitation_n, opts)
@@ -298,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_check(config)
         if args.command == "ed":
             return cmd_ed(config, args.k)
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # a missing blob is a malformed archive
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -41,13 +41,14 @@ import hashlib
 import json
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dmrg import build_env, lanczos_lowest
-from .mps import FORM_TOL, Mps, _manifest_field, load_mps, phys, site_tensors, virt
+from .mps import FORM_TOL, Mps, _manifest_field, load_mps, read_blob, site_tensors, write_archive
 from .mpo import Mpo, s2_total_mpo, sz_total_mpo
 from .projectors import KeptBases, _project_out_left, build_bases
 from .tensor import (
@@ -58,8 +59,7 @@ from .tensor import (
     ket_step,
     mpo_step,
     qr,
-    read_tensor_blob,
-    write_tensor_blob,
+    tensor_blob,
 )
 
 __all__ = [
@@ -103,11 +103,6 @@ class ExcitationState:
 
     @property
     def n_branches(self) -> int:
-        return self.L - self.n + 1
-
-    @property
-    def anchor(self) -> int:
-        """The unconstrained branch position L - n + 1."""
         return self.L - self.n + 1
 
     def branch_arrays(self, l: int) -> list[np.ndarray]:
@@ -164,7 +159,7 @@ def gauge_defect(x: ExcitationState) -> float:
     :func:`state_from_flat` builds have it at round-off.
     """
     dev = 0.0
-    for l in range(1, x.anchor):
+    for l in range(1, x.n_branches):
         t1 = x.windows[l - 1][0].data
         a = x.bases.left[l - 1].data
         kept_part = a.reshape(-1, a.shape[2]).T @ t1.reshape(-1, t1.shape[2])
@@ -481,23 +476,18 @@ def solve_lowest_excitation(gs: Mps, h: Mpo, n: int, opts: ExcitationOptions | N
 # ---------- archives ----------
 
 
-def _sha256(blobs: list[Path]) -> str:
-    """sha256 over the bytes of the given files, in order."""
+def _sha256(blobs: Iterable[bytes]) -> str:
+    """sha256 over the given byte strings, in order."""
     digest = hashlib.sha256()
     for blob in blobs:
-        digest.update(blob.read_bytes())
+        digest.update(blob)
     return digest.hexdigest()
 
 
 def _reference_digest(gs_path: Path) -> str:
     """sha256 of a reference archive's site blobs."""
     L = json.loads((gs_path / "manifest.json").read_text())["L"]
-    return _sha256([gs_path / f"site_{l}.ten" for l in range(1, L + 1)])
-
-
-def _window_blobs(path: Path, L: int, n: int) -> list[Path]:
-    """An excitation archive's window blobs in (branch l, slot i) order."""
-    return [path / f"t_{l}_{i}.ten" for l in range(1, L - n + 2) for i in range(1, n + 1)]
+    return _sha256((gs_path / f"site_{l}.ten").read_bytes() for l in range(1, L + 1))
 
 
 def save_excitation(x: ExcitationState, path, gs_path: str, extra: dict | None = None) -> None:
@@ -509,8 +499,9 @@ def save_excitation(x: ExcitationState, path, gs_path: str, extra: dict | None =
     also holds a sha256 of the reference's blobs, which the windows are
     only meaningful against, and one of the window blobs in (l, i) order.
 
-    Raises ValueError, before anything is written, when ``extra`` names a
-    key the manifest sets itself.
+    Raises before anything is written when ``extra`` names a key the
+    manifest sets itself (ValueError) or holds a value JSON cannot encode
+    (TypeError); :func:`kdmps.mps.write_archive` gives the write order.
     """
     path = Path(path)
     digest = _reference_digest(Path(gs_path))
@@ -531,12 +522,13 @@ def save_excitation(x: ExcitationState, path, gs_path: str, extra: dict | None =
     if clash:
         raise ValueError(f"extra sets the manifest's own keys {clash}")
     manifest.update(extra or {})
-    path.mkdir(parents=True, exist_ok=True)
-    for l in range(1, x.n_branches + 1):
-        for i, t in enumerate(x.windows[l - 1], start=1):
-            write_tensor_blob(path / f"t_{l}_{i}.ten", t)
-    manifest["windows_sha256"] = _sha256(_window_blobs(path, x.L, x.n))
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    blobs = {
+        f"t_{l}_{i}.ten": tensor_blob(t.data)
+        for l, chain in enumerate(x.windows, start=1)
+        for i, t in enumerate(chain, start=1)
+    }
+    manifest["windows_sha256"] = _sha256(blobs.values())
+    write_archive(path, manifest, blobs)
 
 
 def load_excitation(path) -> tuple[ExcitationState, dict]:
@@ -577,21 +569,15 @@ def load_excitation(path) -> tuple[ExcitationState, dict]:
         raise ValueError(f"{path}: manifest gives L = {L}, d = {d}, but the reference has L = {bases.L}, d = {bases.d}")
     if not 1 <= n <= L or len(bonds) != L - n + 1 or any(not isinstance(b, list) or len(b) != n - 1 for b in bonds):
         raise ValueError(f"{path}: n = {n} does not fit L = {L} and the manifest's window_bonds")
+    names = [[f"t_{l}_{i}.ten" for i in range(1, n + 1)] for l in range(1, L - n + 2)]
     chains = []
-    for l in range(1, L - n + 2):
+    for l, branch in enumerate(names, start=1):
         edges = [bases.dims[l - 1]] + list(bonds[l - 1]) + [bases.dims[l + n - 1]]
-        chain = []
-        for i, s in enumerate(range(l, l + n), start=1):
-            t = read_tensor_blob(path / f"t_{l}_{i}.ten", (virt(s - 1), phys(s), virt(s)))
-            want = (edges[i - 1], d, edges[i])
-            if t.shape != want:
-                raise ValueError(f"{path}: t_{l}_{i}.ten has shape {t.shape}, but the manifest gives {want}")
-            chain.append(t)
-        chains.append(tuple(chain))
+        chains.append(site_tensors([read_blob(path, s, (edges[i], d, edges[i + 1])) for i, s in enumerate(branch)], l))
     x = ExcitationState(bases=bases, n=n, windows=tuple(chains))
     defect = gauge_defect(x)
     if not defect <= FORM_TOL * max(1.0, np.linalg.norm(flatten(x))):
         raise ValueError(f"{path}: the windows violate the discarded-space gauge condition by {defect:.3g}")
-    if _sha256(_window_blobs(path, L, n)) != windows_sha:
+    if _sha256((path / s).read_bytes() for branch in names for s in branch) != windows_sha:
         raise ValueError(f"{path}: the window blobs changed after the excitation was saved")
     return x, manifest

@@ -11,8 +11,9 @@ the Heisenberg chain (J on the superdiagonal), total S^z (onsite only),
 total S^2 (J constant) and the Haldane-Shastry ring (J dense). The bond at
 cut l carries three channels per direction of the column space of the
 block J[:l, l:] (its SVD, cut at HS_CUTOFF), so every bond is minimal as
-built and no compression pass runs; :func:`mpo_sum_compress` stays for
-sums of operators. All builders stay in real arithmetic: spin couplings
+built and no compression pass runs. No builder sums operators;
+:func:`mpo_sum_compress` stays as the reference the tests hold built bonds
+against for minimality. All builders stay in real arithmetic: spin couplings
 enter through S^z and the ladder pair, S.S = (S+S- + S-S+)/2 + S^z S^z.
 """
 

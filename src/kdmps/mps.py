@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Tensor, qr, read_tensor_blob, transfer_left, write_tensor_blob
+from .tensor import Tensor, qr, read_tensor_blob, tensor_blob, transfer_left
 
 __all__ = [
     "Mps",
@@ -106,10 +106,6 @@ class Mps:
     def bond_dims(self) -> tuple[int, ...]:
         """Extents of bonds 0..L (outer dummies included)."""
         return tuple([self.sites[0].shape[0]] + [t.shape[2] for t in self.sites])
-
-    def site(self, l: int) -> Tensor:
-        """Site tensor at 1-based position ``l``."""
-        return self.sites[l - 1]
 
     def plain_sites(self) -> list[Tensor]:
         """The site tensors as a list; the benchmark (``perfbench``) reads them
@@ -246,8 +242,6 @@ def mps_norm(psi: Mps) -> float:
 
 def save_mps(psi: Mps, path) -> None:
     """Write an MPS archive: manifest.json plus one blob per site tensor."""
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
     manifest = {
         "format_version": 1,
         "kind": "mps",
@@ -257,9 +251,22 @@ def save_mps(psi: Mps, path) -> None:
         "form": {"kind": psi.form, "index": psi.center},
         "norm": mps_norm(psi),
     }
-    for l in range(1, psi.L + 1):
-        write_tensor_blob(path / f"site_{l}.ten", psi.site(l))
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    blobs = {f"site_{l}.ten": tensor_blob(t.data) for l, t in enumerate(psi.sites, start=1)}
+    write_archive(Path(path), manifest, blobs)
+
+
+def write_archive(path: Path, manifest: dict, blobs: dict[str, bytes]) -> None:
+    """Write an archive directory: the blobs (file name -> bytes), then
+    ``manifest`` as manifest.json. The manifest is serialized before
+    anything touches the disk, and an old manifest.json is removed before
+    the first blob, so a write that fails part-way leaves no manifest
+    beside the blobs it changed."""
+    text = json.dumps(manifest, indent=2)
+    path.mkdir(parents=True, exist_ok=True)
+    (path / "manifest.json").unlink(missing_ok=True)
+    for name, blob in blobs.items():
+        (path / name).write_bytes(blob)
+    (path / "manifest.json").write_text(text)
 
 
 def _manifest_field(path: Path, manifest: dict, key: str, kind: type):
@@ -274,6 +281,15 @@ def _manifest_field(path: Path, manifest: dict, key: str, kind: type):
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{path}: the manifest's {key} should be of type {kind.__name__}, not {value!r}")
     return value
+
+
+def read_blob(path: Path, name: str, want: tuple[int, ...]) -> np.ndarray:
+    """The array in the archive's blob ``name``; a ValueError names the blob
+    when its shape is not ``want``."""
+    a = read_tensor_blob(path / name)
+    if a.shape != want:
+        raise ValueError(f"{path}: {name} has shape {a.shape}, but the manifest gives {want}")
+    return a
 
 
 def load_mps(path) -> Mps:
@@ -297,14 +313,8 @@ def load_mps(path) -> Mps:
         raise ValueError(f"{path}: the manifest claims {form!r} form; only 'raw' and 'site' archives are read")
     if len(dims) != L + 1:
         raise ValueError(f"{path}: manifest lists {len(dims)} bond_dims for L = {L}")
-    sites = []
-    for l in range(1, L + 1):
-        t = read_tensor_blob(path / f"site_{l}.ten", (virt(l - 1), phys(l), virt(l)))
-        want = (dims[l - 1], d, dims[l])
-        if t.shape != want:
-            raise ValueError(f"{path}: site_{l}.ten has shape {t.shape}, but the manifest gives {want}")
-        sites.append(t)
-    psi = Mps(tuple(sites), form=form, center=center)
+    sites = [read_blob(path, f"site_{l}.ten", (dims[l - 1], d, dims[l])) for l in range(1, L + 1)]
+    psi = Mps(site_tensors(sites), form=form, center=center)
     defect = canonical_defect(psi)
     if not defect <= FORM_TOL:
         raise ValueError(f"{path}: the manifest claims {form} form at {center}, but the gauge defect is {defect:.3g}")

@@ -61,7 +61,7 @@ __all__ = [
     "apply_window",
     "env_step_left",
     "env_step_right",
-    "write_tensor_blob",
+    "tensor_blob",
     "read_tensor_blob",
 ]
 
@@ -356,20 +356,17 @@ def env_step_right(env: np.ndarray, bra: np.ndarray, op: np.ndarray, ket: np.nda
 # ---------- binary blob format ----------
 #
 # magic "KDMPSTEN" | u32 rank | rank x u64 extents | row-major f64 payload,
-# all little-endian. Leg names are not stored; callers reattach them.
+# all little-endian. Leg names are not stored.
 
 
-def write_tensor_blob(path, t: Tensor) -> None:
-    """Write a tensor to the binary blob format (legs are not persisted)."""
-    with open(path, "wb") as fh:
-        fh.write(TENSOR_MAGIC)
-        fh.write(struct.pack("<I", t.data.ndim))
-        fh.write(struct.pack(f"<{t.data.ndim}Q", *t.shape))
-        fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+def tensor_blob(a: np.ndarray) -> bytes:
+    """An array in the binary blob format."""
+    header = struct.pack(f"<I{a.ndim}Q", a.ndim, *a.shape)
+    return TENSOR_MAGIC + header + np.ascontiguousarray(a, dtype="<f8").tobytes()
 
 
-def read_tensor_blob(path, legs: Sequence[str]) -> Tensor:
-    """Read a tensor blob and attach the given leg names (ValueError on a bad magic or a cut blob)."""
+def read_tensor_blob(path) -> np.ndarray:
+    """Read the array in a blob file (ValueError on a bad magic or a cut blob)."""
     with open(path, "rb") as fh:
         magic = fh.read(len(TENSOR_MAGIC))
         if magic != TENSOR_MAGIC:
@@ -381,4 +378,4 @@ def read_tensor_blob(path, legs: Sequence[str]) -> Tensor:
             data = np.frombuffer(fh.read(8 * count), dtype="<f8", count=count)
         except (struct.error, ValueError):
             raise ValueError(f"{path}: the blob is truncated") from None
-    return Tensor(data.reshape(shape), legs)
+    return data.reshape(shape)

@@ -240,6 +240,11 @@ def test_malformed_archives_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "excite", *model, "--gs", str(archive))
     assert code == 2
     assert "site_2.ten: the blob is truncated" in err
+    blob.unlink()
+    for command, flag in (("variance", "--mps"), ("excite", "--gs")):
+        code, _, err = run_cli(capsys, command, *model, flag, str(archive))
+        assert code == 2
+        assert err.startswith("error: ") and "site_2.ten" in err
 
 
 def test_runs_reproducible_from_seed(tmp_path, capsys):

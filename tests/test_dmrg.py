@@ -376,10 +376,10 @@ def test_dmrg_gauge_checks_after_sweeps():
     )
     psi = r.psi
     for l in range(1, psi.center):
-        m = psi.site(l).data.reshape(-1, psi.site(l).data.shape[2])
+        m = psi.sites[l - 1].data.reshape(-1, psi.sites[l - 1].data.shape[2])
         npt.assert_allclose(m.T @ m, np.eye(m.shape[1]), atol=1e-10)
     for l in range(psi.center + 1, psi.L + 1):
-        m = psi.site(l).data.reshape(psi.site(l).data.shape[0], -1)
+        m = psi.sites[l - 1].data.reshape(psi.sites[l - 1].data.shape[0], -1)
         npt.assert_allclose(m @ m.T, np.eye(m.shape[0]), atol=1e-10)
 
 

@@ -49,7 +49,7 @@ def bases_for(L, cap, seed):
 def test_init_smallest_case_product_reference():
     kept = build_bases(product_mps(2, 2, [np.array([1.0, 0.0]), np.array([0.0, 1.0])]))
     x = random_excitation(kept, 1, seed=0)
-    assert x.n_branches == 2 and x.anchor == 2
+    assert x.n_branches == 2
     assert x.windows[0][0].shape == (1, 2, 1)
     assert x.windows[1][0].shape == (1, 2, 1)
     # non-anchor branch carries the discarded projection
@@ -412,7 +412,7 @@ def test_apply_branch_windows_match_dense_frame_assembly():
     for l in range(1, x.n_branches + 1):
         frame = np.kron(np.kron(fold_chain(a[: l - 1])[0], np.eye(2**n)), fold_chain(b[l + n - 1 :])[:, :, 0].T)
         want = (frame.T @ hx).reshape(kept.dims[l - 1], 2, kept.dims[l])
-        if l < x.anchor:
+        if l < x.n_branches:
             want = _project_out_left(want, a[l - 1])
         got = out.windows[l - 1][0].data
         npt.assert_allclose(got, want, atol=1e-12)
@@ -696,6 +696,23 @@ def test_save_excitation_refuses_extra_keys_of_its_own_manifest(tmp_path):
         with pytest.raises(ValueError, match=f"own keys \\['{key}'\\]"):
             save_excitation(x, target, gs_path=str(tmp_path / "gs"), extra={"E_ex": 1.0, key: 2})
         assert not target.exists()  # refused before anything is written
+
+
+def test_save_excitation_writes_nothing_when_the_manifest_cannot_be_encoded(tmp_path):
+    save_mps(random_mps(6, 2, bond_cap=4, seed=3), tmp_path / "gs")
+    bases = build_bases(load_mps(tmp_path / "gs"))
+    x, y = random_excitation(bases, 2, seed=4), random_excitation(bases, 2, seed=5)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        save_excitation(x, tmp_path / "new", gs_path=str(tmp_path / "gs"), extra={"seed": np.int64(5)})
+    assert not (tmp_path / "new").exists()
+    save_excitation(x, tmp_path / "exc", gs_path=str(tmp_path / "gs"), extra={"seed": 5})
+    before = {p.name: p.read_bytes() for p in (tmp_path / "exc").iterdir()}
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        save_excitation(y, tmp_path / "exc", gs_path=str(tmp_path / "gs"), extra={"seed": np.int64(5)})
+    assert {p.name: p.read_bytes() for p in (tmp_path / "exc").iterdir()} == before
+    back, manifest = load_excitation(tmp_path / "exc")
+    assert manifest["seed"] == 5
+    npt.assert_array_equal(flatten(back), flatten(x))
 
 
 def test_excitation_archive_rejects_a_changed_reference(tmp_path):

@@ -20,7 +20,7 @@ from kdmps.mps import (
     virt,
 )
 from kdmps.projectors import build_bases
-from kdmps.tensor import Tensor, write_tensor_blob
+from kdmps.tensor import Tensor, tensor_blob
 from state_helpers import mps_sum
 
 GAUGE_TOL = 1e-10
@@ -30,10 +30,10 @@ DENSE_TOL = 1e-12
 def assert_site_canonical(psi: Mps):
     assert psi.form == "site"
     for l in range(1, psi.center):
-        m = psi.site(l).data.reshape(-1, psi.site(l).data.shape[2])
+        m = psi.sites[l - 1].data.reshape(-1, psi.sites[l - 1].data.shape[2])
         npt.assert_allclose(m.T @ m, np.eye(m.shape[1]), atol=GAUGE_TOL)
     for l in range(psi.center + 1, psi.L + 1):
-        m = psi.site(l).data.reshape(psi.site(l).data.shape[0], -1)
+        m = psi.sites[l - 1].data.reshape(psi.sites[l - 1].data.shape[0], -1)
         npt.assert_allclose(m @ m.T, np.eye(m.shape[0]), atol=GAUGE_TOL)
 
 
@@ -295,7 +295,7 @@ def test_mps_archive_rejects_the_bond_form(tmp_path):
     u, weights, vh = np.linalg.svd(bonds[2])
     sites = [a_set[0], np.tensordot(a_set[1], u, axes=(2, 0)), np.tensordot(vh, b_set[2], axes=(1, 0)), b_set[3]]
     save_mps(Mps(site_tensors(sites)), tmp_path / "state")
-    write_tensor_blob(tmp_path / "state" / "bond_weights.ten", Tensor(weights, ("s",)))
+    (tmp_path / "state" / "bond_weights.ten").write_bytes(tensor_blob(weights))
     manifest_path = tmp_path / "state" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["form"] = {"kind": "bond", "index": 2}
@@ -339,3 +339,28 @@ def test_mps_archive_rejects_a_truncated_blob(tmp_path):
     blob.write_bytes(blob.read_bytes()[:10])
     with pytest.raises(ValueError, match=r"site_2\.ten: the blob is truncated"):
         load_mps(tmp_path / "state")
+
+
+def test_mps_archive_save_that_fails_part_way_leaves_no_manifest(tmp_path, monkeypatch):
+    # over an archive of equal shapes, a mix of new and old site blobs passes
+    # every check of load_mps, so only a missing manifest can reject it
+    from pathlib import Path
+
+    path = tmp_path / "state"
+    save_mps(random_mps(6, 2, bond_cap=4, seed=1), path)
+    write_bytes, written = Path.write_bytes, []
+
+    def fail_on_the_third_blob(self, data):
+        if len(written) == 2:
+            raise OSError("disk full")
+        written.append(self.name)
+        return write_bytes(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", fail_on_the_third_blob)
+    with pytest.raises(OSError, match="disk full"):
+        save_mps(random_mps(6, 2, bond_cap=4, seed=2), path)
+    monkeypatch.undo()
+    assert written == ["site_1.ten", "site_2.ten"]
+    assert not (path / "manifest.json").exists()
+    with pytest.raises(FileNotFoundError):
+        load_mps(path)

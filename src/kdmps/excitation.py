@@ -38,7 +38,6 @@ are formed only for the returned state.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 from collections.abc import Iterable
@@ -48,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .dmrg import build_env, lanczos_lowest
-from .mps import FORM_TOL, Mps, _manifest_field, load_mps, read_blob, site_tensors, write_archive
+from .mps import FORM_TOL, Mps, _manifest_field, load_mps, read_manifest, site_tensors, write_archive
 from .mpo import Mpo, s2_total_mpo, sz_total_mpo
 from .projectors import KeptBases, _project_out_left, build_bases
 from .tensor import (
@@ -59,6 +58,7 @@ from .tensor import (
     ket_step,
     mpo_step,
     qr,
+    read_tensor_blob,
     tensor_blob,
 )
 
@@ -478,16 +478,7 @@ def solve_lowest_excitation(gs: Mps, h: Mpo, n: int, opts: ExcitationOptions | N
 
 def _sha256(blobs: Iterable[bytes]) -> str:
     """sha256 over the given byte strings, in order."""
-    digest = hashlib.sha256()
-    for blob in blobs:
-        digest.update(blob)
-    return digest.hexdigest()
-
-
-def _reference_digest(gs_path: Path) -> str:
-    """sha256 of a reference archive's site blobs."""
-    L = json.loads((gs_path / "manifest.json").read_text())["L"]
-    return _sha256((gs_path / f"site_{l}.ten").read_bytes() for l in range(1, L + 1))
+    return hashlib.sha256(b"".join(blobs)).hexdigest()
 
 
 def save_excitation(x: ExcitationState, path, gs_path: str, extra: dict | None = None) -> None:
@@ -496,15 +487,17 @@ def save_excitation(x: ExcitationState, path, gs_path: str, extra: dict | None =
     A relative ``gs_path`` (taken from the working directory) is stored
     relative to the archive directory, so the archive reloads from any
     working directory; an absolute one is stored as given. The manifest
-    also holds a sha256 of the reference's blobs, which the windows are
-    only meaningful against, and one of the window blobs in (l, i) order.
+    also holds a sha256 of the reference's site blobs as
+    :func:`kdmps.mps.load_mps` reads them, which the windows are only
+    meaningful against, and one of the window blobs in (l, i) order.
 
-    Raises before anything is written when ``extra`` names a key the
-    manifest sets itself (ValueError) or holds a value JSON cannot encode
-    (TypeError); :func:`kdmps.mps.write_archive` gives the write order.
+    Raises before anything is written when the reference does not load, or
+    when ``extra`` names a key the manifest sets itself (ValueError) or
+    holds a value JSON cannot encode (TypeError);
+    :func:`kdmps.mps.write_archive` gives the write order.
     """
     path = Path(path)
-    digest = _reference_digest(Path(gs_path))
+    digest = _sha256(tensor_blob(t.data) for t in load_mps(gs_path).sites)
     if not Path(gs_path).is_absolute():
         gs_path = os.path.relpath(gs_path, path)
     manifest = {
@@ -522,62 +515,51 @@ def save_excitation(x: ExcitationState, path, gs_path: str, extra: dict | None =
     if clash:
         raise ValueError(f"extra sets the manifest's own keys {clash}")
     manifest.update(extra or {})
-    blobs = {
-        f"t_{l}_{i}.ten": tensor_blob(t.data)
-        for l, chain in enumerate(x.windows, start=1)
-        for i, t in enumerate(chain, start=1)
-    }
+    blobs = {f"t_{l}_{i}.ten": tensor_blob(t.data) for l, c in enumerate(x.windows, 1) for i, t in enumerate(c, 1)}
     manifest["windows_sha256"] = _sha256(blobs.values())
     write_archive(path, manifest, blobs)
 
 
 def load_excitation(path) -> tuple[ExcitationState, dict]:
     """Read an excitation archive (rebuilds the gauge from the referenced
-    reference-state archive).
+    reference-state archive, which loads through :func:`kdmps.mps.load_mps`).
 
-    Only format 4 is read: a relative reference path resolves against the
-    archive directory, and the manifest's two sha256 sums must match the
-    reference's blobs and the window blobs (an equal-shape swap of windows
-    passes every other check). Raises ValueError for any other
-    format_version, when the manifest lacks a key or holds a value of the
-    wrong type, and when either hash does not match.
-
-    Also raises ValueError when the manifest's L or d disagree with the
-    reference, when n or the window bonds do not fit the chain, when a
-    blob is truncated or its shape disagrees with the reference bonds and
-    the manifest's window_bonds, or when the windows violate the
-    discarded-space gauge condition by more than FORM_TOL (relative to the
-    state's norm).
+    Only format 4 is read; a relative reference path resolves against the
+    archive directory. Raises ValueError for another format_version, when
+    the manifest lacks a key or holds a value of the wrong type, when its
+    L or d disagree with the reference, when n or the window bonds do not
+    fit the chain, when a blob is not exactly one array of the shape the
+    bonds give, when the windows violate the discarded-space gauge
+    condition by more than FORM_TOL (relative to the state's norm), or when
+    a sha256 (of the reference's site blobs or of the window blobs, as
+    read) does not match: an equal-shape swap of windows passes every other
+    check.
     """
     path = Path(path)
-    manifest = json.loads((path / "manifest.json").read_text())
-    if not isinstance(manifest, dict) or manifest.get("kind") != "excitation":
-        raise ValueError(f"{path}: not an excitation archive")
-    version = manifest.get("format_version")
-    if version != 4:
-        raise ValueError(f"{path}: the manifest claims format {version!r}; only format 4 is read")
+    manifest = read_manifest(path, "excitation", 4)
     gs_ref, gs_sha, windows_sha = (
         _manifest_field(path, manifest, k, str) for k in ("ground_state", "ground_state_sha256", "windows_sha256")
     )
     n, L, d = (_manifest_field(path, manifest, k, int) for k in ("n", "L", "d"))
     bonds = _manifest_field(path, manifest, "window_bonds", list)
     gs_path = path / gs_ref  # an absolute path stays as it is
-    if _reference_digest(gs_path) != gs_sha:
+    gs = load_mps(gs_path)
+    if _sha256(tensor_blob(t.data) for t in gs.sites) != gs_sha:
         raise ValueError(f"{path}: the reference archive {gs_path} changed after the excitation was saved")
-    bases = build_bases(load_mps(gs_path))
+    bases = build_bases(gs)
     if (L, d) != (bases.L, bases.d):
         raise ValueError(f"{path}: manifest gives L = {L}, d = {d}, but the reference has L = {bases.L}, d = {bases.d}")
     if not 1 <= n <= L or len(bonds) != L - n + 1 or any(not isinstance(b, list) or len(b) != n - 1 for b in bonds):
         raise ValueError(f"{path}: n = {n} does not fit L = {L} and the manifest's window_bonds")
-    names = [[f"t_{l}_{i}.ten" for i in range(1, n + 1)] for l in range(1, L - n + 2)]
     chains = []
-    for l, branch in enumerate(names, start=1):
+    for l in range(1, L - n + 2):
         edges = [bases.dims[l - 1]] + list(bonds[l - 1]) + [bases.dims[l + n - 1]]
-        chains.append(site_tensors([read_blob(path, s, (edges[i], d, edges[i + 1])) for i, s in enumerate(branch)], l))
+        shapes = [(edges[i - 1], d, edges[i]) for i in range(1, n + 1)]
+        chains.append(site_tensors([read_tensor_blob(path / f"t_{l}_{i}.ten", s) for i, s in enumerate(shapes, 1)], l))
     x = ExcitationState(bases=bases, n=n, windows=tuple(chains))
     defect = gauge_defect(x)
     if not defect <= FORM_TOL * max(1.0, np.linalg.norm(flatten(x))):
         raise ValueError(f"{path}: the windows violate the discarded-space gauge condition by {defect:.3g}")
-    if _sha256((path / s).read_bytes() for branch in names for s in branch) != windows_sha:
+    if _sha256(tensor_blob(t.data) for chain in chains for t in chain) != windows_sha:
         raise ValueError(f"{path}: the window blobs changed after the excitation was saved")
     return x, manifest

@@ -260,10 +260,14 @@ def write_archive(path: Path, manifest: dict, blobs: dict[str, bytes]) -> None:
     ``manifest`` as manifest.json. The manifest is serialized before
     anything touches the disk, and an old manifest.json is removed before
     the first blob, so a write that fails part-way leaves no manifest
-    beside the blobs it changed."""
+    beside the blobs it changed. Other ``*.ten`` files go with it (blobs of
+    a larger earlier archive); no other file is touched."""
     text = json.dumps(manifest, indent=2)
     path.mkdir(parents=True, exist_ok=True)
     (path / "manifest.json").unlink(missing_ok=True)
+    for stale in path.glob("*.ten"):
+        if stale.name not in blobs:
+            stale.unlink()
     for name, blob in blobs.items():
         (path / name).write_bytes(blob)
     (path / "manifest.json").write_text(text)
@@ -283,28 +287,30 @@ def _manifest_field(path: Path, manifest: dict, key: str, kind: type):
     return value
 
 
-def read_blob(path: Path, name: str, want: tuple[int, ...]) -> np.ndarray:
-    """The array in the archive's blob ``name``; a ValueError names the blob
-    when its shape is not ``want``."""
-    a = read_tensor_blob(path / name)
-    if a.shape != want:
-        raise ValueError(f"{path}: {name} has shape {a.shape}, but the manifest gives {want}")
-    return a
+def read_manifest(path: Path, kind: str, version: int) -> dict:
+    """The archive's manifest.json; a ValueError when it is not a JSON
+    object of ``kind`` at format_version ``version``."""
+    manifest = json.loads((path / "manifest.json").read_text())
+    if not isinstance(manifest, dict) or manifest.get("kind") != kind:
+        raise ValueError(f"{path}: not an {kind} archive")
+    found = manifest.get("format_version")
+    if type(found) is not int or found != version:
+        raise ValueError(f"{path}: the manifest claims format {found!r}; only format {version} is read")
+    return manifest
 
 
 def load_mps(path) -> Mps:
     """Read an MPS archive written by :func:`save_mps`.
 
-    Raises ValueError when the manifest lacks a key or holds a value of the
-    wrong type, when it claims a form other than "raw" or "site" (earlier
-    versions also wrote a "bond" form), when a blob is truncated or its
-    shape disagrees with the manifest, or when the state violates the
-    claimed canonical form by more than FORM_TOL.
+    Only format 1 is read. Raises ValueError for another format_version,
+    when the manifest lacks a key or holds a value of the wrong type, when
+    it claims a form other than "raw" or "site" (earlier versions also
+    wrote a "bond" form), when a blob is not exactly one array of the
+    manifest's shape, or when the state violates the claimed canonical form
+    by more than FORM_TOL.
     """
     path = Path(path)
-    manifest = json.loads((path / "manifest.json").read_text())
-    if not isinstance(manifest, dict) or manifest.get("kind") != "mps":
-        raise ValueError(f"{path}: not an MPS archive")
+    manifest = read_manifest(path, "mps", 1)
     form = _manifest_field(path, manifest, "form.kind", str)
     center = _manifest_field(path, manifest, "form.index", int)
     L, d = (_manifest_field(path, manifest, k, int) for k in ("L", "d"))
@@ -313,7 +319,7 @@ def load_mps(path) -> Mps:
         raise ValueError(f"{path}: the manifest claims {form!r} form; only 'raw' and 'site' archives are read")
     if len(dims) != L + 1:
         raise ValueError(f"{path}: manifest lists {len(dims)} bond_dims for L = {L}")
-    sites = [read_blob(path, f"site_{l}.ten", (dims[l - 1], d, dims[l])) for l in range(1, L + 1)]
+    sites = [read_tensor_blob(path / f"site_{l}.ten", (dims[l - 1], d, dims[l])) for l in range(1, L + 1)]
     psi = Mps(site_tensors(sites), form=form, center=center)
     defect = canonical_defect(psi)
     if not defect <= FORM_TOL:

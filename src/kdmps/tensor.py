@@ -37,6 +37,7 @@ representations, so no complex support is provided.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -365,17 +366,25 @@ def tensor_blob(a: np.ndarray) -> bytes:
     return TENSOR_MAGIC + header + np.ascontiguousarray(a, dtype="<f8").tobytes()
 
 
-def read_tensor_blob(path) -> np.ndarray:
-    """Read the array in a blob file (ValueError on a bad magic or a cut blob)."""
+def read_tensor_blob(path, shape: tuple[int, ...]) -> np.ndarray:
+    """The array of ``shape`` in a blob file. The magic, the header's extents
+    and the file's size (the header plus 8 bytes per entry) are checked
+    before the payload is read (ValueError), so no read outruns the file."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(TENSOR_MAGIC))
         if magic != TENSOR_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        try:
-            (rank,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
-            count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-            data = np.frombuffer(fh.read(8 * count), dtype="<f8", count=count)
-        except (struct.error, ValueError):
-            raise ValueError(f"{path}: the blob is truncated") from None
-    return data.reshape(shape)
+        rank = int.from_bytes(fh.read(4), "little")
+        start = len(TENSOR_MAGIC) + 4 + 8 * rank  # above size for a file cut inside the rank
+        if size < start:
+            raise ValueError(f"{path}: the blob is truncated")
+        got = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
+        if got != tuple(shape):
+            raise ValueError(f"{path} has shape {got}, but the manifest gives {tuple(shape)}")
+        end = start + 8 * math.prod(got)
+        if size < end:
+            raise ValueError(f"{path}: the blob is truncated")
+        if size > end:
+            raise ValueError(f"{path}: the blob runs {size - end} bytes past its payload")
+        return np.frombuffer(fh.read(end - start), dtype="<f8").reshape(got)

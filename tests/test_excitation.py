@@ -740,6 +740,59 @@ def test_excitation_archive_rejects_a_changed_reference(tmp_path):
         load_excitation(tmp_path / "exc")
 
 
+def test_excitation_archive_hashes_are_the_sha256_of_the_blob_files(tmp_path):
+    # a format pin: the stored sums are taken over the blob files' bytes, in
+    # site order for the reference and (l, i) order for the windows
+    import hashlib
+
+    save_mps(random_mps(6, 2, bond_cap=4, seed=3), tmp_path / "gs")
+    x = random_excitation(build_bases(load_mps(tmp_path / "gs")), 2, seed=4)
+    save_excitation(x, tmp_path / "exc", gs_path=str(tmp_path / "gs"))
+    manifest = json.loads((tmp_path / "exc" / "manifest.json").read_text())
+
+    def sha256_of(paths):
+        return hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
+
+    assert manifest["ground_state_sha256"] == sha256_of(tmp_path / "gs" / f"site_{l}.ten" for l in range(1, 7))
+    windows = [tmp_path / "exc" / f"t_{l}_{i}.ten" for l in range(1, 6) for i in (1, 2)]
+    assert manifest["windows_sha256"] == sha256_of(windows)
+
+
+def test_excitation_archive_rejects_a_reference_manifest_without_l(tmp_path):
+    save_mps(random_mps(6, 2, bond_cap=4, seed=3), tmp_path / "gs")
+    x = random_excitation(build_bases(load_mps(tmp_path / "gs")), 1, seed=4)
+    save_excitation(x, tmp_path / "exc", gs_path=str(tmp_path / "gs"))
+    manifest_path = tmp_path / "gs" / "manifest.json"
+    manifest_path.write_text(json.dumps({k: v for k, v in json.loads(manifest_path.read_text()).items() if k != "L"}))
+    with pytest.raises(ValueError, match="the manifest lacks L"):
+        load_excitation(tmp_path / "exc")
+    with pytest.raises(ValueError, match="the manifest lacks L"):
+        save_excitation(x, tmp_path / "new", gs_path=str(tmp_path / "gs"))
+    assert not (tmp_path / "new").exists()
+
+
+def test_excitation_archive_rejects_bytes_past_a_window_payload(tmp_path):
+    save_mps(random_mps(6, 2, bond_cap=4, seed=3), tmp_path / "gs")
+    x = random_excitation(build_bases(load_mps(tmp_path / "gs")), 2, seed=4)
+    save_excitation(x, tmp_path / "exc", gs_path=str(tmp_path / "gs"))
+    blob = tmp_path / "exc" / "t_3_2.ten"
+    blob.write_bytes(blob.read_bytes() + bytes(8))
+    with pytest.raises(ValueError, match=r"t_3_2\.ten: the blob runs 8 bytes past its payload"):
+        load_excitation(tmp_path / "exc")
+
+
+def test_excitation_archive_saved_over_a_longer_one_leaves_only_its_own_files(tmp_path):
+    save_mps(random_mps(6, 2, bond_cap=4, seed=3), tmp_path / "gs")
+    bases = build_bases(load_mps(tmp_path / "gs"))
+    save_excitation(random_excitation(bases, 2, seed=4), tmp_path / "exc", gs_path=str(tmp_path / "gs"))
+    assert len(list((tmp_path / "exc").iterdir())) == 11
+    x = random_excitation(bases, 1, seed=5)
+    save_excitation(x, tmp_path / "exc", gs_path=str(tmp_path / "gs"))
+    names = sorted(p.name for p in (tmp_path / "exc").iterdir())
+    assert names == ["manifest.json"] + [f"t_{l}_1.ten" for l in range(1, 7)]
+    npt.assert_array_equal(flatten(load_excitation(tmp_path / "exc")[0]), flatten(x))
+
+
 def test_excitation_archive_reloads_from_another_directory(tmp_path, monkeypatch):
     h = heisenberg_mpo(4)
     gs = dmrg_ground_state(random_mps(4, 2, bond_cap=4, seed=1), h, "2s", DmrgOptions(n_sweeps=4))

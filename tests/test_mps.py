@@ -341,6 +341,70 @@ def test_mps_archive_rejects_a_truncated_blob(tmp_path):
         load_mps(tmp_path / "state")
 
 
+def test_mps_archive_rejects_bytes_past_a_blob_payload(tmp_path):
+    save_mps(random_mps(6, 2, bond_cap=4, seed=5), tmp_path / "state")
+    blob = tmp_path / "state" / "site_3.ten"
+    blob.write_bytes(blob.read_bytes() + bytes(8))
+    with pytest.raises(ValueError, match=r"site_3\.ten: the blob runs 8 bytes past its payload"):
+        load_mps(tmp_path / "state")
+
+
+def test_mps_archive_reads_no_more_bytes_than_a_blob_holds(tmp_path):
+    import json
+    import struct
+    import tracemalloc
+
+    save_mps(random_mps(2, 2, seed=0), tmp_path / "state")
+    manifest_path = tmp_path / "state" / "manifest.json"
+    manifest_path.write_text(json.dumps({**json.loads(manifest_path.read_text()), "bond_dims": [1, 2**23, 1]}))
+    # a 64-byte site_1 whose header claims the manifest's (1, 2, 2^23): 2^24 doubles, 128 MiB
+    header = b"KDMPSTEN" + struct.pack("<I3Q", 3, 1, 2, 2**23)
+    (tmp_path / "state" / "site_1.ten").write_bytes(header + bytes(64 - len(header)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"site_1\.ten: the blob is truncated"):
+            load_mps(tmp_path / "state")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_mps_archive_reads_format_1_only(tmp_path):
+    import json
+
+    save_mps(random_mps(4, 2, bond_cap=2, seed=5), tmp_path / "state")
+    manifest_path = tmp_path / "state" / "manifest.json"
+    good = json.loads(manifest_path.read_text())
+    assert good["format_version"] == 1
+    manifest_path.write_text(json.dumps({**good, "format_version": 2}))
+    with pytest.raises(ValueError, match="claims format 2; only format 1 is read"):
+        load_mps(tmp_path / "state")
+    manifest_path.write_text(json.dumps({**good, "kind": "excitation"}))
+    with pytest.raises(ValueError, match="not an mps archive"):
+        load_mps(tmp_path / "state")
+
+
+def test_mps_archive_saved_over_a_longer_one_leaves_only_its_own_files(tmp_path):
+    path = tmp_path / "state"
+    save_mps(random_mps(8, 2, bond_cap=4, seed=1), path)
+    psi = random_mps(6, 2, bond_cap=4, seed=2)
+    save_mps(psi, path)
+    assert sorted(p.name for p in path.iterdir()) == ["manifest.json"] + [f"site_{l}.ten" for l in range(1, 7)]
+    for ta, tb in zip(load_mps(path).sites, psi.sites):
+        npt.assert_array_equal(ta.data, tb.data)
+
+
+def test_mps_archive_save_deletes_no_file_but_stale_blobs(tmp_path):
+    path = tmp_path / "state"
+    save_mps(random_mps(8, 2, bond_cap=4, seed=1), path)
+    (path / "notes.txt").write_text("kept")
+    (path / "site_7.ten.bak").write_bytes((path / "site_7.ten").read_bytes())
+    save_mps(random_mps(6, 2, bond_cap=4, seed=2), path)
+    assert (path / "notes.txt").read_text() == "kept"
+    assert (path / "site_7.ten.bak").exists() and not (path / "site_7.ten").exists()
+
+
 def test_mps_archive_save_that_fails_part_way_leaves_no_manifest(tmp_path, monkeypatch):
     # over an archive of equal shapes, a mix of new and old site blobs passes
     # every check of load_mps, so only a missing manifest can reject it

@@ -1,7 +1,8 @@
 """Source hygiene: no package module imports a name it neither uses nor
 exports, or exports a name it does not bind, no private helper is left
 without a caller in the package, the (bra, MPO, ket) contraction steps live
-in kdmps.tensor alone, and only kdmps.ed names the dense guard."""
+in kdmps.tensor alone, only kdmps.ed names the dense guard, and only
+kdmps.tensor and kdmps.mps know the blob format and the MPS archive layout."""
 
 import ast
 from pathlib import Path
@@ -129,6 +130,20 @@ def test_only_the_dense_oracle_names_the_guard(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     named = {getattr(node, attr, None) for node in ast.walk(tree) for attr in ("id", "attr", "name")}
     assert "DENSE_GUARD" not in named, f"kdmps.{module} names DENSE_GUARD"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_format_modules_know_the_archive_layout(module):
+    """The blob format is stated once, in kdmps.tensor, and the MPS archive
+    layout once, in kdmps.mps: other modules read a reference state through
+    load_mps and build no site blob name."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    named = {getattr(node, attr, None) for node in ast.walk(tree) for attr in ("id", "attr", "name")}
+    if module != "tensor":
+        assert "TENSOR_MAGIC" not in named, f"kdmps.{module} names TENSOR_MAGIC"
+    if module != "mps":
+        strings = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+        assert not [v for v in strings if v.startswith("site_")], f"kdmps.{module} builds an MPS blob name"
 
 
 def test_excitation_runs_on_the_tensor_kernel():

@@ -419,7 +419,7 @@ def test_tensor_blob_roundtrip(tmp_path):
     a = rng.standard_normal((2, 3, 4))
     path = tmp_path / "t.ten"
     path.write_bytes(tensor_blob(a))
-    back = read_tensor_blob(path)
+    back = read_tensor_blob(path, (2, 3, 4))
     npt.assert_array_equal(back, a)
     header = b"KDMPSTEN" + np.array([3], "<u4").tobytes() + np.array([2, 3, 4], "<u8").tobytes()
     assert path.read_bytes() == header + a.astype("<f8").tobytes()
@@ -429,7 +429,24 @@ def test_tensor_blob_bad_magic(tmp_path):
     path = tmp_path / "bad.ten"
     path.write_bytes(b"NOTMAGIC" + b"\0" * 16)
     with pytest.raises(ValueError, match="magic"):
-        read_tensor_blob(path)
+        read_tensor_blob(path, (2,))
+
+
+def test_tensor_blob_of_another_shape_or_size_raises_value_error(tmp_path):
+    path = tmp_path / "t.ten"
+    raw = tensor_blob(np.random.default_rng(3).standard_normal((2, 3, 4)))
+    path.write_bytes(raw)
+    for shape in ((2, 3, 5), (2, 12), (2, 3, 4, 1)):
+        with pytest.raises(ValueError, match=r"t\.ten has shape \(2, 3, 4\), but the manifest gives"):
+            read_tensor_blob(path, shape)
+    path.write_bytes(raw + bytes(3))
+    with pytest.raises(ValueError, match=r"t\.ten: the blob runs 3 bytes past its payload"):
+        read_tensor_blob(path, (2, 3, 4))
+    # a header claiming 2^32 - 1 extents is checked against the file's size
+    # before any of them is read
+    path.write_bytes(b"KDMPSTEN" + np.array([2**32 - 1], "<u4").tobytes() + bytes(16))
+    with pytest.raises(ValueError, match=r"t\.ten: the blob is truncated"):
+        read_tensor_blob(path, (2, 3, 4))
 
 
 def test_tensor_blob_cut_short_raises_value_error(tmp_path):
@@ -439,4 +456,4 @@ def test_tensor_blob_cut_short_raises_value_error(tmp_path):
     for size in (10, 8 + 4 + 8, len(raw) - 8):  # in the rank, in the extents, in the payload
         path.write_bytes(raw[:size])
         with pytest.raises(ValueError, match=r"t\.ten: the blob is truncated"):
-            read_tensor_blob(path)
+            read_tensor_blob(path, (2, 3, 4))

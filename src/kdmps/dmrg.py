@@ -15,6 +15,19 @@ searches pass previously found states through ``orthogonal_to``: every
 local eigensolve is then deflated against those states pulled into the
 local frame.
 
+A two-site window is applied either by the ket-first chain of
+:func:`kdmps.tensor.apply_window` (ket step, one MPO step per site, close) or
+folded: once per local solve the left environment is contracted with the
+first MPO site and the second site with the right environment
+(:func:`kdmps.tensor.fold_left`, :func:`kdmps.tensor.fold_right`), and every
+matvec is then two plain matrix products. Per matvec, for bonds Dl, Dr, local
+dimension d and MPO bonds w0, w1, w2 across the window, the chain costs
+2 Dl Dr d^2 (w0 Dl + d w1 (w0 + w2) + w2 Dr) flops and the folded form
+2 Dl Dr d^3 w1 (Dl + Dr). A window is folded when that is below
+``FOLD_SHARE`` = 0.8 of the chain's count, which happens where the MPO is
+wide against the bond (long-range couplings at small D). One-site and bond
+windows always take the chain.
+
 Every local eigenproblem, here and in :mod:`kdmps.excitation`, goes through
 :func:`lanczos_lowest`. It keeps the Krylov basis as rows of 16-row float64
 blocks, builds it by the three-term recurrence, runs one classical
@@ -36,6 +49,8 @@ from .tensor import (
     apply_window,
     env_step_left,
     env_step_right,
+    fold_left,
+    fold_right,
     svd_split,
     transfer_left,
     transfer_right,
@@ -104,6 +119,13 @@ class EffectiveHam:
     "1s" (a single site tensor at ``site``) or "2s" (the pair ``site``,
     ``site``+1 and the bond between). ``ws`` are the window's MPO sites and
     ``ops`` the same sites as kernel matrices (:attr:`kdmps.mpo.Mpo.ops`).
+
+    ``folded`` is None, and the window is applied by the ket-first chain
+    :func:`kdmps.tensor.apply_window`, unless :func:`effective_ham` folds a
+    two-site window (see the module docstring): it then holds the blocks
+    (:func:`kdmps.tensor.fold_left` of ``left`` and the first site,
+    :func:`kdmps.tensor.fold_right` of the second site and ``right``), built
+    once per record, and each application is two matrix products.
     """
 
     mode: str
@@ -112,20 +134,42 @@ class EffectiveHam:
     right: np.ndarray
     ws: tuple[np.ndarray, ...]
     ops: tuple[np.ndarray, ...]
+    folded: tuple[np.ndarray, np.ndarray] | None = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return apply_window(self.left, self.ops, (x,), self.right)
+        if self.folded is None:
+            return apply_window(self.left, self.ops, (x,), self.right)
+        return self.matvec(x.reshape(-1)).reshape(len(self.left), *x.shape[1:-1], len(self.right))
 
     def matvec(self, flat: np.ndarray) -> np.ndarray:
-        return self.apply(flat.reshape(self.x_shape)).reshape(-1)
+        if self.folded is None:
+            return self.apply(flat.reshape(self.x_shape)).reshape(-1)
+        lw, wr = self.folded
+        return ((lw @ flat.reshape(lw.shape[1], -1)).reshape(-1, len(wr)) @ wr).reshape(-1)
 
     @property
     def x_shape(self) -> tuple[int, ...]:
         return (self.left.shape[2], *(w.shape[2] for w in self.ws), self.right.shape[2])
 
 
+FOLD_SHARE = 0.8  # fold a two-site window below this share of the ket-first flops
+
+
+def _folds(left: np.ndarray, ws: tuple[np.ndarray, ...], right: np.ndarray) -> bool:
+    """Whether the two-site window between ``left`` and ``right`` is folded:
+    its folded matvec takes under ``FOLD_SHARE`` of the ket-first chain's
+    flops (counts in the module docstring). At equal flops the chain is the
+    faster one; the margin keeps windows near the break-even on it
+    (Haldane-Shastry L=12, D=32 mid-chain, at a ratio of 1.05, ran 18%
+    slower folded)."""
+    (dl, w0, _), (dr, w2, _) = left.shape, right.shape
+    d, w1 = ws[0].shape[1], ws[0].shape[3]
+    return d * w1 * (dl + dr) < FOLD_SHARE * (w0 * dl + d * w1 * (w0 + w2) + w2 * dr)
+
+
 def effective_ham(env: EnvCache | _Sweeper, mode: str, site: int) -> EffectiveHam:
-    """The bond/one-site/two-site effective Hamiltonian from a cache or a sweeper."""
+    """The bond/one-site/two-site effective Hamiltonian from a cache or a
+    sweeper; a two-site window is folded when :func:`_folds` says so."""
     L = env.h.L
     width = {"bond": 0, "1s": 1, "2s": 2}.get(mode)
     if width is None:
@@ -135,7 +179,11 @@ def effective_ham(env: EnvCache | _Sweeper, mode: str, site: int) -> EffectiveHa
         raise ValueError(f"{mode} window at {site} out of range")
     ws = tuple(t.data for t in env.h.sites[first - 1 : first - 1 + width])
     ops = env.h.ops[first - 1 : first - 1 + width]
-    return EffectiveHam(mode, site, env.lefts[first - 1], env.rights[first + width - 1], ws, ops)
+    left, right = env.lefts[first - 1], env.rights[first + width - 1]
+    folded = None
+    if width == 2 and _folds(left, ws, right):
+        folded = (fold_left(left, ws[0]), fold_right(ws[1], right))
+    return EffectiveHam(mode, site, left, right, ws, ops, folded)
 
 
 # ---------- Lanczos ----------

@@ -47,7 +47,17 @@ from pathlib import Path
 import numpy as np
 
 from .dmrg import build_env, lanczos_lowest
-from .mps import FORM_TOL, Mps, _manifest_field, load_mps, read_manifest, site_tensors, write_archive
+from .mps import (
+    FORM_TOL,
+    Mps,
+    _manifest_field,
+    load_mps,
+    mps_norm,
+    overlap,
+    read_manifest,
+    site_tensors,
+    write_archive,
+)
 from .mpo import Mpo, s2_total_mpo, sz_total_mpo
 from .projectors import KeptBases, _project_out_left, build_bases
 from .tensor import (
@@ -491,13 +501,20 @@ def save_excitation(x: ExcitationState, path, gs_path: str, extra: dict | None =
     :func:`kdmps.mps.load_mps` reads them, which the windows are only
     meaningful against, and one of the window blobs in (l, i) order.
 
-    Raises before anything is written when the reference does not load, or
-    when ``extra`` names a key the manifest sets itself (ValueError) or
-    holds a value JSON cannot encode (TypeError);
+    Raises before anything is written when the reference does not load;
+    when it is not the state ``x`` was built on, up to the norm and sign the
+    gauge does not see (ValueError: the magnitude of its transfer overlap
+    with ``x.bases.reference`` falls short of its norm by more than
+    FORM_TOL relative); or when ``extra`` names a key the manifest sets
+    itself (ValueError) or holds a value JSON cannot encode (TypeError).
     :func:`kdmps.mps.write_archive` gives the write order.
     """
     path = Path(path)
-    digest = _sha256(tensor_blob(t.data) for t in load_mps(gs_path).sites)
+    gs = load_mps(gs_path)
+    nrm = mps_norm(gs)
+    if (gs.L, gs.d) != (x.L, x.d) or not abs(overlap(x.bases.reference, gs)) >= (1.0 - FORM_TOL) * nrm:
+        raise ValueError(f"{gs_path} does not hold the reference state the excitation was built on")
+    digest = _sha256(tensor_blob(t.data) for t in gs.sites)
     if not Path(gs_path).is_absolute():
         gs_path = os.path.relpath(gs_path, path)
     manifest = {

@@ -23,7 +23,11 @@ written once here:
   on MPO sites as :func:`mpo_matrix`). The bra-ket transfers, the MPO
   window between two environments (:func:`apply_window`: the DMRG matvec,
   the energy at a bond), the environment steps, the variance windows and
-  the excitation pass of :mod:`kdmps.excitation` all run on it.
+  the excitation pass of :mod:`kdmps.excitation` all run on it;
+- the folded two-site blocks (:func:`fold_left`, :func:`fold_right`): an
+  environment with its neighbouring MPO site contracted in, as a matrix, so
+  a two-site window is applied by two plain matrix products where the MPO
+  is wide (see :class:`kdmps.dmrg.EffectiveHam`).
 
 :class:`Tensor` is the immutable ``(data, legs)`` record that states,
 operators and bases hand across the public API; leg names label the axes
@@ -62,6 +66,8 @@ __all__ = [
     "apply_window",
     "env_step_left",
     "env_step_right",
+    "fold_left",
+    "fold_right",
     "tensor_blob",
     "read_tensor_blob",
 ]
@@ -352,6 +358,23 @@ def env_step_right(env: np.ndarray, bra: np.ndarray, op: np.ndarray, ket: np.nda
     on mirrored arrays. ``op`` is the site's mirrored MPO matrix
     (:attr:`kdmps.mpo.Mpo.mirrored_ops`)."""
     return env_step_left(env, bra.T, op, ket.T)
+
+
+def fold_left(left: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """A left (bra, MPO, ket) environment times the MPO site (w, p, q, w')
+    after it, as the (bra p w', ket q) matrix."""
+    m = np.tensordot(left, w, axes=(1, 0))  # (bra, ket, p, q, w')
+    return m.transpose(0, 2, 4, 1, 3).reshape(left.shape[0] * w.shape[1] * w.shape[3], -1)
+
+
+def fold_right(w: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The MPO site (w, p, q, w') times the right (bra, MPO, ket) environment
+    after it, as the (w q ket, p bra) matrix. With ``lw = fold_left(left,
+    w1)`` and ``wr = fold_right(w2, right)``, a two-site ket x (ket, q1, q2,
+    ket') maps to its (bra p1, p2 bra') image by two matrix products:
+    ``(lw @ x.reshape(lw.shape[1], -1)).reshape(-1, len(wr)) @ wr``."""
+    m = np.tensordot(w, right, axes=(3, 1))  # (w, p, q, bra, ket)
+    return m.transpose(0, 2, 4, 1, 3).reshape(w.shape[0] * w.shape[2] * right.shape[2], -1)
 
 
 # ---------- binary blob format ----------

@@ -1,6 +1,7 @@
 """Tests for environments, effective Hamiltonians, Lanczos, and DMRG."""
 
 import tracemalloc
+from functools import cache
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +10,7 @@ import pytest
 import kdmps.dmrg as kdmrg
 from kdmps.dmrg import (
     DmrgOptions,
+    EffectiveHam,
     build_env,
     dmrg_ground_state,
     effective_ham,
@@ -25,7 +27,16 @@ from kdmps.mpo import (
 )
 from kdmps.mps import FORM_TOL, canonical_defect, overlap, random_mps
 from kdmps.projectors import build_bases
-from kdmps.tensor import TruncationPolicy, env_step_left, env_step_right, mpo_matrix, orthogonal_complement
+from kdmps.tensor import (
+    TruncationPolicy,
+    apply_window,
+    env_step_left,
+    env_step_right,
+    fold_left,
+    fold_right,
+    mpo_matrix,
+    orthogonal_complement,
+)
 
 SYM_TOL = 1e-10
 
@@ -111,6 +122,90 @@ def test_apply_effective_symmetry_probes():
         n = int(np.prod(heff.x_shape))
         x, y = rng.standard_normal(n), rng.standard_normal(n)
         npt.assert_allclose(x @ heff.matvec(y), y @ heff.matvec(x), atol=SYM_TOL)
+
+
+# ---------- folded two-site windows ----------
+
+
+@cache
+def _mpo(model, L):
+    return haldane_shastry_mpo(L) if model == "hs" else heisenberg_mpo(L)
+
+
+def _random_window(model, L, dl, l, dr):
+    """Random (bra, MPO, ket) environments of bonds dl and dr around the
+    two-site window at sites l, l+1 of the model's MPO."""
+    h = _mpo(model, L)
+    rng = np.random.default_rng(l)
+    ws = tuple(t.data for t in h.sites[l - 1 : l + 1])
+    left = rng.standard_normal((dl, ws[0].shape[0], dl))
+    right = rng.standard_normal((dr, ws[1].shape[3], dr))
+    return left, ws, h.ops[l - 1 : l + 1], right
+
+
+# (model, L, left bond, window position, right bond, folded by the rule)
+FOLD_CASES = [
+    ("hs", 14, 16, 7, 16, True),
+    ("hs", 64, 32, 32, 32, True),
+    ("hs", 24, 32, 12, 32, True),
+    ("hs", 64, 64, 32, 64, True),
+    ("hs", 12, 32, 6, 32, False),
+    ("heisenberg", 20, 64, 10, 64, False),
+    ("hs", 14, 1, 1, 4, True),  # the left edge window
+    ("hs", 14, 4, 13, 1, True),  # the right edge window
+]
+
+
+@pytest.mark.parametrize("model, L, dl, l, dr", [case[:-1] for case in FOLD_CASES])
+def test_folded_two_site_matvec_matches_the_ket_first_chain(model, L, dl, l, dr):
+    left, ws, ops, right = _random_window(model, L, dl, l, dr)
+    heff = EffectiveHam("2s", l, left, right, ws, ops, (fold_left(left, ws[0]), fold_right(ws[1], right)))
+    x = np.random.default_rng(0).standard_normal(heff.x_shape)
+    want = apply_window(left, ops, (x,), right)
+    assert heff.apply(x).shape == want.shape
+    got = heff.matvec(x.reshape(-1)).reshape(want.shape)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("model, L, dl, l, dr, folds", FOLD_CASES)
+def test_fold_rule_folds_wide_mpo_windows_only(model, L, dl, l, dr, folds):
+    left, ws, _, right = _random_window(model, L, dl, l, dr)
+    assert kdmrg._folds(left, ws, right) == folds
+
+
+def test_effective_ham_folds_two_site_windows_only():
+    h = haldane_shastry_mpo(14)
+    env = build_env(build_bases(random_mps(14, 2, bond_cap=16, seed=0)), h)
+    lw, wr = effective_ham(env, "2s", 7).folded
+    assert lw.shape == (16 * 2 * 23, 16 * 2) and wr.shape == (23 * 2 * 16, 2 * 16)
+    assert effective_ham(env, "1s", 7).folded is None and effective_ham(env, "bond", 7).folded is None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dmrg_with_folded_windows_matches_the_ket_first_chain(monkeypatch, seed):
+    h = haldane_shastry_mpo(14)
+    psi0 = random_mps(14, 2, bond_cap=16, seed=seed)
+    opts = DmrgOptions(policy=TruncationPolicy(max_rank=16, rel_cutoff=1e-13))
+    iters, folds = [], []
+    lanczos, fold = kdmrg.lanczos_lowest, kdmrg.fold_left
+
+    def counted(*args, **kwargs):
+        res = lanczos(*args, **kwargs)
+        iters.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(kdmrg, "lanczos_lowest", counted)
+    monkeypatch.setattr(kdmrg, "fold_left", lambda *args: folds.append(1) or fold(*args))
+    folded = dmrg_ground_state(psi0, h, "2s", opts)
+    folded_iters, folded_blocks = list(iters), len(folds)
+    monkeypatch.setattr(kdmrg, "_folds", lambda *args: False)
+    iters.clear()
+    folds.clear()
+    chain = dmrg_ground_state(psi0, h, "2s", opts)
+    assert folded.n_sweeps == chain.n_sweeps and folded_iters == iters
+    npt.assert_allclose(folded.sweep_energies, chain.sweep_energies, rtol=1e-12, atol=0.0)
+    # the blocks are built at most once per local solve, never per matvec
+    assert 0 < folded_blocks <= len(folded_iters) < sum(folded_iters) and not folds
 
 
 # ---------- lanczos ----------
@@ -452,7 +547,9 @@ def test_fixed_point_residual_hierarchy():
     h = haldane_shastry_mpo(8)
     opts = DmrgOptions(n_sweeps=12, policy=TruncationPolicy(max_rank=32, rel_cutoff=1e-13))
     r = dmrg_ground_state(random_mps(8, 2, bond_cap=8, seed=5), h, "2s", opts)
+    env = build_env(build_bases(r.psi), h)
     for l in (2, 4, 6):
+        assert effective_ham(env, "2s", l).folded is not None  # the two-site defect comes from folded windows
         res = fixed_point_residuals(r.psi, h, l)
         bound = 10.0 * res["two_site"] + 1e-12
         assert res["bond"] <= bound

@@ -31,7 +31,7 @@ from kdmps.mpo import (
     hs_first_excited_energy,
     identity_mpo,
 )
-from kdmps.mps import Mps, load_mps, overlap, product_mps, random_mps, save_mps
+from kdmps.mps import Mps, load_mps, overlap, product_mps, random_mps, save_mps, site_tensors
 from kdmps.projectors import build_bases, dense_projector, expand_global
 from kdmps.tensor import Tensor, TruncationPolicy, env_step_left, env_step_right, mpo_matrix, mpo_step
 from state_helpers import random_excitation
@@ -738,6 +738,25 @@ def test_excitation_archive_rejects_a_changed_reference(tmp_path):
     manifest_path.write_text(json.dumps({**manifest, "format_version": 2}))
     with pytest.raises(ValueError, match="format 2; only format 4"):
         load_excitation(tmp_path / "exc")
+
+
+def test_save_excitation_refuses_a_reference_the_state_was_not_built_on(tmp_path):
+    psi = random_mps(6, 2, bond_cap=4, seed=3)
+    save_mps(psi, tmp_path / "gs")
+    x = random_excitation(build_bases(load_mps(tmp_path / "gs")), 1, seed=4)
+    save_mps(random_mps(6, 2, bond_cap=4, seed=9), tmp_path / "other")
+    save_mps(random_mps(5, 2, bond_cap=4, seed=3), tmp_path / "shorter")
+    for ref in ("other", "shorter"):
+        with pytest.raises(ValueError, match="does not hold the reference state the excitation was built on"):
+            save_excitation(x, tmp_path / "exc", gs_path=str(tmp_path / ref))
+        assert not (tmp_path / "exc").exists()  # refused before anything is written
+    # the gauge, and so the windows' meaning, ignores the reference's norm and sign
+    for k in (-1.0, 2.0):
+        sites = [t.data * (k if l == 3 else 1.0) for l, t in enumerate(psi.sites, 1)]
+        save_mps(Mps(site_tensors(sites)), tmp_path / "gs")
+        save_excitation(x, tmp_path / "exc", gs_path=str(tmp_path / "gs"))
+        back = load_excitation(tmp_path / "exc")[0]
+        npt.assert_allclose(dense_state(materialize(back)), dense_state(materialize(x)), atol=1e-12)
 
 
 def test_excitation_archive_hashes_are_the_sha256_of_the_blob_files(tmp_path):

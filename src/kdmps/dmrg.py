@@ -32,7 +32,11 @@ Every local eigenproblem, here and in :mod:`kdmps.excitation`, goes through
 :func:`lanczos_lowest`. It keeps the Krylov basis as rows of 16-row float64
 blocks, builds it by the three-term recurrence, runs one classical
 Gram-Schmidt pass only when Simon's estimate says orthogonality is lost,
-and deflates against the constraint set orthonormalized once.
+and deflates against the constraint set orthonormalized once. A ground-state
+search owns one list of those blocks for all its local solves (the
+sweeper's ``krylov``), so after the first sweep no solve takes fresh memory
+for its basis; the excitation solver makes one solve per call and lets each
+take fresh blocks.
 """
 
 from __future__ import annotations
@@ -214,6 +218,17 @@ LANCZOS_TOL = 1e-10  # relative residual bound of every DMRG local solve
 WARMUP_REL_TOL = 1e-2  # residual drop that ends a local solve of the first left-to-right half-sweep
 
 
+def _krylov_block(store: list[np.ndarray], k: int, rows: int, n: int) -> np.ndarray:
+    """Krylov rows 16k.. of a solve as a C-contiguous (rows, n) view of the
+    flat block ``store[k]``, which is appended or replaced by a larger one
+    when it is missing or too small."""
+    if k == len(store):
+        store.append(np.empty(rows * n))
+    elif store[k].size < rows * n:
+        store[k] = np.empty(rows * n)
+    return store[k][: rows * n].reshape(rows, n)
+
+
 def lanczos_lowest(
     matvec,
     init: np.ndarray,
@@ -221,12 +236,19 @@ def lanczos_lowest(
     tol: float = LANCZOS_TOL,
     orth_against: tuple[np.ndarray, ...] = (),
     rel_tol: float = 0.0,
+    store: list[np.ndarray] | None = None,
 ) -> LanczosResult:
     """Lowest eigenpair of a symmetric map by Lanczos iteration.
 
     The Krylov vectors are rows of float64 blocks of 16 (at most
     ``min(max_iter, init.size)`` rows, so an early stop never holds storage
-    sized by ``max_iter``). Each comes from the three-term recurrence;
+    sized by ``max_iter``). The blocks are flat arrays in ``store``, a list
+    the caller owns and may pass to solve after solve: block k holds rows
+    16k.. at the start of its buffer, is replaced by a larger one when the
+    rows a solve needs there do not fit, and is appended when the solve runs
+    past the blocks there are. Only rows written in the current solve are
+    read, and the returned vector is a new array. Without ``store`` every
+    block is fresh. Each vector comes from the three-term recurrence;
     once Simon's estimate (Math. Comp. 42, 115 (1984)) of its largest
     overlap with the filled rows exceeds ``min(sqrt(eps), 0.01 tol
     max(1, |value|) / |T|)`` (T: the tridiagonal so far), it and the next
@@ -258,7 +280,8 @@ def lanczos_lowest(
         raise ValueError("initial vector vanishes after orthogonalization")
 
     cap = min(max_iter, v.size)
-    blocks = [np.empty((min(_BLOCK_ROWS, cap), v.size))]
+    store = [] if store is None else store
+    blocks = [_krylov_block(store, 0, min(_BLOCK_ROWS, cap), v.size)]
     v_prev = v = np.divide(v, nrm, out=blocks[0][0])
     tri = np.zeros((cap, cap))
     om, om_prev, b = np.ones(1), np.zeros(0), 0.0  # overlap estimates of v, v_prev with the rows; v_prev-v coupling
@@ -294,7 +317,7 @@ def lanczos_lowest(
         if it + 1 < cap:
             tri[it, it + 1] = tri[it + 1, it] = b = beta
             if (it + 1) % _BLOCK_ROWS == 0:
-                blocks.append(np.empty((min(_BLOCK_ROWS, cap - it - 1), v.size)))
+                blocks.append(_krylov_block(store, len(blocks), min(_BLOCK_ROWS, cap - it - 1), v.size))
             v_prev, v = v, np.divide(w, beta, out=blocks[-1][(it + 1) % _BLOCK_ROWS])
             om_prev, om = om, nxt
 
@@ -367,6 +390,7 @@ class _Sweeper:
         self.ortho = [[t.data for t in g.sites] for g in opts.orthogonal_to]
         self.olefts = [[np.ones((1, 1))] + [None] * h.L for _ in self.ortho]
         self.orights = [[None] * h.L + [np.ones((1, 1))] for _ in self.ortho]
+        self.krylov: list[np.ndarray] = []  # the Krylov blocks every local solve reuses
         for k in range(h.L - 1, 0, -1):
             self._grow(k, to_right=False)
 
@@ -389,7 +413,7 @@ class _Sweeper:
         heff = effective_ham(self, f"{width}s", l)
         x0 = self.sites[l - 1] if width == 1 else np.tensordot(self.sites[l - 1], self.sites[l], axes=(2, 0))
         orth = self._local_constraints(l, width)
-        res = lanczos_lowest(heff.matvec, x0.reshape(-1), orth_against=orth, rel_tol=rel_tol)
+        res = lanczos_lowest(heff.matvec, x0.reshape(-1), orth_against=orth, rel_tol=rel_tol, store=self.krylov)
         return res, res.vector.reshape(heff.x_shape)
 
     def _step(self, l: int, x: np.ndarray, to_right: bool) -> float:

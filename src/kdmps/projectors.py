@@ -279,17 +279,12 @@ def convert_kd_dk(L: int, n: int, lbar: int, lprime: int) -> tuple[Terms, Terms]
 
 
 def _project_out_left(m: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """(1 - A A^T) on the fused (left bond, physical) legs of ``m``."""
+    """(1 - A A^T) on the fused (left bond, physical) legs of ``m``, into a
+    new array: the excitation solver projects views of Lanczos's Krylov rows,
+    which must stay as they are."""
     mm = m.reshape(-1, m.shape[2])
     am = a.reshape(-1, a.shape[2])
     return (mm - am @ (am.T @ mm)).reshape(m.shape)
-
-
-def _project_out_right(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(1 - B^T B) on the fused (physical, right bond) legs of ``m``."""
-    mm = m.reshape(m.shape[0], -1)
-    bm = b.reshape(b.shape[0], -1)
-    return (mm - (mm @ bm.T) @ bm).reshape(m.shape)
 
 
 # ---------- dense materialization ----------

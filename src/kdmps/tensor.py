@@ -23,7 +23,9 @@ written once here:
   on MPO sites as :func:`mpo_matrix`). The bra-ket transfers, the MPO
   window between two environments (:func:`apply_window`: the DMRG matvec,
   the energy at a bond), the environment steps, the variance windows and
-  the excitation pass of :mod:`kdmps.excitation` all run on it;
+  the excitation pass of :mod:`kdmps.excitation` all run on it. The two
+  growth steps can write into a caller's flat buffer (``out``), which is how
+  :func:`kdmps.variance.nsite_variance` reuses its working memory;
 - the folded two-site blocks (:func:`fold_left`, :func:`fold_right`): an
   environment with its neighbouring MPO site contracted in, as a matrix, so
   a two-site window is applied by two plain matrix products where the MPO
@@ -281,19 +283,35 @@ def mpo_matrix(w: np.ndarray) -> np.ndarray:
     return m
 
 
-def ket_step(env: np.ndarray, ket: np.ndarray) -> np.ndarray:
+def _into(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The leading entries of the flat float64 buffer ``out`` as an array of
+    ``shape`` for a matmul to write into (None stays None: a fresh result)."""
+    if out is None:
+        return None
+    size = math.prod(shape)
+    if out.size < size:
+        raise ValueError(f"the buffer holds {out.size} entries, the result needs {size}")
+    return out[:size].reshape(shape)
+
+
+def ket_step(env: np.ndarray, ket: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Contract the left bond of ``ket`` against the last axis of ``env``;
-    the ket's other axes go last."""
+    the ket's other axes go last. With a flat float64 ``out`` buffer the
+    result is written to its leading entries and returned as a view."""
     k = ket.shape[0]
-    return (env.reshape(-1, k) @ ket.reshape(k, -1)).reshape(*env.shape[:-1], *ket.shape[1:])
+    m, kt = env.reshape(-1, k), ket.reshape(k, -1)
+    y = np.matmul(m, kt, out=_into(out, (len(m), kt.shape[1])))
+    return y.reshape(*env.shape[:-1], *ket.shape[1:])
 
 
-def mpo_step(z: np.ndarray, op: np.ndarray, j: int) -> np.ndarray:
+def mpo_step(z: np.ndarray, op: np.ndarray, j: int, out: np.ndarray | None = None) -> np.ndarray:
     """Apply an MPO site matrix (:func:`mpo_matrix`) to an open environment
     with ``j`` output legs: its MPO bond and next ket leg are contracted, and
-    the new output leg goes after the others. Physical legs are square."""
+    the new output leg goes after the others. Physical legs are square.
+    ``out`` is a flat buffer for the result, as in :func:`ket_step`."""
     lead, d = z.shape[: j + 1], z.shape[j + 2]
-    y = np.matmul(op, z.reshape(math.prod(lead), op.shape[1], -1))
+    x = z.reshape(math.prod(lead), op.shape[1], -1)
+    y = np.matmul(op, x, out=_into(out, (len(x), len(op), x.shape[2])))
     return y.reshape(*lead, d, op.shape[0] // d, *z.shape[j + 3 :])
 
 

@@ -14,6 +14,12 @@ at one site share one open environment, grown by a ket and an MPO site per
 added site. Discarded sectors are applied through 1 - A A^T (left) and
 1 - B^T B (right) on the edge legs; only the n - 2 interior legs stay open,
 so the cost is polynomial in the bond dimensions and exponential only in n.
+
+A call allocates its working memory once: every ket step writes into one
+flat buffer and every MPO step into another, each sized for its largest
+result over all windows from the bond dimensions, so the open environment
+ping-pongs between the two. Each closed window is a new array, projected
+and squared in place.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .dmrg import build_env
 from .ed import dense_apply, dense_hamiltonian, dense_state, within_guard  # noqa: F401
 from .mps import Mps
 from .mpo import Mpo
-from .projectors import _project_out_left, _project_out_right, build_bases
+from .projectors import build_bases
 from .tensor import apply_window, ket_step, mpo_step
 
 __all__ = ["VarianceReport", "nsite_variance", "write_variance_csv"]
@@ -65,24 +71,38 @@ def nsite_variance(psi: Mps, h: Mpo, n_max: int) -> VarianceReport:
         raise ValueError(f"n_max must lie in [1, {psi.L}]")
     bases = build_bases(psi)
     env = build_env(bases, h)
-    L = bases.L
+    L, d, w = bases.L, bases.d, h.bond_dims
     a = [t.data for t in bases.left]
     b = [t.data for t in bases.right]
     energy = env.energy_at_bond(0)
+
+    # growing window n at site l gives (D_{l-1}, d^n, w, D_{l+n-1}) results,
+    # w being the MPO bond left of site l+n-1 after the ket step and right of
+    # it after the MPO step; each step writes into its own buffer, sized for
+    # its largest result over all windows
+    edges = [
+        (l, n, a[l - 1].shape[0] * d**n * b[l + n - 2].shape[2])
+        for l in range(1, L + 1)
+        for n in range(1, min(n_max, L + 1 - l) + 1)
+    ]
+    ket_buf = np.empty(max(e * w[l + n - 2] for l, n, e in edges))
+    mpo_buf = np.empty(max(e * w[l + n - 1] for l, n, e in edges))
 
     values = np.zeros(n_max)  # values[n-1] accumulates in ascending l
     for l in range(1, L + 1):
         z = env.lefts[l - 1]
         kets = [bases.center_site(l)] + b[l:]
+        am = a[l - 1].reshape(-1, a[l - 1].shape[2])
         for n in range(1, min(n_max, L + 1 - l) + 1):
-            z = mpo_step(ket_step(z, kets[n - 1]), h.ops[l + n - 2], n - 1)
-            out = apply_window(z, (), (), env.rights[l + n - 1])
-            shape = out.shape  # (D_{l-1}, d, ..., d, D_{l+n-1})
-            out = _project_out_left(out.reshape(shape[0], shape[1], -1), a[l - 1]).reshape(shape)
+            z = mpo_step(ket_step(z, kets[n - 1], ket_buf), h.ops[l + n - 2], n - 1, mpo_buf)
+            out = apply_window(z, (), (), env.rights[l + n - 1])  # (D_{l-1}, d, ..., d, D_{l+n-1})
+            m = out.reshape(len(am), -1)
+            m -= am @ (am.T @ m)  # 1 - A A^T on the (left bond, first physical) legs
             if n >= 2:
-                out = _project_out_right(out.reshape(-1, shape[-2], shape[-1]), b[l + n - 2]).reshape(shape)
-            values[n - 1] += float(np.sum(out**2))
-            del out  # free the window before the next growth step
+                bm = b[l + n - 2].reshape(len(b[l + n - 2]), -1)
+                m = out.reshape(-1, bm.shape[1])
+                m -= (m @ bm.T) @ bm  # 1 - B^T B on the (last physical, right bond) legs
+            values[n - 1] += float(np.sum(np.square(out, out=out)))
 
     total_dense = None
     if within_guard(bases.d, L):

@@ -208,6 +208,34 @@ def test_dmrg_with_folded_windows_matches_the_ket_first_chain(monkeypatch, seed)
     assert 0 < folded_blocks <= len(folded_iters) < sum(folded_iters) and not folds
 
 
+def test_dmrg_passes_one_krylov_store_to_every_local_solve(monkeypatch):
+    """The sweep owns one Krylov store for the whole search; dropping it for
+    fresh per-solve storage changes no output bit."""
+    h = haldane_shastry_mpo(8)
+    psi0 = random_mps(8, 2, bond_cap=8, seed=4)
+    opts = DmrgOptions(n_sweeps=3, policy=TruncationPolicy(max_rank=8, rel_cutoff=1e-13))
+    stores, iters = [], []
+    lanczos = kdmrg.lanczos_lowest
+
+    def recorded(*args, **kwargs):
+        stores.append(kwargs.get("store"))
+        res = lanczos(*args, **kwargs)
+        iters.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(kdmrg, "lanczos_lowest", recorded)
+    shared = dmrg_ground_state(psi0, h, "2s", opts)
+    shared_iters = list(iters)
+    assert len(stores) == 2 * 7 * shared.n_sweeps and stores[0]
+    assert all(s is stores[0] for s in stores)
+
+    monkeypatch.setattr(kdmrg, "lanczos_lowest", lambda *args, store, **kwargs: recorded(*args, **kwargs))
+    iters.clear()
+    fresh = dmrg_ground_state(psi0, h, "2s", opts)
+    assert iters == shared_iters and fresh.local_energies == shared.local_energies
+    assert all(np.array_equal(a.data, b.data) for a, b in zip(fresh.psi.sites, shared.psi.sites, strict=True))
+
+
 # ---------- lanczos ----------
 
 
@@ -375,6 +403,44 @@ def test_lanczos_long_deflated_run_stays_in_the_complement():
     assert res.iterations >= 40
     npt.assert_allclose(res.value, np.linalg.eigvalsh(comp.T @ m @ comp)[0], atol=1e-10)
     npt.assert_allclose([res.vector @ g1, res.vector @ g2], 0.0, atol=1e-10)
+
+
+def test_lanczos_on_a_reused_store_matches_a_fresh_solve():
+    """A caller-owned store is widened, extended and read only where the
+    current solve wrote it; stale rows (here NaN) never reach the result."""
+    big, rng = _symmetric(200, 9)
+    small, _ = _symmetric(60, 10)
+    x_big, x_small = rng.standard_normal(200), rng.standard_normal(60)
+    fresh_big = lanczos_lowest(lambda v: big @ v, x_big)
+    fresh_small = lanczos_lowest(lambda v: small @ v, x_small)
+    assert fresh_big.iterations > 16 and fresh_small.iterations > 16
+
+    store: list[np.ndarray] = []
+    runs = [lanczos_lowest(lambda v: small @ v, x_small, store=store)]
+    runs.append(lanczos_lowest(lambda v: big @ v, x_big, store=store))  # wider vectors
+    blocks = list(store)
+    assert all(b.size >= 16 * 200 for b in blocks[:-1])
+    for b in store:
+        b[:] = np.nan
+    runs.append(lanczos_lowest(lambda v: small @ v, x_small, store=store))  # a store wider than the vector
+    assert all(b is c for b, c in zip(store, blocks, strict=True))
+    for res, want in zip(runs, (fresh_small, fresh_big, fresh_small)):
+        assert res.value == want.value and res.iterations == want.iterations
+        assert np.array_equal(res.vector, want.vector)
+        assert not any(np.shares_memory(res.vector, b) for b in store)
+
+
+def test_lanczos_extends_a_store_from_a_shorter_solve():
+    m, rng = _symmetric(120, 11)
+    x0 = rng.standard_normal(120)
+    store: list[np.ndarray] = []
+    short = lanczos_lowest(lambda v: m @ v, x0, max_iter=5, store=store)
+    assert len(store) == 1
+    res = lanczos_lowest(lambda v: m @ v, x0, store=store)
+    want = lanczos_lowest(lambda v: m @ v, x0)
+    assert short.iterations == 5 and len(store) == -(-res.iterations // 16) > 1
+    assert res.value == want.value and res.iterations == want.iterations
+    assert np.array_equal(res.vector, want.vector)
 
 
 def test_local_solve_never_raises_energy():

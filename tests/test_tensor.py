@@ -12,7 +12,9 @@ from kdmps.tensor import (
     chain_sum,
     env_step_left,
     env_step_right,
+    ket_step,
     mpo_matrix,
+    mpo_step,
     orthogonal_complement,
     qr,
     read_tensor_blob,
@@ -241,6 +243,25 @@ def test_env_step_right_on_transposed_views_matches_einsum():
     assert not any(a.flags.c_contiguous for a in (bra, ket, w, right))
     want = np.einsum("cvr,bpc,wpqv,kqr->bwk", right, bra, w, ket)
     npt.assert_allclose(env_step_right(right, bra, mpo_matrix(w.transpose(3, 1, 2, 0)), ket), want, atol=TOL)
+
+
+def test_ket_and_mpo_steps_write_into_the_leading_entries_of_a_buffer():
+    rng = np.random.default_rng(8)
+    op = heisenberg_mpo(4).ops[1]
+    env = rng.standard_normal((3, 2, op.shape[1] // 2, 4))  # (bra, one output leg, MPO bond, ket)
+    ket = rng.standard_normal((4, 2, 6))
+    y = ket_step(env, ket)
+    z = mpo_step(y, op, 1)
+    ket_buf, mpo_buf = np.full(y.size + 7, np.nan), np.full(z.size + 7, np.nan)
+    y_out = ket_step(env, ket, ket_buf)
+    z_out = mpo_step(y_out, op, 1, mpo_buf)
+    assert np.array_equal(y_out, y) and np.shares_memory(y_out, ket_buf)
+    assert np.array_equal(z_out, z) and np.shares_memory(z_out, mpo_buf)
+    assert np.isnan(ket_buf[y.size :]).all() and np.isnan(mpo_buf[z.size :]).all()
+    with pytest.raises(ValueError, match="the buffer holds"):
+        ket_step(env, ket, np.empty(y.size - 1))
+    with pytest.raises(ValueError, match="the buffer holds"):
+        mpo_step(y, op, 1, np.empty(z.size - 1))
 
 
 @pytest.mark.parametrize("build", [lambda: heisenberg_mpo(5), lambda: haldane_shastry_mpo(6)])

@@ -9,8 +9,8 @@ import pytest
 from kdmps.dmrg import DmrgOptions, build_env, dmrg_ground_state
 from kdmps.ed import dense_hamiltonian, dense_state
 from kdmps.mpo import haldane_shastry_mpo, heisenberg_mpo, mpo_shift
-from kdmps.mps import random_mps
-from kdmps.projectors import _project_out_left, _project_out_right, build_bases, dense_projector, expand_irreducible
+from kdmps.mps import Mps, random_mps, site_tensors
+from kdmps.projectors import _project_out_left, build_bases, dense_projector, expand_irreducible
 from kdmps.tensor import TruncationPolicy, apply_window
 from kdmps.variance import nsite_variance, write_variance_csv
 
@@ -32,8 +32,10 @@ def _values_window_by_window(psi, h, n_max) -> np.ndarray:
             window = apply_window(env.lefts[l - 1], h.ops[l - 1 : l + n - 1], kets, env.rights[l + n - 1])
             shape = window.shape
             out = _project_out_left(window.reshape(shape[0], shape[1], -1), a[l - 1]).reshape(shape)
-            if n >= 2:
-                out = _project_out_right(out.reshape(-1, shape[-2], shape[-1]), b[l + n - 2]).reshape(shape)
+            if n >= 2:  # 1 - B^T B on the fused (last physical, right bond) legs
+                bm = b[l + n - 2].reshape(len(b[l + n - 2]), -1)
+                mm = out.reshape(-1, bm.shape[1])
+                out = (mm - (mm @ bm.T) @ bm).reshape(shape)
             total += float(np.sum(out**2))
         values[n - 1] = total
     return values
@@ -50,6 +52,37 @@ def test_shared_window_growth_is_bit_identical_to_separate_windows(model, n_max)
         psi = random_mps(L, 2, bond_cap=6, seed=seed)
         report = nsite_variance(psi, h, n_max)
         assert np.array_equal(report.values, _values_window_by_window(psi, h, n_max))
+
+
+def _padded_product_state(L: int, seed: int):
+    """A random product state written with bond 2 and zero padding: its B
+    gauge keeps bond 2, its A gauge drops the padding to bond 1."""
+    sites = []
+    for l, t in enumerate(random_mps(L, 2, bond_cap=1, seed=seed).sites, start=1):
+        pad = np.zeros((1 if l == 1 else 2, 2, 1 if l == L else 2))
+        pad[:1, :, :1] = t.data
+        sites.append(pad)
+    return Mps(site_tensors(sites))
+
+
+@pytest.mark.parametrize(
+    "model, L, D, n_max",
+    [(heisenberg_mpo, 10, 8, 10), (haldane_shastry_mpo, 10, 8, 10), (haldane_shastry_mpo, 14, 16, 8)],
+)
+def test_windows_grown_in_two_buffers_are_bit_identical_to_separate_windows(model, L, D, n_max):
+    """nsite_variance grows every window through two reused buffers and
+    projects it in place; the pieces match fresh, out-of-place windows."""
+    h = model(L)
+    psi = random_mps(L, 2, bond_cap=D, seed=L + D)
+    assert np.array_equal(nsite_variance(psi, h, n_max).values, _values_window_by_window(psi, h, n_max))
+
+
+def test_buffers_fit_windows_whose_left_and_right_bonds_differ():
+    psi = _padded_product_state(6, seed=3)
+    bases = build_bases(psi)
+    assert bases.dims[3] == 1 and bases.right[2].shape[2] == 2
+    h = haldane_shastry_mpo(6)
+    assert np.array_equal(nsite_variance(psi, h, 6).values, _values_window_by_window(psi, h, 6))
 
 
 def test_eigenstate_has_zero_variance():
@@ -164,7 +197,7 @@ def test_cumulative_prefix_sums():
 
 
 def test_window_peak_memory_stays_below_bound():
-    # ket-first windows peak near 7 MiB here; contracting the MPO first
+    # ket-first windows in their two buffers peak near 5 MiB here; contracting the MPO first
     # doubles the intermediates (13.5 MiB) and the memory traffic with them
     psi = random_mps(14, 2, 16, seed=0)
     h = haldane_shastry_mpo(14)

@@ -28,8 +28,16 @@ from pathlib import Path
 
 from .dmrg import DmrgOptions, dmrg_ground_state
 from .ed import dense_hamiltonian, exact_spectrum, guard_dims, verify_identity_suite
-from .excitation import ExcitationOptions, save_excitation, solve_lowest_excitation
-from .mpo import Mpo, haldane_shastry_mpo, heisenberg_mpo, hs_first_excited_energy, hs_ground_energy
+from .excitation import ExcitationOptions, apply_projected_h, flatten, save_excitation, solve_lowest_excitation
+from .mpo import (
+    Mpo,
+    haldane_shastry_mpo,
+    heisenberg_mpo,
+    hs_first_excited_energy,
+    hs_ground_energy,
+    s2_total_mpo,
+    sz_total_mpo,
+)
 from .mps import Mps, load_mps, random_mps, save_mps
 from .tensor import TruncationPolicy
 from .variance import nsite_variance, write_variance_csv
@@ -68,6 +76,8 @@ class RunConfig:
             value = getattr(self, name)
             if type(value) is not int and not (name == "variance_n_max" and value is None):  # bool is not int here
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.L < 2:
@@ -97,7 +107,10 @@ def _fmt(x: float) -> str:
 def _load_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config:
-        values.update(json.loads(Path(args.config).read_text()))
+        loaded = json.loads(Path(args.config).read_text())
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{args.config}: a config file holds one JSON object, not a {type(loaded).__name__}")
+        values.update(loaded)
     overrides = {
         "model": args.model,
         "L": args.length,
@@ -191,8 +204,9 @@ def cmd_excite(config: RunConfig, gs_path: str) -> int:
     )
     print(f"E_ex = {_fmt(result.energy)}")
     print(f"residual = {_fmt(result.residual)}")
-    print(f"sz_total = {_fmt(result.sz_total)}")
-    print(f"s2_total = {_fmt(result.s2_total)}")
+    x = result.state
+    for name, op in (("sz_total", sz_total_mpo(config.L)), ("s2_total", s2_total_mpo(config.L))):
+        print(f"{name} = {_fmt(float(flatten(x) @ flatten(apply_projected_h(x, op))))}")
     if config.model == "haldane_shastry" and config.L % 2 == 0:  # the closed form needs even L
         exact = hs_first_excited_energy(config.L)
         rel = abs(result.energy - exact) / abs(exact)

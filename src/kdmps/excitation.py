@@ -58,7 +58,7 @@ from .mps import (
     site_tensors,
     write_archive,
 )
-from .mpo import Mpo, s2_total_mpo, sz_total_mpo
+from .mpo import Mpo
 from .projectors import KeptBases, _project_out_left, build_bases
 from .tensor import (
     Tensor,
@@ -421,21 +421,13 @@ class ExcitationOptions:
 
 @dataclass(frozen=True)
 class ExcitationResult:
-    """Lowest excitation found by :func:`solve_lowest_excitation`.
-
-    ``sz_total`` and ``s2_total`` are the expectation values <S^z> and <S^2>
-    of the returned vector. Inside a degenerate level they are not sector
-    labels: Lanczos returns some vector of the level, and round-off picks
-    which one, so they change with the seed.
-    """
+    """Lowest excitation found by :func:`solve_lowest_excitation`."""
 
     energy: float
     state: ExcitationState
     residual: float
     converged: bool
     iterations: int
-    sz_total: float
-    s2_total: float
 
 
 def solve_lowest_excitation(gs: Mps, h: Mpo, n: int, opts: ExcitationOptions | None = None) -> ExcitationResult:
@@ -445,9 +437,7 @@ def solve_lowest_excitation(gs: Mps, h: Mpo, n: int, opts: ExcitationOptions | N
     parameters, deflating the reference itself from the search space at
     every iteration (the window form contains it). The matvec stays on the
     flat vector of dense windows, with one operator cache per solve; only
-    the returned state is split into window chains. Reports <S^z> and
-    <S^2> of the returned vector, taken on its gauge-fixed dense windows
-    (see :class:`ExcitationResult`).
+    the returned state is split into window chains.
     """
     opts = opts or ExcitationOptions()
     bases = build_bases(gs)
@@ -465,21 +455,12 @@ def solve_lowest_excitation(gs: Mps, h: Mpo, n: int, opts: ExcitationOptions | N
     rng = np.random.Generator(np.random.PCG64(opts.seed))
     v0 = _join_flat(fixed(rng.standard_normal(gs_flat.shape)))
     res = lanczos_lowest(matvec, v0, max_iter=EXCITE_MAX_ITER, tol=opts.tol, orth_against=(gs_flat,))
-
-    windows = fixed(res.vector)
-    flat = _join_flat(windows)
-
-    def expect(op: Mpo) -> float:
-        return float(flat @ _join_flat(_apply_windows(build_exc_env(bases, n, op), windows)))
-
     return ExcitationResult(
         energy=res.value,
         state=state_from_flat(bases, n, res.vector),
         residual=res.residual,
         converged=res.converged,
         iterations=res.iterations,
-        sz_total=expect(sz_total_mpo(bases.L)),
-        s2_total=expect(s2_total_mpo(bases.L)),
     )
 
 

@@ -255,10 +255,6 @@ def test_criterion_09_excitation_beats_constrained_dmrg():
         err_exc[D] = abs(exc.energy - e1) / abs(e1)
         err_dmrg[D] = abs(dmrg_ex.energy - e1) / abs(e1)
         assert err_exc[D] < err_dmrg[D], f"D={D}: {err_exc[D]:.2e} vs {err_dmrg[D]:.2e}"
-        # total-spin diagnostics are reported, not asserted: the ring model's
-        # first excited level hosts degenerate spin multiplets, so the
-        # converged vector's <S^2> is not pinned
-        assert exc.s2_total is not None and exc.sz_total is not None
     best_ratio = max(err_dmrg[D] / err_exc[D] for D in (8, 16, 32))
     assert best_ratio >= 10.0, f"largest advantage {best_ratio:.1f} below one order of magnitude"
 

@@ -128,7 +128,7 @@ def test_excite_reports_relative_error_for_ring_model(tmp_path, capsys):
         "--gs", str(out_dir / "gs_mps"), "--out", str(out_dir),
     )
     assert code == 0
-    assert "relative_error" in out and "s2_total" in out
+    assert "relative_error" in out and "sz_total" in out and "s2_total" in out
     rel = float([line for line in out.splitlines() if line.startswith("relative_error")][0].split("=")[1])
     assert rel < 1e-5
 
@@ -205,6 +205,11 @@ def test_config_file_non_integer_counts_exit_2(tmp_path, capsys):
         code, _, err = run_cli(capsys, "gs", "--config", str(cfg), "--out", str(tmp_path / "run"))
         assert code == 2
         assert f"{field} must be an integer" in err
+    # a path, checked before the search runs; no --out here, which would override it
+    cfg.write_text(json.dumps({"output_dir": 5, "L": 4, "D_cap": 2}))
+    code, _, err = run_cli(capsys, "gs", "--config", str(cfg))
+    assert code == 2
+    assert "output_dir must be a string" in err
 
 
 def test_config_file_that_sets_the_local_dimension_exits_2(tmp_path, capsys):
@@ -214,6 +219,13 @@ def test_config_file_that_sets_the_local_dimension_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "gs", "--config", str(cfg), "--out", str(tmp_path / "run"))
     assert code == 2
     assert "unexpected keyword argument 'd'" in err
+    # settings come as one JSON object, not as pairs or any other top level
+    for top in ([["L", 4], ["D_cap", 2], ["output_dir", "pairs"]], [1, 2]):
+        cfg.write_text(json.dumps(top))
+        code, _, err = run_cli(capsys, "gs", "--config", str(cfg), "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert f"{cfg}: a config file holds one JSON object, not a list" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_malformed_archives_exit_2(tmp_path, capsys):

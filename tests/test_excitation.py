@@ -30,6 +30,7 @@ from kdmps.mpo import (
     heisenberg_mpo,
     hs_first_excited_energy,
     identity_mpo,
+    s2_total_mpo,
 )
 from kdmps.mps import Mps, load_mps, overlap, product_mps, random_mps, save_mps, site_tensors
 from kdmps.projectors import build_bases, dense_projector, expand_global
@@ -522,8 +523,29 @@ def test_solve_two_site_triplet_gap():
     res = solve_lowest_excitation(gs.psi, h, 1)
     npt.assert_allclose(res.energy, 0.25, atol=1e-10)
     npt.assert_allclose(res.energy - gs.energy, 1.0, atol=1e-10)
-    npt.assert_allclose(res.s2_total, 2.0, atol=1e-8)
+    x = res.state
+    npt.assert_allclose(flatten(x) @ flatten(apply_projected_h(x, s2_total_mpo(2))), 2.0, atol=1e-8)
     assert res.converged
+
+
+def test_solve_builds_one_operator_cache(monkeypatch):
+    # the solve needs the cache of h alone; spin diagnostics are the caller's
+    import kdmps.excitation as kexc
+
+    calls = []
+    real = kexc.build_exc_env
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kexc, "build_exc_env", counted)
+    h = haldane_shastry_mpo(6)
+    gs = dmrg_ground_state(random_mps(6, 2, bond_cap=4, seed=2), h, "2s", DmrgOptions(n_sweeps=6)).psi
+    for n in (1, 2):
+        calls.clear()
+        solve_lowest_excitation(gs, h, n)
+        assert len(calls) == 1
 
 
 def test_solve_converges_on_longer_heisenberg_chain():

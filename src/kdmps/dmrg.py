@@ -141,13 +141,11 @@ class EffectiveHam:
     folded: tuple[np.ndarray, np.ndarray] | None = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.folded is None:
-            return apply_window(self.left, self.ops, (x,), self.right)
-        return self.matvec(x.reshape(-1)).reshape(len(self.left), *x.shape[1:-1], len(self.right))
+        return self.matvec(x.reshape(-1)).reshape(x.shape)  # bra and ket bonds agree in one gauge
 
     def matvec(self, flat: np.ndarray) -> np.ndarray:
         if self.folded is None:
-            return self.apply(flat.reshape(self.x_shape)).reshape(-1)
+            return apply_window(self.left, self.ops, (flat.reshape(self.x_shape),), self.right).reshape(-1)
         lw, wr = self.folded
         return ((lw @ flat.reshape(lw.shape[1], -1)).reshape(-1, len(wr)) @ wr).reshape(-1)
 

@@ -161,8 +161,9 @@ def _left_normalize(sites: list[np.ndarray], l: int) -> None:
 def _right_normalize(sites: list[np.ndarray], l: int) -> np.ndarray:
     """Right-normalize site l by RQ and absorb R into site l-1 (if any).
 
-    Returns R; at site 1 it is the 1x1 residual, nonnegative by the QR
-    sign rule.
+    Returns R; at site 1 it is the 1x1 residual, whose sign the QR sign
+    rule does not fix (:func:`kdmps.projectors.build_bases` carries it
+    into the reference).
     """
     dl, d, dr = sites[l - 1].shape
     q, r = qr(sites[l - 1].reshape(dl, d * dr).T)

@@ -12,8 +12,8 @@ Everything they build comes down to a few operations over such chains, each
 written once here:
 
 - gauge moves (:func:`qr`, :func:`svd_split`, :func:`orthogonal_complement`),
-  which fix their sign freedom so gauges are reproducible: QR makes the R
-  diagonal nonnegative, SVD vectors and complement columns get their
+  which fix their sign freedom by one rule so gauges are reproducible: each
+  Q column, left singular vector and complement column gets its
   largest-magnitude entry positive;
 - the direct sum of chains (:func:`chain_sum`), behind every sum of
   operators and the excitation branches :func:`kdmps.excitation.materialize`
@@ -154,21 +154,9 @@ NO_TRUNCATION = TruncationPolicy()
 # ---------- gauge moves ----------
 
 
-def qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR ``m = q @ r`` with the diagonal of ``r`` made nonnegative.
-
-    The sign rule makes the factorization deterministic, so gauges built
-    from it are reproducible. For the mirrored (RQ) move factor ``m.T``.
-    """
-    q, r = np.linalg.qr(m)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    return q * signs, r * signs[:, None]
-
-
 def _fix_signs(u: np.ndarray, vh: np.ndarray | None = None) -> None:
-    """Make the largest-magnitude entry of each column of ``u`` positive,
-    flipping the matching rows of ``vh`` with it (in place)."""
+    """The one sign rule: make the largest-magnitude entry of each column of
+    ``u`` positive, flipping the matching rows of ``vh`` with it (in place)."""
     if not u.shape[1]:
         return
     peak = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
@@ -176,6 +164,18 @@ def _fix_signs(u: np.ndarray, vh: np.ndarray | None = None) -> None:
     u[:, flip] *= -1.0
     if vh is not None:
         vh[flip, :] *= -1.0
+
+
+def qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR ``m = q @ r``, each column of ``q`` with its largest-magnitude
+    entry positive (the rows of ``r`` flip with it).
+
+    The sign rule makes the factorization deterministic, so gauges built
+    from it are reproducible. For the mirrored (RQ) move factor ``m.T``.
+    """
+    q, r = np.linalg.qr(m)
+    _fix_signs(q, r)
+    return q, r
 
 
 def svd_split(

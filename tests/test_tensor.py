@@ -424,12 +424,13 @@ def test_qr_rq_split_roundtrip():
     q, r = qr(t.reshape(6, 4))
     npt.assert_allclose((q @ r).reshape(t.shape), t, atol=TOL)
     npt.assert_allclose(q.T @ q, np.eye(4), atol=TOL)
-    assert np.all(np.diag(r) >= 0.0)
+    # the sign rule of svd_split and orthogonal_complement: each Q column's largest-magnitude entry is positive
+    assert np.all(q[np.argmax(np.abs(q), axis=0), np.arange(4)] > 0.0)
     # the mirrored move: t = r' q' with orthonormal rows of q', from QR of t^T
     q, r = qr(t.reshape(3, 8).T)
     npt.assert_allclose((r.T @ q.T).reshape(t.shape), t, atol=TOL)
     npt.assert_allclose(q.T @ q, np.eye(3), atol=TOL)
-    assert np.all(np.diag(r) >= 0.0)
+    assert np.all(q[np.argmax(np.abs(q), axis=0), np.arange(3)] > 0.0)
 
 
 # ---------- blobs ----------

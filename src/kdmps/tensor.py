@@ -160,10 +160,10 @@ def _fix_signs(u: np.ndarray, vh: np.ndarray | None = None) -> None:
     if not u.shape[1]:
         return
     peak = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-    flip = peak < 0.0
-    u[:, flip] *= -1.0
+    signs = np.where(peak < 0.0, -1.0, 1.0)
+    u *= signs
     if vh is not None:
-        vh[flip, :] *= -1.0
+        vh *= signs[:, None]
 
 
 def qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -502,11 +502,15 @@ def verify_identity_suite(psi: Mps, h: Mpo, tol: float = 1e-10) -> IdentityRepor
     dev = max(dev, abs(float(np.sum(report.values)) - float(resid @ resid)) / scale)
     checks["variance_decomposition"] = float(dev)
 
+    # a piece that is exactly zero on both sides (no discarded space) deviates
+    # by zero, also when tol <= 0 leaves no positive floor to divide by
     dev = 0.0
     for c in (-10.0, 10.0):
         shifted = nsite_variance(bases.reference, mpo_shift(h, c), L)
-        floor = 1e-2 * scale * tol
-        dev = max(dev, np.max(np.abs(shifted.values - report.values) / np.maximum(np.abs(report.values), floor)))
+        diff = np.abs(shifted.values - report.values)
+        denom = np.maximum(np.abs(report.values), 1e-2 * scale * tol)
+        rel = np.divide(diff, denom, out=np.where(diff == 0.0, 0.0, np.inf), where=denom > 0.0)
+        dev = max(dev, np.max(rel))
     checks["variance_shift_invariance"] = float(dev)
 
     # the n=1 defect row evaluated through explicit complements instead

@@ -33,6 +33,18 @@ so F and that branch share the site's one MPO step. The operator cache
 (:class:`ExcEnvCache`) therefore depends only on the gauge, the operator
 and n, and the eigensolver's matvec never leaves the dense windows; chains
 are formed only for the returned state.
+
+A branch whose first site has a full bond (D_{l-1} d = D_l, so A_l is
+square and Dbar^A_l = 0) has no discarded space: away from the anchor the
+gauge leaves it nothing, and every state here holds exact zeros there. The
+passes skip the leading run of such branches, which on a chain whose bonds
+grow as d^l from the left edge is every branch before the first truncated
+bond: the forward pass starts at the first branch with a discarded space,
+whose F and part-way environments are zero, and the backward pass stops
+once it has produced that branch's output. The first window of either
+pass, which nothing reaches from its left, takes no summed input. An empty
+branch between nonempty ones stays an exact zero but still carries the
+environments through.
 """
 
 from __future__ import annotations
@@ -285,13 +297,18 @@ def build_exc_env(bases: KeptBases, n: int, h: Mpo) -> ExcEnvCache:
     return ExcEnvCache(bases=bases, h=h, n=n, forward=forward, backward=backward)
 
 
-def _absorb(r: _Reading, windows: list[np.ndarray], n: int, diagonal: bool):
+def _absorb(r: _Reading, windows: list[np.ndarray], n: int, diagonal: bool, first: int = 1):
     """One pass over the branch windows along a reading direction.
 
-    Yields, for each output window l in turn, the window collecting every
-    input branch left of it (and branch l itself when ``diagonal``), and the
-    F it closed: at bond l + n - 2 (bond l when n = 1), the environment of
-    every branch that ends at or before that bond.
+    Yields, for each output window l = first, first + 1, .. in turn, the
+    window collecting every input branch left of it (and branch l itself
+    when ``diagonal``), and the F it closed: at bond l + n - 2 (bond l when
+    n = 1), the environment of every branch that ends at or before that
+    bond. The input branches before ``first`` must be zero. Nothing then
+    reaches window ``first`` from its left (F at bond first - 1 and every
+    part-way environment are zero), so that window takes no summed input:
+    its output is its diagonal term alone (zero when not ``diagonal``), and
+    the F it closes is zero.
 
     On the window's first n - 1 sites, F at bond l - 1 and the branches
     l-1..l-n+1, absorbed part-way, meet the reference's kets; their sum
@@ -308,25 +325,35 @@ def _absorb(r: _Reading, windows: list[np.ndarray], n: int, diagonal: bool):
     """
     fs: dict[int, np.ndarray] = {}  # F by bond
     partials: dict[int, list[np.ndarray]] = {}  # partials[l][j-1]: branch l, j slots absorbed
-    for l in range(1, len(windows) + 1):
-        acc = fs.pop(l - 1, None)
-        if acc is None:
-            acc = np.zeros_like(r.lefts[l - 1])
-        for j in range(n - 1, 0, -1):  # Horner over the part-way branches l - j
-            acc = ket_step(acc, r.ket[l + n - 2 - j])
-            if l - j in partials:
-                acc += partials[l - j][j - 1]
-        for j in range(n - 1):
-            acc = mpo_step(acc, r.ops[l - 1 + j], j)
+    for l in range(first, len(windows) + 1):
+        shape = windows[l - 1].shape
+        reached = l > first  # nothing reaches the pass's first window from its left
+        if reached:
+            acc = fs.pop(l - 1, None)
+            if acc is None:
+                acc = np.zeros_like(r.lefts[l - 1])
+            for j in range(n - 1, 0, -1):  # Horner over the part-way branches l - j
+                acc = ket_step(acc, r.ket[l + n - 2 - j])
+                if l - j in partials:
+                    acc += partials[l - j][j - 1]
+            for j in range(n - 1):
+                acc = mpo_step(acc, r.ops[l - 1 + j], j)
         g = ket_step(r.lefts[l - 1], windows[l - 1])
         if n == 1:  # F takes in branch l whole: both go through the site's MPO step
-            g += ket_step(acc, r.ket[l - 1])
+            if reached:
+                g += ket_step(acc, r.ket[l - 1])
             z = mpo_step(g, r.ops[l - 1], 0)
-            y = close_right(z, r.rights[l]) if diagonal else close_right(acc, r.opens[l - 1])
+            if diagonal:
+                y = close_right(z, r.rights[l])
+            else:
+                y = close_right(acc, r.opens[l - 1]) if reached else np.zeros(shape)
             f = fs[l] = close(r.bra[l - 1], z)
         else:
-            y = close_right(acc, r.opens[l + n - 2]).reshape(windows[l - 1].shape)
-            f = fs[l + n - 2] = close(r.bra_windows[n - 2][l - 1], acc)
+            if reached:
+                y = close_right(acc, r.opens[l + n - 2]).reshape(shape)
+                f = fs[l + n - 2] = close(r.bra_windows[n - 2][l - 1], acc)
+            else:
+                y, f = np.zeros(shape), np.zeros_like(r.lefts[l + n - 2])
             chain = []
             for j in range(n - 1):
                 if diagonal:
@@ -339,28 +366,50 @@ def _absorb(r: _Reading, windows: list[np.ndarray], n: int, diagonal: bool):
                 y += close_right(mpo_step(g, r.ops[l + n - 2], n - 1), r.rights[l + n - 1])
             partials[l] = chain
             partials.pop(l - n + 1, None)  # its last use was this window's Horner sum
-        yield y.reshape(windows[l - 1].shape), f
+        yield y.reshape(shape), f
 
 
 def _gauge_fix_windows(bases: KeptBases, windows: list[np.ndarray]) -> list[np.ndarray]:
     """Dense windows, or the first slots of window chains, with every
-    non-anchor one projected to the discarded space."""
+    non-anchor one projected to the discarded space (into a new array).
+    Where that space is empty (Dbar^A_l = 0, A_l square) the window is
+    written as exact zeros: 1 - A A^T vanishes there, and projecting would
+    only leave round-off."""
     out = []
+    dbar_a = bases.discarded_left_dims
     for l, w in enumerate(windows, start=1):
         if l < len(windows):
-            w = _project_out_left(w.reshape(w.shape[0], bases.d, -1), bases.left[l - 1].data).reshape(w.shape)
+            if dbar_a[l - 1] == 0:
+                w = np.zeros_like(w)
+            else:
+                w = _project_out_left(w.reshape(w.shape[0], bases.d, -1), bases.left[l - 1].data).reshape(w.shape)
         out.append(w)
     return out
+
+
+def _first_branch(bases: KeptBases, n: int) -> int:
+    """The first branch that the gauge leaves nonzero: the first with a
+    discarded space, else the anchor. Every branch before it is zero."""
+    anchor = bases.L - n + 1
+    return next((l for l, dim in enumerate(bases.discarded_left_dims[: anchor - 1], start=1) if dim), anchor)
 
 
 def _apply_windows(env: ExcEnvCache, windows: list[np.ndarray]) -> list[np.ndarray]:
     """The projected operator on gauge-fixed dense branch windows: the
     forward pass collects the input branches at or left of each output
-    window, the pass over the mirrored chain those right of it."""
+    window, the pass over the mirrored chain those right of it.
+
+    Both passes skip the leading branches with no discarded space: they are
+    zero in the input and in the output, so the forward pass starts at the
+    first branch with one and the mirrored pass stops once it has produced
+    that branch's output."""
     n = env.n
-    out = [y for y, _ in _absorb(env.forward, windows, n, diagonal=True)]
+    first = _first_branch(env.bases, n)
+    out = [np.zeros_like(w) for w in windows[: first - 1]]
+    out += [y for y, _ in _absorb(env.forward, windows, n, diagonal=True, first=first)]
     mirrored = _absorb(env.backward, [t.T for t in reversed(windows)], n, diagonal=False)
-    for y, (back, _) in zip(reversed(out), mirrored):
+    # zip draws from out first, so the mirrored pass stops after branch first
+    for y, (back, _) in zip(reversed(out[first - 1 :]), mirrored):
         y += back.T
     return _gauge_fix_windows(env.bases, out)
 

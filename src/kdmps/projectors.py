@@ -99,14 +99,28 @@ class KeptBases:
         """Kept bond dimensions D_0..D_L."""
         return tuple([1] + [t.shape[2] for t in self.left])
 
+    @property
+    def discarded_left_dims(self) -> tuple[int, ...]:
+        """Dbar^A_1..Dbar^A_L, the discarded-space dimensions left of each
+        site: ``[l-1]`` is D_{l-1} d - D_l, zero where A_l is square."""
+        dims = self.dims
+        return tuple(dims[l - 1] * self.d - dims[l] for l in range(1, self.L + 1))
+
+    @property
+    def discarded_right_dims(self) -> tuple[int, ...]:
+        """Dbar^B_1..Dbar^B_L, the mirror of :attr:`discarded_left_dims`:
+        ``[l-1]`` is D_l d - D_{l-1}, zero where B_l is square."""
+        dims = self.dims
+        return tuple(dims[l] * self.d - dims[l - 1] for l in range(1, self.L + 1))
+
     def center_site(self, l: int) -> np.ndarray:
         """The 1-site center C_l = C_{l-1} B_l, shaped (D_{l-1}, d, D_l)."""
         return np.tensordot(self.bond[l - 1], self.right[l - 1].data, axes=(1, 0))
 
     @cached_property
     def discarded_left(self) -> tuple[np.ndarray, ...]:
-        """Abar_1..Abar_L: ``[l-1]`` is a (D_{l-1}, d, D_{l-1} d - D_l) array
-        orthonormal to A_l (empty where D_{l-1} d = D_l)."""
+        """Abar_1..Abar_L: ``[l-1]`` is a (D_{l-1}, d, Dbar^A_l) array
+        orthonormal to A_l (empty where Dbar^A_l = 0)."""
         comps = [orthogonal_complement(t.data.reshape(-1, t.shape[2])) for t in self.left]
         return tuple(c.reshape(*t.shape[:2], -1) for c, t in zip(comps, self.left))
 
@@ -330,9 +344,7 @@ def subspace_dimension(bases: KeptBases, n: int) -> int:
         raise ValueError(f"n must lie in [0, {L}]")
     if n == 0:
         return 1
-    dims = bases.dims
-    dbar_a = [dims[l - 1] * d - dims[l] for l in range(1, L + 1)]
-    dbar_b = [dims[l] * d - dims[l - 1] for l in range(1, L + 1)]
+    dims, dbar_a, dbar_b = bases.dims, bases.discarded_left_dims, bases.discarded_right_dims
     if n == 1:
         return int(sum(dbar_a[l - 1] * dims[l] for l in range(1, L + 1)))
     return int(sum(dbar_a[l - 1] * d ** (n - 2) * dbar_b[l + n - 2] for l in range(1, L + 2 - n)))

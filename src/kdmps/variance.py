@@ -15,10 +15,19 @@ added site. Discarded sectors are applied through 1 - A A^T (left) and
 1 - B^T B (right) on the edge legs; only the n - 2 interior legs stay open,
 so the cost is polynomial in the bond dimensions and exponential only in n.
 
+A window with no discarded space at an end is zero, and is skipped rather
+than projected to round-off: every window from a start site l with
+Dbar^A_l = 0, and for n >= 2 the close-out of a window whose last site has
+Dbar^B = 0. A start site grows its open environment only up to its last
+nonzero window. The windows closed are exactly the nonzero terms of
+:func:`kdmps.projectors.subspace_dimension`, and the dimensions come from
+:attr:`kdmps.projectors.KeptBases.discarded_left_dims` and
+``discarded_right_dims``, as there.
+
 A call allocates its working memory once: every ket step writes into one
-flat buffer and every MPO step into another, each sized for its largest
-result over all windows from the bond dimensions, so the open environment
-ping-pongs between the two. Each closed window is a new array, projected
+flat buffer and every MPO step into another, each sized from the bond
+dimensions for its largest result over the windows grown, so the open
+environment ping-pongs between the two. Each closed window is a new array, projected
 and squared in place.
 """
 
@@ -76,25 +85,36 @@ def nsite_variance(psi: Mps, h: Mpo, n_max: int) -> VarianceReport:
     b = [t.data for t in bases.right]
     energy = env.energy_at_bond(0)
 
+    # closes[l]: the window sizes n closed from start site l, those with a
+    # discarded space at both ends; the site grows up to the last of them
+    dbar_a, dbar_b = bases.discarded_left_dims, bases.discarded_right_dims
+    closes = {
+        l: [n for n in range(1, min(n_max, L + 1 - l) + 1) if n == 1 or dbar_b[l + n - 2]]
+        for l in range(1, L + 1)
+        if dbar_a[l - 1]
+    }
+
     # growing window n at site l gives (D_{l-1}, d^n, w, D_{l+n-1}) results,
     # w being the MPO bond left of site l+n-1 after the ket step and right of
     # it after the MPO step; each step writes into its own buffer, sized for
-    # its largest result over all windows
+    # its largest result over all windows grown
     edges = [
         (l, n, a[l - 1].shape[0] * d**n * b[l + n - 2].shape[2])
-        for l in range(1, L + 1)
-        for n in range(1, min(n_max, L + 1 - l) + 1)
+        for l, ns in closes.items()
+        for n in range(1, ns[-1] + 1)
     ]
-    ket_buf = np.empty(max(e * w[l + n - 2] for l, n, e in edges))
-    mpo_buf = np.empty(max(e * w[l + n - 1] for l, n, e in edges))
+    ket_buf = np.empty(max((e * w[l + n - 2] for l, n, e in edges), default=0))
+    mpo_buf = np.empty(max((e * w[l + n - 1] for l, n, e in edges), default=0))
 
     values = np.zeros(n_max)  # values[n-1] accumulates in ascending l
-    for l in range(1, L + 1):
+    for l, ns in closes.items():
         z = env.lefts[l - 1]
         kets = [bases.center_site(l)] + b[l:]
         am = a[l - 1].reshape(-1, a[l - 1].shape[2])
-        for n in range(1, min(n_max, L + 1 - l) + 1):
+        for n in range(1, ns[-1] + 1):
             z = mpo_step(ket_step(z, kets[n - 1], ket_buf), h.ops[l + n - 2], n - 1, mpo_buf)
+            if n not in ns:
+                continue
             out = apply_window(z, (), (), env.rights[l + n - 1])  # (D_{l-1}, d, ..., d, D_{l+n-1})
             m = out.reshape(len(am), -1)
             m -= am @ (am.T @ m)  # 1 - A A^T on the (left bond, first physical) legs

@@ -1,5 +1,5 @@
-"""States the tests build: seeded random excitation states, and sums of
-MPS as one direct-sum MPS."""
+"""States the tests build: seeded random excitation states, random MPS
+with given bond dimensions, and sums of MPS as one direct-sum MPS."""
 
 import math
 
@@ -20,6 +20,20 @@ def random_excitation(bases, n, seed=0):
     rng = np.random.Generator(np.random.PCG64(seed))
     v = _join_flat(_gauge_fix_windows(bases, _split_flat(bases, n, rng.standard_normal(size))))
     return state_from_flat(bases, n, v / np.linalg.norm(v))
+
+
+# bonds D_0..D_6 of a chain whose discarded spaces are empty in its
+# interior: Dbar^A_l = (0, 1, 0, 9, 4, 3), so excitation branch 3 carries
+# nothing between branches 2 and 4, and Dbar^B_l = (3, 4, 9, 0, 1, 0)
+INTERIOR_EMPTY_BONDS = (1, 2, 3, 6, 3, 2, 1)
+
+
+def mps_with_bonds(bonds, seed=0):
+    """A seeded random MPS of local dimension 2 whose bond dimensions
+    D_0..D_L are ``bonds``. Its tensors are generic, so its gauge keeps
+    these bonds."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return Mps(site_tensors([rng.standard_normal((dl, 2, dr)) for dl, dr in zip(bonds, bonds[1:])]))
 
 
 def mps_sum(a, b, ca=1.0, cb=1.0):

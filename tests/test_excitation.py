@@ -35,7 +35,7 @@ from kdmps.mpo import (
 from kdmps.mps import Mps, load_mps, overlap, product_mps, random_mps, save_mps, site_tensors
 from kdmps.projectors import build_bases, dense_projector, expand_global
 from kdmps.tensor import Tensor, TruncationPolicy, env_step_left, env_step_right, mpo_matrix, mpo_step
-from state_helpers import random_excitation
+from state_helpers import INTERIOR_EMPTY_BONDS, mps_with_bonds, random_excitation
 
 DENSE_TOL = 1e-10
 
@@ -420,16 +420,33 @@ def test_apply_branch_windows_match_dense_frame_assembly():
 
 
 def test_apply_matches_dense_projected_hamiltonian():
-    L = 5
-    kept = build_bases(random_mps(L, 2, bond_cap=2, seed=20))
-    for h in (heisenberg_mpo(L), haldane_shastry_mpo(L)):
-        hm = dense_hamiltonian(h)
-        for n in (1, 2, 3, 4):
-            p = dense_projector(expand_global(n, L), kept)
-            x = random_excitation(kept, n, seed=7)
-            got = dense_state(materialize(apply_projected_h(x, h)))
-            want = p @ hm @ dense_state(materialize(x))
-            npt.assert_allclose(got, want, atol=DENSE_TOL)
+    # the second reference has empty branches at the edge and in the interior
+    for psi in (random_mps(5, 2, bond_cap=2, seed=20), mps_with_bonds(INTERIOR_EMPTY_BONDS, seed=20)):
+        L = psi.L
+        kept = build_bases(psi)
+        for h in (heisenberg_mpo(L), haldane_shastry_mpo(L)):
+            hm = dense_hamiltonian(h)
+            for n in (1, 2, 3, 4):
+                p = dense_projector(expand_global(n, L), kept)
+                x = random_excitation(kept, n, seed=7)
+                got = dense_state(materialize(apply_projected_h(x, h)))
+                want = p @ hm @ dense_state(materialize(x))
+                npt.assert_allclose(got, want, atol=DENSE_TOL)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_branches_without_a_discarded_space_are_exact_zeros(n):
+    # branches 1 and 3 have Dbar^A = 0: the gauge, the projected operator
+    # and the solver's returned state hold exact zeros there, not round-off
+    psi = mps_with_bonds(INTERIOR_EMPTY_BONDS, seed=3)
+    kept = build_bases(psi)
+    h = haldane_shastry_mpo(kept.L)
+    x = random_excitation(kept, n, seed=5)
+    res = solve_lowest_excitation(psi, h, n)
+    for state in (x, apply_projected_h(x, h), res.state):
+        for l, chain in enumerate(state.windows[:-1], start=1):
+            window = _chain_to_window([t.data for t in chain])
+            assert np.all(window == 0.0) == (l in (1, 3)), l
 
 
 def test_apply_with_maximal_profile_annihilated_branches():
@@ -462,15 +479,20 @@ def test_apply_symmetric_and_linear():
         npt.assert_allclose(dense_state(materialize(hz)), want, atol=DENSE_TOL)
 
 
-@pytest.mark.parametrize("n, steps", [(1, 24), (2, 55), (3, 90), (4, 117)])
+@pytest.mark.parametrize("n, steps", [(1, 18), (2, 38), (3, 59), (4, 72)])
 def test_apply_mpo_step_count(monkeypatch, n, steps):
     # per window, the summed input takes the MPO steps of the first n - 1
     # window sites in each reading, the forward diagonal chain n and the
-    # backward chain n - 1; for n = 1 one step per window and reading
+    # backward chain n - 1; for n = 1 one step per window and reading. Both
+    # readings cover only windows 4..L-n+1, since bonds 1, 2, 4, 8 leave
+    # branches 1-3 no discarded space, and nothing reaches the first window
+    # of a reading, so it takes no summed input: for n >= 2 that makes
+    # (L - n - 2) * (4n - 3) - 2 (n - 1) steps
     import kdmps.excitation as kexc
 
     L = 12
     kept = bases_for(L, 8, 25)
+    assert kept.discarded_left_dims[:4] == (0, 0, 0, 8)
     h = haldane_shastry_mpo(L)
     x = random_excitation(kept, n, seed=1)
     env = build_exc_env(kept, n, h)

@@ -228,6 +228,8 @@ def test_subspace_dimensions_maximal_l4():
 def test_subspace_dimensions_capped_l4():
     kept = build_bases(random_mps(4, 2, bond_cap=2, seed=10))
     assert kept.dims == (1, 2, 2, 2, 1)
+    assert kept.discarded_left_dims == (0, 2, 2, 3)
+    assert kept.discarded_right_dims == (3, 2, 2, 0)
     dims = [subspace_dimension(kept, n) for n in range(5)]
     assert dims == [1, 11, 4, 0, 0]
     assert sum(dims) == 16

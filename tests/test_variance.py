@@ -10,16 +10,20 @@ from kdmps.dmrg import DmrgOptions, build_env, dmrg_ground_state
 from kdmps.ed import dense_hamiltonian, dense_state
 from kdmps.mpo import haldane_shastry_mpo, heisenberg_mpo, mpo_shift
 from kdmps.mps import Mps, random_mps, site_tensors
-from kdmps.projectors import _project_out_left, build_bases, dense_projector, expand_irreducible
+from kdmps.projectors import _project_out_left, build_bases, dense_projector, expand_irreducible, subspace_dimension
 from kdmps.tensor import TruncationPolicy, apply_window
 from kdmps.variance import nsite_variance, write_variance_csv
+from state_helpers import INTERIOR_EMPTY_BONDS, mps_with_bonds
 
 DECOMP_TOL = 1e-10
 
 
 def _values_window_by_window(psi, h, n_max) -> np.ndarray:
     """The per-n pieces with every (n, l) window applied on its own: one
-    apply_window from the left environment of site l over all n sites."""
+    apply_window from the left environment of site l over all n sites.
+    Windows with no discarded space at an end (Dbar^A_l = 0, or for n >= 2
+    Dbar^B_{l+n-1} = 0) are applied and projected too, checked to be
+    round-off and left out of the sum, as nsite_variance leaves them out."""
     bases = build_bases(psi)
     env = build_env(bases, h)
     a = [t.data for t in bases.left]
@@ -36,7 +40,11 @@ def _values_window_by_window(psi, h, n_max) -> np.ndarray:
                 bm = b[l + n - 2].reshape(len(b[l + n - 2]), -1)
                 mm = out.reshape(-1, bm.shape[1])
                 out = (mm - (mm @ bm.T) @ bm).reshape(shape)
-            total += float(np.sum(out**2))
+            empty = bases.discarded_left_dims[l - 1] == 0 or (n >= 2 and bases.discarded_right_dims[l + n - 2] == 0)
+            if empty:
+                assert np.linalg.norm(out) <= 1e-13 * max(1.0, np.linalg.norm(window))
+            else:
+                total += float(np.sum(out**2))
         values[n - 1] = total
     return values
 
@@ -104,15 +112,43 @@ def test_total_matches_dense_for_random_states_both_models():
 
 
 def test_per_n_values_match_dense_projections():
+    # the second state has empty discarded spaces in the interior of the chain
     L = 6
     h = haldane_shastry_mpo(L)
-    psi = random_mps(L, 2, bond_cap=2, seed=5)
+    for psi in (random_mps(L, 2, bond_cap=2, seed=5), mps_with_bonds(INTERIOR_EMPTY_BONDS, seed=5)):
+        kept = build_bases(psi)
+        report = nsite_variance(psi, h, L)
+        hv = dense_hamiltonian(h) @ dense_state(kept.reference)
+        for n in range(1, L + 1):
+            p = dense_projector(expand_irreducible(n, L), kept)
+            npt.assert_allclose(report.values[n - 1], float(hv @ p @ hv), atol=DECOMP_TOL)
+
+
+@pytest.mark.parametrize("psi", [mps_with_bonds(INTERIOR_EMPTY_BONDS), random_mps(12, 2, bond_cap=8, seed=4)])
+def test_close_outs_count_the_nonzero_subspace_terms(monkeypatch, psi):
+    # a window is closed only where subspace_dimension has a nonzero term:
+    # Dbar^A_l D_l for n = 1, Dbar^A_l d^(n-2) Dbar^B_(l+n-1) for n >= 2
+    import kdmps.variance as kvar
+
+    closed = []
+
+    def counted(*args):
+        out = apply_window(*args)
+        closed.append(out.ndim - 2)
+        return out
+
+    monkeypatch.setattr(kvar, "apply_window", counted)
     kept = build_bases(psi)
-    report = nsite_variance(psi, h, L)
-    hv = dense_hamiltonian(h) @ dense_state(kept.reference)
+    L, dbar_a, dbar_b = kept.L, kept.discarded_left_dims, kept.discarded_right_dims
+    nsite_variance(psi, heisenberg_mpo(L), L)
     for n in range(1, L + 1):
-        p = dense_projector(expand_irreducible(n, L), kept)
-        npt.assert_allclose(report.values[n - 1], float(hv @ p @ hv), atol=DECOMP_TOL)
+        if n == 1:
+            terms = [dbar_a[l - 1] * kept.dims[l] for l in range(1, L + 1)]
+        else:
+            terms = [dbar_a[l - 1] * 2 ** (n - 2) * dbar_b[l + n - 2] for l in range(1, L + 2 - n)]
+        assert sum(terms) == subspace_dimension(kept, n)
+        assert closed.count(n) == sum(map(bool, terms)), n
+    assert len(closed) < L * (L + 1) // 2
 
 
 def test_nearest_neighbor_kill_rule_converged_state():

@@ -205,6 +205,11 @@ def test_config_file_non_integer_counts_exit_2(tmp_path, capsys):
         code, _, err = run_cli(capsys, "gs", "--config", str(cfg), "--out", str(tmp_path / "run"))
         assert code == 2
         assert f"{field} must be an integer" in err
+    for value in ("1e-10", True, None, [1e-10]):
+        cfg.write_text(json.dumps({"conv_tol": value}))
+        code, _, err = run_cli(capsys, "gs", "--config", str(cfg), "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert f"conv_tol must be a real number, got {value!r}" in err
     # a path, checked before the search runs; no --out here, which would override it
     cfg.write_text(json.dumps({"output_dir": 5, "L": 4, "D_cap": 2}))
     code, _, err = run_cli(capsys, "gs", "--config", str(cfg))

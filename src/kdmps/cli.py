@@ -76,6 +76,8 @@ class RunConfig:
             value = getattr(self, name)
             if type(value) is not int and not (name == "variance_n_max" and value is None):  # bool is not int here
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if type(self.conv_tol) not in (int, float):  # bool is not a number here
             raise ValueError(f"conv_tol must be a real number, got {self.conv_tol!r}")
         if not isinstance(self.output_dir, str):

@@ -119,10 +119,10 @@ def build_env(bases: KeptBases, h: Mpo) -> EnvCache:
 class EffectiveHam:
     """Symmetric local operator in a mixed-canonical frame.
 
-    ``mode`` is "bond" (acting on a D x D bond matrix at bond ``site``),
-    "1s" (a single site tensor at ``site``) or "2s" (the pair ``site``,
-    ``site``+1 and the bond between). ``ws`` are the window's MPO sites and
-    ``ops`` the same sites as kernel matrices (:attr:`kdmps.mpo.Mpo.ops`).
+    ``mode`` is "bond" (a D x D bond matrix), "1s" (one site tensor) or "2s"
+    (two sites and the bond between), in the window :func:`effective_ham`
+    selects. ``ws`` are its MPO sites and ``ops`` the same sites as kernel
+    matrices (:attr:`kdmps.mpo.Mpo.ops`).
 
     ``folded`` is None, and the window is applied by the ket-first chain
     :func:`kdmps.tensor.apply_window`, unless :func:`effective_ham` folds a
@@ -133,7 +133,6 @@ class EffectiveHam:
     """
 
     mode: str
-    site: int
     left: np.ndarray
     right: np.ndarray
     ws: tuple[np.ndarray, ...]
@@ -185,7 +184,7 @@ def effective_ham(env: EnvCache | _Sweeper, mode: str, site: int) -> EffectiveHa
     folded = None
     if width == 2 and _folds(left, ws, right):
         folded = (fold_left(left, ws[0]), fold_right(ws[1], right))
-    return EffectiveHam(mode, site, left, right, ws, ops, folded)
+    return EffectiveHam(mode, left, right, ws, ops, folded)
 
 
 # ---------- Lanczos ----------

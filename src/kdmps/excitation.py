@@ -36,15 +36,10 @@ are formed only for the returned state.
 
 A branch whose first site has a full bond (D_{l-1} d = D_l, so A_l is
 square and Dbar^A_l = 0) has no discarded space: away from the anchor the
-gauge leaves it nothing, and every state here holds exact zeros there. The
-passes skip the leading run of such branches, which on a chain whose bonds
-grow as d^l from the left edge is every branch before the first truncated
-bond: the forward pass starts at the first branch with a discarded space,
-whose F and part-way environments are zero, and the backward pass stops
-once it has produced that branch's output. The first window of either
-pass, which nothing reaches from its left, takes no summed input. An empty
-branch between nonempty ones stays an exact zero but still carries the
-environments through.
+gauge leaves it nothing, and every state here holds exact zeros there.
+Wherever such a dead branch sits, neither pass runs its chain or closes
+its output, an environment that no live branch has reached is absent (no
+step runs on it), and each pass ends after its last live window.
 """
 
 from __future__ import annotations
@@ -231,7 +226,8 @@ class _Reading:
     right environment ``rights[s]`` contracted with the bra's physical leg
     and right bond left open, as a (d D, w, D) right environment whose bra
     leg is that (physical, bond) pair. ``bra_windows[k-1][l-1]`` is bra
-    l..l+k-1 contracted into one array (k = 1..n-1).
+    l..l+k-1 contracted into one array (k = 1..n-1). ``live[l-1]`` is False
+    where branch l is dead: not the anchor, and with no discarded space.
     """
 
     bra: tuple[np.ndarray, ...]
@@ -241,9 +237,10 @@ class _Reading:
     rights: tuple[np.ndarray, ...]
     opens: tuple[np.ndarray, ...]
     bra_windows: tuple[tuple[np.ndarray, ...], ...]
+    live: tuple[bool, ...]
 
 
-def _reading(bra, ket, ops, mirrored_ops, lefts, rights, n: int) -> _Reading:
+def _reading(bra, ket, ops, mirrored_ops, lefts, rights, n: int, live: tuple[bool, ...]) -> _Reading:
     """The reading of these arrays, with bra windows of up to n - 1 sites.
     ``mirrored_ops`` are the MPO matrices of the opposite reading; the open
     reference sites grow leftwards from the right environments with them."""
@@ -252,7 +249,7 @@ def _reading(bra, ket, ops, mirrored_ops, lefts, rights, n: int) -> _Reading:
         o = mpo_step(ket_step(rights[s], ket[s - 1].T), mirrored_ops[s - 1], 0)  # (bra bond, p, w, ket bond)
         opens.append(np.ascontiguousarray(o.transpose(1, 0, 2, 3)).reshape(-1, *o.shape[2:]))
     wins = tuple(tuple(_chain_to_window(bra[l : l + k]) for l in range(len(bra) - k + 1)) for k in range(1, n))
-    return _Reading(tuple(bra), tuple(ket), tuple(ops), tuple(lefts), tuple(rights), tuple(opens), wins)
+    return _Reading(tuple(bra), tuple(ket), tuple(ops), tuple(lefts), tuple(rights), tuple(opens), wins, live)
 
 
 @dataclass(frozen=True)
@@ -261,14 +258,14 @@ class ExcEnvCache:
 
     Depends only on the gauge ``bases``, the operator ``h`` and the window
     size ``n``: ``forward`` holds the reference's isometries, MPO sites,
-    environments (reference in bra and ket), open reference sites and
-    A-windows of 1..n-1 sites in site order, ``backward`` the same for the
-    chain read backwards (B-windows as its bra windows). An open reference
-    site is the reference ket, the MPO site and the far environment of one
-    site with the bra leg left open: B_s W_s R in the forward reading,
-    A_s W_s L in the backward one. Next to the environments they add one
-    (D, d, w, D) array per site and reading. The cache is built once per
-    solve.
+    environments (reference in bra and ket), open reference sites,
+    A-windows of 1..n-1 sites and the branches' live mask in site order,
+    ``backward`` the same for the chain read backwards (B-windows as its
+    bra windows). An open reference site is the reference ket, the MPO site
+    and the far environment of one site with the bra leg left open:
+    B_s W_s R in the forward reading, A_s W_s L in the backward one. Next
+    to the environments they add one (D, d, w, D) array per site and
+    reading. The cache is built once per solve.
     """
 
     bases: KeptBases
@@ -284,7 +281,8 @@ def build_exc_env(bases: KeptBases, n: int, h: Mpo) -> ExcEnvCache:
     base = build_env(bases, h)
     a = [t.data for t in bases.left]
     b = [t.data for t in bases.right]
-    forward = _reading(a, b, h.ops, h.mirrored_ops, base.lefts, base.rights, n)
+    live = tuple(dim > 0 for dim in bases.discarded_left_dims[: bases.L - n]) + (True,)  # the anchor is live
+    forward = _reading(a, b, h.ops, h.mirrored_ops, base.lefts, base.rights, n, live)
     backward = _reading(
         [np.ascontiguousarray(t.T) for t in reversed(b)],  # .T reverses every axis
         [np.ascontiguousarray(t.T) for t in reversed(a)],
@@ -293,22 +291,32 @@ def build_exc_env(bases: KeptBases, n: int, h: Mpo) -> ExcEnvCache:
         base.rights[::-1],
         base.lefts[::-1],
         n,
+        live[::-1],
     )
     return ExcEnvCache(bases=bases, h=h, n=n, forward=forward, backward=backward)
 
 
-def _absorb(r: _Reading, windows: list[np.ndarray], n: int, diagonal: bool, first: int = 1):
+def _plus(acc: np.ndarray | None, term: np.ndarray) -> np.ndarray:
+    """``acc + term``, an absent ``acc`` (None) read as zero; the sum goes
+    into ``acc``, which must then be the caller's own array."""
+    if acc is None:
+        return term
+    acc += term
+    return acc
+
+
+def _absorb(r: _Reading, windows: list[np.ndarray], n: int, diagonal: bool):
     """One pass over the branch windows along a reading direction.
 
-    Yields, for each output window l = first, first + 1, .. in turn, the
-    window collecting every input branch left of it (and branch l itself
-    when ``diagonal``), and the F it closed: at bond l + n - 2 (bond l when
-    n = 1), the environment of every branch that ends at or before that
-    bond. The input branches before ``first`` must be zero. Nothing then
-    reaches window ``first`` from its left (F at bond first - 1 and every
-    part-way environment are zero), so that window takes no summed input:
-    its output is its diagonal term alone (zero when not ``diagonal``), and
-    the F it closes is zero.
+    Yields, for each output window l = 1, 2, .. in turn up to the reading's
+    last live one, the window collecting every input branch left of it (and
+    branch l itself when ``diagonal``), and the F it closed: at bond
+    l + n - 2 (bond l when n = 1), the environment of every branch that ends
+    at or before that bond. Either is None where it holds nothing: a dead
+    branch (``r.live``) runs no chain and closes no output, and an F or a
+    part-way environment that no live branch has reached is absent, so no
+    ket or MPO step runs on it. A window that nothing reaches from its left
+    takes no summed input.
 
     On the window's first n - 1 sites, F at bond l - 1 and the branches
     l-1..l-n+1, absorbed part-way, meet the reference's kets; their sum
@@ -323,50 +331,50 @@ def _absorb(r: _Reading, windows: list[np.ndarray], n: int, diagonal: bool, firs
     hold branch l whole, so F and branch l take the site's MPO step
     together. Only the last n environments of each kind are kept alive.
     """
-    fs: dict[int, np.ndarray] = {}  # F by bond
-    partials: dict[int, list[np.ndarray]] = {}  # partials[l][j-1]: branch l, j slots absorbed
-    for l in range(first, len(windows) + 1):
-        shape = windows[l - 1].shape
-        reached = l > first  # nothing reaches the pass's first window from its left
-        if reached:
-            acc = fs.pop(l - 1, None)
-            if acc is None:
-                acc = np.zeros_like(r.lefts[l - 1])
-            for j in range(n - 1, 0, -1):  # Horner over the part-way branches l - j
+    fs: dict[int, np.ndarray] = {}  # F by bond, once a live branch has reached it
+    partials: dict[int, list[np.ndarray]] = {}  # partials[l][j-1]: live branch l, j slots absorbed
+    for l in range(1, len(r.live) - r.live[::-1].index(True) + 1):
+        live, shape = r.live[l - 1], windows[l - 1].shape
+        y = f = None
+        acc = fs.pop(l - 1, None)
+        for j in range(n - 1, 0, -1):  # Horner over the part-way branches l - j
+            if acc is not None:
                 acc = ket_step(acc, r.ket[l + n - 2 - j])
-                if l - j in partials:
-                    acc += partials[l - j][j - 1]
+            if l - j in partials:
+                acc = _plus(acc, partials[l - j][j - 1])
+        if acc is not None:
             for j in range(n - 1):
                 acc = mpo_step(acc, r.ops[l - 1 + j], j)
-        g = ket_step(r.lefts[l - 1], windows[l - 1])
+        g = ket_step(r.lefts[l - 1], windows[l - 1]) if live else None
         if n == 1:  # F takes in branch l whole: both go through the site's MPO step
-            if reached:
-                g += ket_step(acc, r.ket[l - 1])
-            z = mpo_step(g, r.ops[l - 1], 0)
-            if diagonal:
-                y = close_right(z, r.rights[l])
-            else:
-                y = close_right(acc, r.opens[l - 1]) if reached else np.zeros(shape)
-            f = fs[l] = close(r.bra[l - 1], z)
+            if acc is not None:
+                if live and not diagonal:
+                    y = close_right(acc, r.opens[l - 1])
+                g = _plus(g, ket_step(acc, r.ket[l - 1]))
+            if g is not None:
+                z = mpo_step(g, r.ops[l - 1], 0)
+                if live and diagonal:
+                    y = close_right(z, r.rights[l])
+                f = fs[l] = close(r.bra[l - 1], z)
         else:
-            if reached:
-                y = close_right(acc, r.opens[l + n - 2]).reshape(shape)
+            if acc is not None:
+                if live:
+                    y = close_right(acc, r.opens[l + n - 2]).reshape(shape)
                 f = fs[l + n - 2] = close(r.bra_windows[n - 2][l - 1], acc)
-            else:
-                y, f = np.zeros(shape), np.zeros_like(r.lefts[l + n - 2])
-            chain = []
-            for j in range(n - 1):
+            if live:
+                chain = []
+                for j in range(n - 1):
+                    if diagonal:
+                        g = mpo_step(g, r.ops[l - 1 + j], j)
+                        chain.append(close(r.bra_windows[j][l - 1], g))
+                    else:
+                        g = close(r.bra[l - 1 + j], mpo_step(g, r.ops[l - 1 + j], 0))
+                        chain.append(g)
                 if diagonal:
-                    g = mpo_step(g, r.ops[l - 1 + j], j)
-                    chain.append(close(r.bra_windows[j][l - 1], g))
-                else:
-                    g = close(r.bra[l - 1 + j], mpo_step(g, r.ops[l - 1 + j], 0))
-                    chain.append(g)
-            if diagonal:
-                y += close_right(mpo_step(g, r.ops[l + n - 2], n - 1), r.rights[l + n - 1])
-            partials[l] = chain
+                    y = _plus(y, close_right(mpo_step(g, r.ops[l + n - 2], n - 1), r.rights[l + n - 1]))
+                partials[l] = chain
             partials.pop(l - n + 1, None)  # its last use was this window's Horner sum
-        yield y.reshape(shape), f
+        yield (None if y is None else y.reshape(shape)), f
 
 
 def _gauge_fix_windows(bases: KeptBases, windows: list[np.ndarray]) -> list[np.ndarray]:
@@ -387,31 +395,21 @@ def _gauge_fix_windows(bases: KeptBases, windows: list[np.ndarray]) -> list[np.n
     return out
 
 
-def _first_branch(bases: KeptBases, n: int) -> int:
-    """The first branch that the gauge leaves nonzero: the first with a
-    discarded space, else the anchor. Every branch before it is zero."""
-    anchor = bases.L - n + 1
-    return next((l for l, dim in enumerate(bases.discarded_left_dims[: anchor - 1], start=1) if dim), anchor)
-
-
 def _apply_windows(env: ExcEnvCache, windows: list[np.ndarray]) -> list[np.ndarray]:
     """The projected operator on gauge-fixed dense branch windows: the
     forward pass collects the input branches at or left of each output
     window, the pass over the mirrored chain those right of it.
 
-    Both passes skip the leading branches with no discarded space: they are
-    zero in the input and in the output, so the forward pass starts at the
-    first branch with one and the mirrored pass stops once it has produced
-    that branch's output."""
+    A dead branch is zero in the input and in the output: neither pass runs
+    it, and its output, absent from both, is written as zeros. The mirrored
+    pass ends with the output of the first live branch."""
     n = env.n
-    first = _first_branch(env.bases, n)
-    out = [np.zeros_like(w) for w in windows[: first - 1]]
-    out += [y for y, _ in _absorb(env.forward, windows, n, diagonal=True, first=first)]
+    out = [y for y, _ in _absorb(env.forward, windows, n, diagonal=True)]
     mirrored = _absorb(env.backward, [t.T for t in reversed(windows)], n, diagonal=False)
-    # zip draws from out first, so the mirrored pass stops after branch first
-    for y, (back, _) in zip(reversed(out[first - 1 :]), mirrored):
-        y += back.T
-    return _gauge_fix_windows(env.bases, out)
+    for y, (back, _) in zip(reversed(out), mirrored):
+        if back is not None:
+            y += back.T
+    return _gauge_fix_windows(env.bases, [np.zeros_like(w) if y is None else y for y, w in zip(out, windows)])
 
 
 def apply_projected_h(x: ExcitationState, h: Mpo, env: ExcEnvCache | None = None) -> ExcitationState:

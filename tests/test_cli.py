@@ -55,6 +55,22 @@ def test_gs_invalid_length_exits_2(tmp_path, capsys):
     assert "error" in err and "usage" in err
 
 
+def test_negative_seed_exits_2_before_any_output(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "gs", "--length", "4", "--seed", "-1", "--out", str(tmp_path / "gs"))
+    assert code == 2
+    assert "seed must be a non-negative integer, got -1" in err
+    assert not (tmp_path / "gs").exists()
+    # excite rejects it before it loads the reference archive
+    model = ("--model", "heisenberg", "--length", "4", "--bond-dim", "2")
+    assert run_cli(capsys, "gs", *model, "--out", str(tmp_path / "run"))[0] == 0
+    code, _, err = run_cli(
+        capsys, "excite", *model, "--seed", "-3", "--gs", str(tmp_path / "run" / "gs_mps"), "--out", str(tmp_path / "ex"),
+    )
+    assert code == 2
+    assert "seed must be a non-negative integer, got -3" in err
+    assert not (tmp_path / "ex").exists()
+
+
 def test_gs_non_convergence_exits_3_but_writes_state(tmp_path, capsys):
     out_dir = tmp_path / "run"
     code, out, err = run_cli(

@@ -159,7 +159,7 @@ FOLD_CASES = [
 @pytest.mark.parametrize("model, L, dl, l, dr", [case[:-1] for case in FOLD_CASES])
 def test_folded_two_site_matvec_matches_the_ket_first_chain(model, L, dl, l, dr):
     left, ws, ops, right = _random_window(model, L, dl, l, dr)
-    heff = EffectiveHam("2s", l, left, right, ws, ops, (fold_left(left, ws[0]), fold_right(ws[1], right)))
+    heff = EffectiveHam("2s", left, right, ws, ops, (fold_left(left, ws[0]), fold_right(ws[1], right)))
     x = np.random.default_rng(0).standard_normal(heff.x_shape)
     want = apply_window(left, ops, (x,), right)
     assert heff.apply(x).shape == want.shape

@@ -253,12 +253,18 @@ def test_membership_of_gauge_fixed_states():
 
 def _passes(x, h, env=None):
     """(out, F) pairs of the forward pass and of the pass over the mirrored
-    chain, on the dense windows of ``x``."""
+    chain, on the dense windows of ``x``. Either is None where the pass
+    holds nothing there, which reads as zero (:func:`_zero`)."""
     env = env or build_exc_env(x.bases, x.n, h)
     windows = [_chain_to_window(x.branch_arrays(l)) for l in range(1, x.n_branches + 1)]
     forward = list(_absorb(env.forward, windows, x.n, diagonal=True))
     mirrored = [np.transpose(w) for w in reversed(windows)]
     return forward, list(_absorb(env.backward, mirrored, x.n, diagonal=False))
+
+
+def _zero(a):
+    """An (out, F) entry of :func:`_passes`, with None read as zero."""
+    return 0.0 if a is None else a
 
 
 def _branch_env(kept, h, x, branch, sites, right=False):
@@ -294,8 +300,8 @@ def test_exc_env_zero_windows_reduce_to_plain_environments():
             npt.assert_array_equal(env.backward.rights[k], plain.lefts[5 - k])
         forward, backward = _passes(x, h, env)
         for out, f in forward + backward:
-            npt.assert_array_equal(out, 0.0)
-            npt.assert_array_equal(f, 0.0)
+            npt.assert_array_equal(_zero(out), 0.0)
+            npt.assert_array_equal(_zero(f), 0.0)
 
 
 def test_exc_env_identity_mpo_gives_partial_overlap_transfer():
@@ -315,27 +321,34 @@ def test_exc_env_identity_mpo_gives_partial_overlap_transfer():
                 tmp = np.tensordot(g, a[s - 1], axes=(0, 0))
                 g = np.tensordot(tmp, ket, axes=((0, 1), (0, 1)))
             acc += g
-        got = forward[l - 1][1][:, 0, :]
+        f = forward[l - 1][1]
+        got = 0.0 if f is None else f[:, 0, :]  # None: no live branch has reached bond l
         npt.assert_allclose(got, acc, atol=1e-12)
 
 
 def test_exc_env_recursions_rebuild():
     # the F each window closes, at bond l + n - 2 (l for n = 1), sums the
-    # branches ending at or before that bond absorbed whole, both ways
+    # branches ending at or before that bond absorbed whole, both ways.
+    # Branch 1 has no discarded space, so the mirrored pass ends with the
+    # output of branch 2 and closes no F after it
     L = 5
     kept = bases_for(L, 2, 17)
+    assert kept.discarded_left_dims[:2] == (0, 2)
     h = heisenberg_mpo(L)
     for n in (1, 2, 3):
         x = random_excitation(kept, n, seed=3)
         forward, backward = _passes(x, h)
+        assert (len(forward), len(backward)) == (x.n_branches, x.n_branches - 1)
         for l in range(1, x.n_branches + 1):
             bond = l if n == 1 else l + n - 2
             want = sum(_branch_env(kept, h, x, lp, bond) for lp in range(1, bond - n + 2))
-            npt.assert_allclose(forward[l - 1][1], want, atol=1e-12)
+            npt.assert_allclose(_zero(forward[l - 1][1]), want, atol=1e-12)
+            if l > len(backward):
+                continue
             # mirrored bond b is bond L - b: branches first..nb over sites first..L
             first = L - bond + 1
             want = sum(_branch_env(kept, h, x, lp, first, right=True) for lp in range(first, x.n_branches + 1))
-            npt.assert_allclose(backward[l - 1][1], want, atol=1e-12)
+            npt.assert_allclose(_zero(backward[l - 1][1]), want, atol=1e-12)
 
 
 def test_exc_env_cached_reference_environments_match_rebuilt():
@@ -479,23 +492,12 @@ def test_apply_symmetric_and_linear():
         npt.assert_allclose(dense_state(materialize(hz)), want, atol=DENSE_TOL)
 
 
-@pytest.mark.parametrize("n, steps", [(1, 18), (2, 38), (3, 59), (4, 72)])
-def test_apply_mpo_step_count(monkeypatch, n, steps):
-    # per window, the summed input takes the MPO steps of the first n - 1
-    # window sites in each reading, the forward diagonal chain n and the
-    # backward chain n - 1; for n = 1 one step per window and reading. Both
-    # readings cover only windows 4..L-n+1, since bonds 1, 2, 4, 8 leave
-    # branches 1-3 no discarded space, and nothing reaches the first window
-    # of a reading, so it takes no summed input: for n >= 2 that makes
-    # (L - n - 2) * (4n - 3) - 2 (n - 1) steps
+def _mpo_steps(monkeypatch, x, h):
+    """The MPO steps one application of the projected operator takes, with
+    the cache built beforehand."""
     import kdmps.excitation as kexc
 
-    L = 12
-    kept = bases_for(L, 8, 25)
-    assert kept.discarded_left_dims[:4] == (0, 0, 0, 8)
-    h = haldane_shastry_mpo(L)
-    x = random_excitation(kept, n, seed=1)
-    env = build_exc_env(kept, n, h)
+    env = build_exc_env(x.bases, x.n, h)
     calls = []
 
     def counted(*args):
@@ -504,7 +506,44 @@ def test_apply_mpo_step_count(monkeypatch, n, steps):
 
     monkeypatch.setattr(kexc, "mpo_step", counted)
     apply_projected_h(x, h, env)
-    assert len(calls) == steps
+    return len(calls)
+
+
+@pytest.mark.parametrize("n, steps", [(1, 18), (2, 38), (3, 59), (4, 72)])
+def test_apply_mpo_step_count(monkeypatch, n, steps):
+    # per window, the summed input takes the MPO steps of the first n - 1
+    # window sites in each reading, the forward diagonal chain n and the
+    # backward chain n - 1; for n = 1 one step per window and reading.
+    # Bonds 1, 2, 4, 8 leave branches 1-3 dead (no discarded space), so
+    # neither pass runs them and nothing reaches their windows: the readings
+    # cover windows 4..L-n+1, the mirrored one ending with branch 4, and
+    # window 4 takes no summed input in either. For n >= 2 that makes
+    # (L - n - 2) * (4n - 3) - 2 (n - 1) steps
+    L = 12
+    kept = bases_for(L, 8, 25)
+    assert kept.discarded_left_dims[:4] == (0, 0, 0, 8)
+    x = random_excitation(kept, n, seed=1)
+    assert _mpo_steps(monkeypatch, x, haldane_shastry_mpo(L)) == steps
+
+
+@pytest.mark.parametrize("n, steps", [(1, 10), (2, 15), (3, 18)])
+def test_apply_mpo_step_count_with_an_interior_dead_branch(monkeypatch, n, steps):
+    # branches 1 and 3 are dead (Dbar^A = 0 away from the anchor): neither
+    # pass runs them, and a window takes a summed input only where a live
+    # branch has reached it. A live branch runs n MPO steps forward and
+    # n - 1 backward, a reached window's summed input n - 1; for n = 1 the
+    # window's one step serves both and runs where either is there. The
+    # mirrored pass ends with branch 2, its last live one.
+    # n = 1: forward windows 2-6, mirrored windows 6-2: 5 + 5.
+    # n = 2: forward, branches 2, 4, 5 run 2 each and windows 3-5 are
+    # reached, 6 + 3; mirrored, branches 5, 4, 2 run 1 each and windows
+    # 4, 3, 2 are reached, 3 + 3.
+    # n = 3: forward, branches 2, 4 run 3 each and windows 3, 4 are reached,
+    # 6 + 4; mirrored, branches 4, 2 run 2 each and windows 3, 2 are
+    # reached, 4 + 4.
+    kept = build_bases(mps_with_bonds(INTERIOR_EMPTY_BONDS, seed=3))
+    x = random_excitation(kept, n, seed=5)
+    assert _mpo_steps(monkeypatch, x, haldane_shastry_mpo(kept.L)) == steps
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
